@@ -8,7 +8,7 @@ solver (achievability, predicates, oracles, sweeps), cli.
 """
 from .algebra import QuotientShape, TensorElement, divides, mult_operator, phi, phi_inverse, tensor_mul
 from .game import GameSpec, GridShape, adjacency_matrix, check_commutes, is_sigma_plus, make_j, parse_game, parse_shape, u_element
-from .gf2 import BitMatrix, BitVector, in_image, kernel_basis, kronecker, rank, solve
+from .gf2 import BitMatrix, BitVector, kernel_basis, kronecker, rank, solve
 from .poly2 import Poly2, chebyshev_q, two_valuation, val_x
 from .solver import (AchievabilityReport, PredicateVerdict, achievable, all_on,
                      brute_force_oracle, principal_predicate, sutner_check,
@@ -21,7 +21,7 @@ __all__ = [
     "AchievabilityReport", "PredicateVerdict",
     "achievable", "adjacency_matrix", "all_on", "brute_force_oracle", "c_map",
     "central_configuration", "chebyshev_q", "check_commutes", "divides",
-    "in_image", "is_sigma_plus", "kernel_basis", "kronecker", "make_j",
+    "is_sigma_plus", "kernel_basis", "kronecker", "make_j",
     "mult_operator", "parse_game", "parse_shape", "phi", "phi_inverse",
     "principal_predicate", "rank", "s_map", "solve", "sutner_check",
     "sweep", "symmetric_achievability", "symmetric_basis", "tensor_fold",

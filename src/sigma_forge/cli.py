@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import solver, symmetry
-from .game import GridShape, adjacency_matrix, parse_game, parse_shape
+from .game import PRESET_NAMES, GridShape, adjacency_matrix, parse_game, parse_shape
 from .gf2 import BitVector
 from .poly2 import chebyshev_q
 
@@ -101,8 +101,7 @@ def _cmd_predicate(args) -> int:
     shape = parse_shape(args.shape)
     g = parse_game(args.game, shape)
     verdict = solver.principal_predicate(g)
-    note = "" if args.game in ("sigma+:box", "sigma-:box", "sigma+:boxtimes",
-                               "sigma-:boxtimes") else " (hypothesis unverified)"
+    note = "" if args.game in PRESET_NAMES else " (hypothesis unverified)"
     print(f"closed_form: {int(verdict.closed_form)}{note}")
     print(f"ground_truth: {int(verdict.ground_truth)}")
     print(f"agree: {int(verdict.agree)}")

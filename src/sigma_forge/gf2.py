@@ -6,9 +6,10 @@ are whole-word XORs vectorized with numpy.  All values are immutable
 after construction and all operations are pure functions, so everything
 here can be shared freely across threads.
 
-Elimination is deterministic: pivots are the first nonzero row in column
-order, rows are swapped, and free variables are fixed to zero when a
-solution is extracted.
+Every rank, kernel, solve, certificate and image query reads one
+:class:`Elimination` record.  Elimination is deterministic: pivots are
+the first nonzero row in column order, rows are swapped, and free
+variables are fixed to zero when a solution is extracted.
 """
 from __future__ import annotations
 
@@ -24,12 +25,12 @@ def _nwords(n: int) -> int:
     return (n + _WORD - 1) >> 6
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 1-D uint8 0/1 array into little-endian uint64 words."""
-    n = bits.shape[0]
-    packed = np.packbits(bits, bitorder="little")
-    buf = np.zeros(_nwords(n) * 8, dtype=np.uint8)
-    buf[: packed.shape[0]] = packed
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a uint8 0/1 array along its last axis into little-endian
+    uint64 words, zero-padded to whole words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    buf = np.zeros(bits.shape[:-1] + (_nwords(bits.shape[-1]) * 8,), dtype=np.uint8)
+    buf[..., : packed.shape[-1]] = packed
     return buf.view(np.uint64)
 
 
@@ -81,14 +82,14 @@ class BitVector:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
         arr = np.fromiter((b & 1 for b in bits), dtype=np.uint8)
-        return cls(arr.shape[0], _pack_bits(arr))
+        return cls(arr.shape[0], _pack_rows(arr))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVector":
         arr = np.zeros(n, dtype=np.uint8)
         for i in indices:
             arr[i] ^= 1
-        return cls(n, _pack_bits(arr))
+        return cls(n, _pack_rows(arr))
 
     # -- queries ------------------------------------------------------
 
@@ -147,8 +148,9 @@ class BitMatrix:
     """An immutable rows x cols matrix over GF(2), rows packed into words.
 
     A matrix flagged ``symmetric`` is verified to equal its transpose at
-    construction time; the flag enables the kernel-orthogonality image
-    test in :func:`in_image`.
+    construction time; the flag lets :meth:`Elimination.certificate`
+    prove a target outside the image by a kernel vector not orthogonal
+    to it (Im m = (Ker m)^perp).
     """
 
     __slots__ = ("rows", "cols", "symmetric", "_words")
@@ -221,10 +223,7 @@ class BitMatrix:
     def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False,
                         _trusted: bool = False) -> "BitMatrix":
         rows, cols = bits.shape
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        buf = np.zeros((rows, _nwords(cols) * 8), dtype=np.uint8)
-        buf[:, : packed.shape[1]] = packed
-        return cls(rows, cols, buf.view(np.uint64), symmetric=symmetric, _trusted=_trusted)
+        return cls(rows, cols, _pack_rows(bits), symmetric=symmetric, _trusted=_trusted)
 
     # -- queries ------------------------------------------------------
 
@@ -282,7 +281,7 @@ class BitMatrix:
             raise ValueError(f"vector length {v.n} != cols {self.cols}")
         folded = np.bitwise_xor.reduce(self._words & v._words[None, :], axis=1)
         bits = np.bitwise_count(folded).astype(np.uint8) & 1
-        return BitVector(self.rows, _pack_bits(bits))
+        return BitVector(self.rows, _pack_rows(bits))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -327,18 +326,96 @@ class BitMatrix:
 _INT_PATH_MAX = 128
 
 
-def _rref(awords: np.ndarray, ncols: int, bwords: Optional[np.ndarray] = None) -> list:
-    """In-place reduced row echelon form; returns the pivot columns.
+class Elimination:
+    """One reduced row echelon form of [m | t_1 ... t_k] over GF(2).
 
-    Pivot rule: first nonzero row at or below the current row, in column
-    order, with a row swap.  ``bwords`` is an optional right-hand-side
-    block that receives the same row operations.  The int path and the
-    vectorized path produce bit-identical results (the RREF and the
-    pivot sequence are canonical).
+    Every rank, kernel, solve, certificate and image query is read off
+    this record.  Pivot rule: first nonzero row at or below the current
+    row, in column order, with a row swap.  The RREF and the pivot
+    sequence are canonical, so the int-bitset path and the vectorized
+    path produce bit-identical records.
+
+    ``rows`` holds the reduced m-columns, ``rhs`` the transformed
+    target block (bit j of a row is target j) and ``pivots`` the pivot
+    columns.
     """
-    nrows = awords.shape[0]
-    if 0 < nrows <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
-        return _rref_ints(awords, ncols, bwords)
+
+    __slots__ = ("m", "targets", "pivots", "rows", "rhs")
+
+    def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
+        self.m = m
+        self.targets = tuple(targets)
+        # the target block rides in the words after m's, so every row
+        # operation covers both
+        split = m._words.shape[1]
+        words = np.zeros((m.rows, split + _nwords(len(self.targets))), dtype=np.uint64)
+        words[:, :split] = m._words
+        if self.targets:
+            tbits = np.zeros((m.rows, len(self.targets)), dtype=np.uint8)
+            for j, t in enumerate(self.targets):
+                if t.n != m.rows:
+                    raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
+                tbits[:, j] = t.to_array()
+            words[:, split:] = _pack_rows(tbits)
+        if 0 < m.rows <= _INT_PATH_MAX and m.cols <= _INT_PATH_MAX:
+            self.pivots = _rref_ints(words, m.cols)
+        else:
+            self.pivots = _rref(words, m.cols)
+        words.flags.writeable = False
+        self.rows, self.rhs = words[:, :split], words[:, split:]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self) -> list:
+        """Basis of {x : m x = 0}: one vector per free column, in
+        increasing column order, each with its free coordinate set to 1."""
+        cols = self.m.cols
+        piv = np.asarray(self.pivots, dtype=np.intp)
+        free = np.setdiff1d(np.arange(cols, dtype=np.intp), piv, assume_unique=True)
+        if free.size == 0:
+            return []
+        bits = np.zeros((free.size, cols), dtype=np.uint8)
+        bits[np.arange(free.size), free] = 1
+        bits[:, piv] = _unpack_words_2d(self.rows[: self.rank], cols)[:, free].T
+        words = _pack_rows(bits)
+        return [BitVector(cols, words[i].copy()) for i in range(free.size)]
+
+    def consistent(self) -> list:
+        """Per target, whether it lies in the column space of m."""
+        stuck = np.bitwise_or.reduce(self.rhs[self.rank:], axis=0)
+        return [not b for b in _unpack_words(stuck, len(self.targets))]
+
+    def _target_column(self, j: int) -> np.ndarray:
+        return ((self.rhs[:, j >> 6] >> np.uint64(j & 63)) & _ONE).astype(np.uint8)
+
+    def solution(self, j: int = 0) -> Optional[BitVector]:
+        """Some x with m x = t_j (free variables zero), or None."""
+        col = self._target_column(j)
+        if col[self.rank:].any():
+            return None
+        xbits = np.zeros(self.m.cols, dtype=np.uint8)
+        xbits[np.asarray(self.pivots, dtype=np.intp)] = col[: self.rank]
+        return BitVector(self.m.cols, _pack_rows(xbits))
+
+    def certificate(self, j: int = 0) -> Optional[BitVector]:
+        """A kernel vector k with k . t_j = 1, or None.
+
+        Only a symmetric m yields one: there Im m = (Ker m)^perp, so k
+        proves t_j outside the image, and such a k exists whenever t_j
+        is outside it.
+        """
+        if not self.m.symmetric or not self._target_column(j)[self.rank:].any():
+            return None
+        t = self.targets[j]
+        return next((k for k in self.kernel() if k.dot(t)), None)
+
+
+def _rref(words: np.ndarray, ncols: int) -> list:
+    """Vectorized in-place RREF of the first ncols columns; returns the
+    pivot columns.  Bits past ncols receive the same row operations."""
+    nrows = words.shape[0]
     row = 0
     pivots = []
     for col in range(ncols):
@@ -346,38 +423,28 @@ def _rref(awords: np.ndarray, ncols: int, bwords: Optional[np.ndarray] = None) -
             break
         w = col >> 6
         mask = _ONE << np.uint64(col & 63)
-        cand = (awords[:, w] & mask).nonzero()[0]
+        cand = (words[:, w] & mask).nonzero()[0]
         pos = int(cand.searchsorted(row))
         if pos == cand.size:
             continue
         p = int(cand[pos])
         if p != row:
-            awords[[row, p]] = awords[[p, row]]
-            if bwords is not None:
-                bwords[[row, p]] = bwords[[p, row]]
+            words[[row, p]] = words[[p, row]]
         flips = cand[cand != p]
         if flips.size:
-            awords[flips] ^= awords[row]
-            if bwords is not None:
-                bwords[flips] ^= bwords[row]
+            words[flips] ^= words[row]
         pivots.append(col)
         row += 1
     return pivots
 
 
-def _rref_ints(awords: np.ndarray, ncols: int, bwords: Optional[np.ndarray]) -> list:
-    """Int-bitset elimination; right-hand-side bits ride above bit ncols."""
-    nrows = awords.shape[0]
-    abytes = awords.shape[1] * 8
-    araw = awords.tobytes()
-    rows = [int.from_bytes(araw[i * abytes:(i + 1) * abytes], "little")
+def _rref_ints(words: np.ndarray, ncols: int) -> list:
+    """The same elimination as :func:`_rref` with each row as one int."""
+    nrows = words.shape[0]
+    nbytes = words.shape[1] * 8
+    raw = words.tobytes()
+    rows = [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
             for i in range(nrows)]
-    if bwords is not None:
-        bbytes = bwords.shape[1] * 8
-        braw = bwords.tobytes()
-        for i in range(nrows):
-            rows[i] |= int.from_bytes(braw[i * bbytes:(i + 1) * bbytes],
-                                      "little") << ncols
     pivots = []
     row = 0
     for col in range(ncols):
@@ -399,80 +466,24 @@ def _rref_ints(awords: np.ndarray, ncols: int, bwords: Optional[np.ndarray]) -> 
                 rows[r] ^= pr
         pivots.append(col)
         row += 1
-    amask = (1 << ncols) - 1
-    araw = b"".join((v & amask).to_bytes(abytes, "little") for v in rows)
-    awords[:] = np.frombuffer(araw, dtype=np.uint64).reshape(nrows, -1)
-    if bwords is not None:
-        braw = b"".join((v >> ncols).to_bytes(bbytes, "little") for v in rows)
-        bwords[:] = np.frombuffer(braw, dtype=np.uint64).reshape(nrows, -1)
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in rows)
+    words[:] = np.frombuffer(raw, dtype=np.uint64).reshape(words.shape)
     return pivots
-
-
-def _kernel_from_rref(awords: np.ndarray, ncols: int, pivots: list) -> list:
-    """Kernel basis read off an RREF: one vector per free column, in
-    increasing column order, each with its free coordinate set to 1."""
-    rank = len(pivots)
-    piv = np.asarray(pivots, dtype=np.intp)
-    free = np.setdiff1d(np.arange(ncols, dtype=np.intp), piv, assume_unique=True)
-    if free.size == 0:
-        return []
-    bits = np.zeros((free.size, ncols), dtype=np.uint8)
-    bits[np.arange(free.size), free] = 1
-    if rank:
-        rowbits = _unpack_words_2d(awords[:rank], ncols)
-        bits[:, piv] = rowbits[:, free].T
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    buf = np.zeros((free.size, _nwords(ncols) * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    words = buf.view(np.uint64)
-    return [BitVector(ncols, words[i].copy()) for i in range(free.size)]
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank via Gaussian elimination."""
-    aw = m._words.copy()
-    return len(_rref(aw, m.cols))
+    return Elimination(m).rank
 
 
 def kernel_basis(m: BitMatrix) -> list:
     """Basis of the right kernel {x : m x = 0}, deterministic ordering."""
-    aw = m._words.copy()
-    pivots = _rref(aw, m.cols)
-    return _kernel_from_rref(aw, m.cols, pivots)
-
-
-def _solve_rref(m: BitMatrix, b: BitVector):
-    """RREF of [m | b]; returns (awords, pivots, solution-or-None)."""
-    if b.n != m.rows:
-        raise ValueError(f"rhs length {b.n} != rows {m.rows}")
-    aw = m._words.copy()
-    packed = np.packbits(b.to_array().reshape(m.rows, 1), axis=1, bitorder="little")
-    buf = np.zeros((m.rows, 8), dtype=np.uint8)
-    buf[:, :1] = packed
-    bw = buf.view(np.uint64)
-    pivots = _rref(aw, m.cols, bw)
-    rank_ = len(pivots)
-    if np.any(bw[rank_:]):
-        return aw, pivots, None
-    xbits = np.zeros(m.cols, dtype=np.uint8)
-    if rank_:
-        xbits[np.asarray(pivots, dtype=np.intp)] = (bw[:rank_, 0] & _ONE).astype(np.uint8)
-    return aw, pivots, BitVector(m.cols, _pack_bits(xbits))
+    return Elimination(m).kernel()
 
 
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
     """Some x with m x = b (free variables zero), or None if infeasible."""
-    return _solve_rref(m, b)[2]
-
-
-def solve_with_kernel(m: BitMatrix, b: BitVector):
-    """One elimination yielding both solve(m, b) and kernel_basis(m).
-
-    The RREF of [m | b] restricted to the m-columns is the RREF of m, so
-    the pair is bit-identical to calling the two operations separately.
-    """
-    aw, pivots, x = _solve_rref(m, b)
-    return x, _kernel_from_rref(aw, m.cols, pivots)
+    return Elimination(m, [b]).solution()
 
 
 def solve_with_certificate(m: BitMatrix, b: BitVector):
@@ -480,52 +491,17 @@ def solve_with_certificate(m: BitMatrix, b: BitVector):
 
     Exactly one side is set when m is symmetric: either a solution of
     m x = b, or a kernel vector k with k . b = 1 witnessing b outside
-    the image (Im m = (Ker m)^perp).  For a non-symmetric m an
-    infeasible system may yield (None, None).
+    the image.  For a non-symmetric m an infeasible system yields
+    (None, None).
     """
-    aw, pivots, x = _solve_rref(m, b)
-    if x is not None:
-        return x, None
-    kernel = _kernel_from_rref(aw, m.cols, pivots)
-    return None, next((k for k in kernel if k.dot(b)), None)
-
-
-def in_image(m: BitMatrix, b: BitVector) -> bool:
-    """Whether b lies in the column space of m.
-
-    For a symmetric matrix this uses Im m = (Ker m)^perp: b is in the
-    image iff it is orthogonal to every kernel basis vector.  For a
-    general matrix it falls back to solving.
-    """
-    if b.n != m.rows:
-        raise ValueError(f"vector length {b.n} != rows {m.rows}")
-    if m.symmetric:
-        return all(k.dot(b) == 0 for k in kernel_basis(m))
-    return solve(m, b) is not None
+    e = Elimination(m, [b])
+    return e.solution(), e.certificate()
 
 
 def in_image_many(m: BitMatrix, targets: Sequence[BitVector]) -> list:
-    """in_image for many targets with a single elimination."""
-    k = len(targets)
-    if k == 0:
-        return []
-    tb = np.zeros((m.rows, k), dtype=np.uint8)
-    for j, t in enumerate(targets):
-        if t.n != m.rows:
-            raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
-        tb[:, j] = t.to_array()
-    packed = np.packbits(tb, axis=1, bitorder="little")
-    bw = np.zeros((m.rows, _nwords(k) * 8), dtype=np.uint8)
-    bw[:, : packed.shape[1]] = packed
-    bw = bw.view(np.uint64)
-    aw = m._words.copy()
-    pivots = _rref(aw, m.cols, bw)
-    tail = bw[len(pivots):]
-    if tail.shape[0]:
-        stuck = np.bitwise_or.reduce(tail, axis=0)
-        bad = _unpack_words(stuck, k)
-        return [not bad[j] for j in range(k)]
-    return [True] * k
+    """Whether each target lies in the column space of m, with a single
+    elimination."""
+    return Elimination(m, targets).consistent()
 
 
 def kronecker(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -165,7 +165,11 @@ def _oracle_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    if not env:
+        return DEFAULT_ORACLE_CAP
+    if not env.strip().isdecimal():
+        raise ValueError(f"{ORACLE_CAP_ENV} must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _push_columns(g: GameSpec) -> list:
@@ -226,16 +230,24 @@ def _sweep_one(task) -> PredicateVerdict:
     return PredicateVerdict(g.shape, game_text, closed, ground, agree)
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep(game: str, d: int, max_n: int, odd_only: bool = False,
           jobs: int = 1) -> List[PredicateVerdict]:
     """Evaluate closed form against ground truth over a shape range.
 
     Shapes run in lexicographic order; with jobs > 1 the shapes are
     evaluated in parallel and the row order is restored, so output is
-    byte-identical to a sequential run.
+    byte-identical to a sequential run.  Workers are capped at the
+    available CPUs and the number of shapes.
     """
     tasks = [(game, dims) for dims in _shape_range(d, max_n, odd_only)]
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, _available_cpus(), len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(_sweep_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     return [_sweep_one(t) for t in tasks]

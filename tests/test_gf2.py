@@ -161,25 +161,37 @@ def test_solve_dimension_mismatch():
         gf2.solve(J3, BitVector.from_bits([1, 0]))
 
 
+def test_solve_with_certificate_needs_symmetric_matrix():
+    # symmetric: Im m = (Ker m)^perp, so an infeasible target gets a
+    # kernel vector not orthogonal to it
+    b = BitVector.from_bits([1, 0, 0])
+    x, k = gf2.solve_with_certificate(J3, b)
+    assert x is None and J3.mul_vec(k).is_zero() and k.dot(b) == 1
+    # non-symmetric and non-square: a kernel vector has the wrong length
+    # to certify anything, and none is returned
+    m = BitMatrix.from_rows([[1, 0, 0], [1, 0, 0]])
+    assert gf2.solve_with_certificate(m, BitVector.from_bits([1, 0])) == (None, None)
+
+
 # ---------------------------------------------------------------------
-# in_image
+# image membership
 # ---------------------------------------------------------------------
 
 def test_in_image_zero_vector():
     for m in (J2, J3, BitMatrix.zeros(3, 3)):
-        assert gf2.in_image(m, BitVector.zeros(m.rows))
+        assert gf2.in_image_many(m, [BitVector.zeros(m.rows)]) == [True]
 
 
 def test_in_image_path3_members():
     assert J3.mul_vec(BitVector.from_bits([0, 1, 0])) == BitVector.from_bits([1, 0, 1])
-    assert gf2.in_image(J3, BitVector.from_bits([1, 0, 1]))
+    assert gf2.in_image_many(J3, [BitVector.from_bits([1, 0, 1])]) == [True]
 
 
 def test_in_image_path3_all_on():
     # regenerated from the exhaustive oracle: the image of J3 is
     # {000, 010, 101, 111}, so the all-on configuration IS reachable
     assert oracle_image(J3) == {(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)}
-    assert gf2.in_image(J3, BitVector.from_bits([1, 1, 1]))
+    assert gf2.in_image_many(J3, [BitVector.from_bits([1, 1, 1])]) == [True]
 
 
 # ---------------------------------------------------------------------
@@ -264,6 +276,10 @@ def test_kernel_vectors_annihilate(m):
         assert m.mul_vec(k).is_zero()
 
 
+def orthogonal_to_kernel(m: BitMatrix, b: BitVector) -> bool:
+    return all(k.dot(b) == 0 for k in gf2.kernel_basis(m))
+
+
 def test_binary_farkas_random_symmetric():
     # orthogonality decision == solvability, symmetric matrices to 20x20
     rng = random.Random(2024)
@@ -271,7 +287,7 @@ def test_binary_farkas_random_symmetric():
         m = random_bit_matrix(rng, n, n, symmetric=True)
         for _ in range(8):
             b = BitVector.from_int(n, rng.getrandbits(n))
-            by_orth = gf2.in_image(m, b)
+            by_orth = orthogonal_to_kernel(m, b)
             assert by_orth == (gf2.solve(m, b) is not None)
 
 
@@ -283,18 +299,7 @@ def test_binary_farkas_exhaustive_small():
         image = oracle_image(m)
         for _ in range(20):
             b = BitVector.from_int(n, rng.getrandbits(n))
-            assert gf2.in_image(m, b) == (b.to_bits() in image)
-
-
-def test_solve_with_kernel_matches_separate_calls():
-    rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randrange(1, 12)
-        m = random_bit_matrix(rng, n, n, symmetric=rng.random() < 0.5)
-        b = BitVector.from_int(n, rng.getrandbits(n))
-        x, kernel = gf2.solve_with_kernel(m, b)
-        assert x == gf2.solve(m, b)
-        assert kernel == gf2.kernel_basis(m)
+            assert orthogonal_to_kernel(m, b) == (b.to_bits() in image)
 
 
 def test_in_image_many_matches_in_image():
@@ -316,6 +321,55 @@ def test_elimination_is_deterministic():
     for _ in range(3):
         assert gf2.solve(m, b) == first
     assert gf2.kernel_basis(m) == gf2.kernel_basis(m)
+
+
+def _agreement_cases(rng):
+    """Matrices up to 140x140 on both sides of the int-path cutoff:
+    dense non-square, rank-deficient products, and symmetric squares,
+    each with zero and with several targets (half of them in the image)."""
+    for _ in range(6):
+        r, c = rng.randrange(1, 141), rng.randrange(1, 141)
+        inner = rng.randrange(1, min(r, c) + 1)
+        a = random_bit_matrix(rng, inner, c)
+        low_rank = random_bit_matrix(rng, r, inner) @ a
+        ata = a.transpose() @ a
+        sym = BitMatrix.from_rows([ata.row(i) for i in range(c)], symmetric=True)
+        n = rng.randrange(1, 141)
+        for m in (random_bit_matrix(rng, r, c), low_rank, sym,
+                  random_bit_matrix(rng, n, n, symmetric=True)):
+            targets = [BitVector.from_int(m.rows, rng.getrandbits(m.rows)) for _ in range(3)]
+            targets += [m.mul_vec(BitVector.from_int(m.cols, rng.getrandbits(m.cols)))
+                        for _ in range(3)]
+            yield m, []
+            yield m, targets
+
+
+def _all_queries(m, targets):
+    out = [gf2.rank(m), gf2.kernel_basis(m), gf2.in_image_many(m, targets),
+           [gf2.solve(m, t) for t in targets]]
+    if m.rows == m.cols:
+        out.append([gf2.solve_with_certificate(m, t) for t in targets])
+    return out
+
+
+def test_int_and_vectorized_paths_agree(monkeypatch):
+    cases = list(_agreement_cases(random.Random(271)))
+    assert any(m.rows <= gf2._INT_PATH_MAX and m.cols <= gf2._INT_PATH_MAX
+               for m, _ in cases)
+    default = [_all_queries(m, t) for m, t in cases]
+    monkeypatch.setattr(gf2, "_INT_PATH_MAX", 0)
+    vectorized = [_all_queries(m, t) for m, t in cases]
+    assert default == vectorized
+    for (m, targets), (rank, kernel, member, xs, *certs) in zip(cases, vectorized):
+        assert rank + len(kernel) == m.cols
+        assert all(m.mul_vec(k).is_zero() for k in kernel)
+        assert member == [x is not None for x in xs]
+        assert all(m.mul_vec(x) == t for x, t in zip(xs, targets) if x is not None)
+        assert all(member[len(targets) // 2:])
+        if m.symmetric:
+            for (x, k), t in zip(certs[0], targets):
+                assert (x is None) == (k is not None)
+                assert k is None or (m.mul_vec(k).is_zero() and k.dot(t) == 1)
 
 
 def test_matmul_against_dense():

@@ -192,6 +192,14 @@ def test_oracle_cap_env_override(monkeypatch):
     assert brute_force_oracle(g, all_on(g.shape))
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", "-1"])
+def test_oracle_cap_env_rejects_bad_values(monkeypatch, value):
+    g = preset("sigma+:box", 2, 2)
+    monkeypatch.setenv(solver.ORACLE_CAP_ENV, value)
+    with pytest.raises(ValueError, match=solver.ORACLE_CAP_ENV):
+        brute_force_oracle(g, all_on(g.shape))
+
+
 def test_oracle_agrees_with_solver_exhaustively():
     # every target on small shapes, all four presets
     for name in game.PRESET_NAMES:
@@ -288,3 +296,29 @@ def test_sweep_parallel_is_deterministic():
     seq = sweep_csv(sweep("sigma-:boxtimes", d=2, max_n=5))
     par = sweep_csv(sweep("sigma-:boxtimes", d=2, max_n=5, jobs=2))
     assert seq == par
+
+
+def test_sweep_clamps_jobs(monkeypatch):
+    # a fake pool records the worker count, so no process starts
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", FakePool)
+    seq = sweep("sigma-:boxtimes", d=2, max_n=2)  # 4 shapes
+    for cpus, jobs, expect in [(3, 64, [3]), (8, 64, [4]), (8, 2, [2]), (1, 64, [])]:
+        workers.clear()
+        monkeypatch.setattr(solver, "_available_cpus", lambda: cpus)
+        assert sweep("sigma-:boxtimes", d=2, max_n=2, jobs=jobs) == seq
+        assert workers == expect
