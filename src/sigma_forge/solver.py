@@ -28,6 +28,8 @@ from .poly2 import two_valuation
 from .symmetry import symmetric_basis
 
 DEFAULT_ORACLE_CAP = 20
+# the oracle walks 2^cap Gray-code steps; 24 bounds that at 16.8 million
+MAX_ORACLE_CAP = 24
 ORACLE_CAP_ENV = "SIGMA_FORGE_ORACLE_CAP"
 
 
@@ -61,16 +63,32 @@ def achievable(g: GameSpec, target: BitVector,
     For the symmetric game matrices the failure certificate is a kernel
     vector not orthogonal to the target, which proves unachievability;
     the orthogonality decision and the solver agree (tested) and share
-    one elimination here.
+    one elimination here.  The answer is checked with one mat-vec before
+    it is returned (M x = t, or M k = 0 and k . t = 1); a failed check
+    raises RuntimeError.
     """
     m = adjacency_matrix(g)
     if target.n != m.rows:
         raise ValueError(f"target length {target.n} != grid size {m.rows}")
     x, cert = gf2.solve_with_certificate(m, target)
-    if m.symmetric and x is None and cert is None:
-        raise AssertionError("infeasible symmetric system without a kernel certificate")
+    if x is not None:
+        if m.mul_vec(x) != target:
+            raise RuntimeError(f"witness for {g.label()} on {g.shape} fails M x = t")
+    elif m.symmetric:
+        _check_certificate(g, m, cert, target)
     return AchievabilityReport(g, target_kind, target, x is not None,
                                witness=x, certificate=cert)
+
+
+def _check_certificate(g: GameSpec, m: BitMatrix, k: Optional[BitVector],
+                       target: BitVector) -> None:
+    """Raise unless k proves target outside Im m: M k = 0 and k . t = 1."""
+    if k is None:
+        raise RuntimeError(f"infeasible symmetric system for {g.label()} on "
+                           f"{g.shape} without a kernel certificate")
+    if not m.mul_vec(k).is_zero() or k.dot(target) != 1:
+        raise RuntimeError(f"certificate for {g.label()} on {g.shape} "
+                           "fails M k = 0, k . t = 1")
 
 
 def symmetric_achievability(g: GameSpec) -> AchievabilityReport:
@@ -78,7 +96,8 @@ def symmetric_achievability(g: GameSpec) -> AchievabilityReport:
 
     Equivalent, by kernel orthogonality, to every orbit-indicator basis
     vector lying in Im M.  On failure the report carries the first
-    failing basis vector as target and a kernel certificate for it.
+    failing basis vector as target and a kernel certificate for it,
+    checked as in :func:`achievable`.
     """
     m = adjacency_matrix(g)
     kernel = gf2.kernel_basis(m)
@@ -89,6 +108,7 @@ def symmetric_achievability(g: GameSpec) -> AchievabilityReport:
             hits = kmat.mul_vec(w)
             if not hits.is_zero():
                 bad = next(i for i in range(hits.n) if hits[i])
+                _check_certificate(g, m, kernel[bad], w)
                 return AchievabilityReport(g, "symmetric-subspace", w, False,
                                            witness=None, certificate=kernel[bad])
     return AchievabilityReport(g, "symmetric-subspace", None, True,
@@ -167,8 +187,9 @@ def _oracle_cap(cap: Optional[int]) -> int:
     env = os.environ.get(ORACLE_CAP_ENV)
     if not env:
         return DEFAULT_ORACLE_CAP
-    if not env.strip().isdecimal():
-        raise ValueError(f"{ORACLE_CAP_ENV} must be a non-negative integer, got {env!r}")
+    if not env.strip().isdecimal() or int(env) > MAX_ORACLE_CAP:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer from 0 to "
+                         f"{MAX_ORACLE_CAP}, got {env!r}")
     return int(env)
 
 

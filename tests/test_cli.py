@@ -174,6 +174,18 @@ def test_oracle_command_cap_env(capsys, monkeypatch):
     assert "too large" in err
 
 
+def test_oracle_command_cap_env_is_bounded(capsys, monkeypatch):
+    def no_loop(g):
+        raise AssertionError("the Gray-code loop started")
+    monkeypatch.setattr(solver, "_push_columns", no_loop)
+    monkeypatch.setenv(solver.ORACLE_CAP_ENV, "40")
+    code, out, err = run(capsys, "oracle", "--shape", "5x5",
+                         "--game", "sigma-:box", "--target", "all-on")
+    assert code == 2
+    assert solver.ORACLE_CAP_ENV in err
+    assert out == ""
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--game", "sigma-:boxtimes",
                        "--dims", "2", "--max-n", "4", "--format", "csv")

@@ -7,11 +7,13 @@ exhaustive enumeration), which never touch the packed representation.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sigma_forge import gf2
+from sigma_forge.game import PRESET_NAMES, GameSpec, GridShape, adjacency_matrix
 from sigma_forge.gf2 import BitMatrix, BitVector
 
 J2 = BitMatrix.from_rows([[0, 1], [1, 0]], symmetric=True)
@@ -44,6 +46,33 @@ def oracle_rank(m: BitMatrix):
             for sel in itertools.product((0, 1), repeat=m.rows)}
     size = len(span)
     return size.bit_length() - 1
+
+
+def _reference_rref(words, ncols):
+    """Per-column RREF, the reference for the blocked ``gf2._rref``: for
+    each column the first row at or below the current row with the bit
+    set is swapped up and XORed into every other row with the bit set."""
+    nrows = words.shape[0]
+    row = 0
+    pivots = []
+    for col in range(ncols):
+        if row == nrows:
+            break
+        w = col >> 6
+        mask = np.uint64(1) << np.uint64(col & 63)
+        cand = (words[:, w] & mask).nonzero()[0]
+        pos = int(cand.searchsorted(row))
+        if pos == cand.size:
+            continue
+        p = int(cand[pos])
+        if p != row:
+            words[[row, p]] = words[[p, row]]
+        flips = cand[cand != p]
+        if flips.size:
+            words[flips] ^= words[row]
+        pivots.append(col)
+        row += 1
+    return pivots
 
 
 def random_bit_matrix(rng, rows, cols, symmetric=False):
@@ -370,6 +399,50 @@ def test_int_and_vectorized_paths_agree(monkeypatch):
             for (x, k), t in zip(certs[0], targets):
                 assert (x is None) == (k is not None)
                 assert k is None or (m.mul_vec(k).is_zero() and k.dot(t) == 1)
+
+
+def _augmented(rng, bits, ntargets):
+    """Words of [bits | t_1 ... t_k] laid out as ``Elimination`` lays
+    them out, with k random target columns."""
+    tbits = rng.integers(0, 2, (bits.shape[0], ntargets), dtype=np.uint8)
+    return np.hstack([gf2._pack_rows(bits), gf2._pack_rows(tbits)])
+
+
+def _blocked_rref_cases():
+    """(words, ncols) pairs with 0, 1 and 65 targets (65 spans two words)."""
+    rng = np.random.default_rng(2197)
+    counts = itertools.cycle((0, 1, 65))
+    # every preset on boards crossing byte and word boundaries, and one
+    # board of 2,197 cells with nullity 37
+    shapes = [(3, 43), (8, 17), (13, 13), (4, 6, 8), (7, 7, 7), (20, 20)]
+    boards = [(name, dims, next(counts)) for name in PRESET_NAMES for dims in shapes]
+    boards.append(("sigma-:box", (13, 13, 13), 65))
+    for name, dims, k in boards:
+        m = adjacency_matrix(GameSpec.preset(name, GridShape(dims)))
+        yield _augmented(rng, m.to_bit_array(), k), m.cols
+    for _ in range(12):
+        # non-square, rank-deficient, ncols % 8 != 0
+        r, c = int(rng.integers(1, 300)), 8 * int(rng.integers(0, 37)) + int(rng.integers(1, 8))
+        inner = int(rng.integers(1, min(r, c) + 1))
+        bits = (rng.integers(0, 2, (r, inner)) @ rng.integers(0, 2, (inner, c))) % 2
+        for k in (0, 1, 65):
+            yield _augmented(rng, bits.astype(np.uint8), k), c
+    for k in (0, 1, 65):
+        # all-zero column blocks, inside and at the start of a word
+        bits = rng.integers(0, 2, (150, 141), dtype=np.uint8)
+        bits[:, 8:16] = 0
+        bits[:, 64:80] = 0
+        bits[:, 130:] = 0
+        yield _augmented(rng, bits, k), 141
+    yield _augmented(rng, np.zeros((20, 30), dtype=np.uint8), 65), 30
+
+
+def test_blocked_rref_matches_per_column_reference():
+    for words, ncols in _blocked_rref_cases():
+        expected = words.copy()
+        pivots = _reference_rref(expected, ncols)
+        assert gf2._rref(words, ncols) == pivots
+        assert np.array_equal(words, expected)
 
 
 def test_matmul_against_dense():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sigma_forge import game, solver
+from sigma_forge import game, gf2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
 from sigma_forge.gf2 import BitVector
 from sigma_forge.poly2 import two_valuation
@@ -26,6 +26,34 @@ def test_single_cell_sigma_plus():
     rep = achievable(g, all_on(g.shape))
     assert rep.achievable
     assert rep.witness == BitVector.from_bits([1])
+
+
+def test_achievable_rejects_a_wrong_witness(monkeypatch):
+    g = preset("sigma+:box", 3, 3)
+    monkeypatch.setattr(gf2.Elimination, "solution",
+                        lambda self, j=0: BitVector.ones(self.m.cols))
+    with pytest.raises(RuntimeError, match="M x = t"):
+        achievable(g, all_on(g.shape))
+
+
+@pytest.mark.parametrize("wrong", [BitVector.ones, BitVector.zeros],
+                         ids=["not-in-kernel", "orthogonal"])
+def test_achievable_rejects_a_wrong_certificate(monkeypatch, wrong):
+    g = preset("sigma-:boxtimes", 3, 3)
+    monkeypatch.setattr(gf2.Elimination, "certificate",
+                        lambda self, j=0: wrong(self.m.cols))
+    with pytest.raises(RuntimeError, match="M k = 0"):
+        achievable(g, all_on(g.shape))
+
+
+def test_symmetric_achievability_rejects_a_wrong_certificate(monkeypatch):
+    g = preset("sigma-:boxtimes", 3, 3)
+    assert not symmetric_achievability(g).achievable
+    kernel = gf2.kernel_basis(adjacency_matrix(g))
+    monkeypatch.setattr(gf2, "kernel_basis",
+                        lambda m: [k ^ BitVector.from_indices(m.cols, [0]) for k in kernel])
+    with pytest.raises(RuntimeError, match="M k = 0"):
+        symmetric_achievability(g)
 
 
 def test_vaillant_3x3_unachievable():
@@ -181,6 +209,18 @@ def test_oracle_cap():
         brute_force_oracle(g, all_on(g.shape))
     # explicit cap argument overrides the default
     assert brute_force_oracle(preset("sigma+:box", 3), BitVector.ones(3), cap=3)
+
+
+def test_oracle_cap_env_is_bounded(monkeypatch):
+    def no_loop(g):
+        raise AssertionError("the Gray-code loop started")
+    monkeypatch.setattr(solver, "_push_columns", no_loop)
+    monkeypatch.setenv(solver.ORACLE_CAP_ENV, str(solver.MAX_ORACLE_CAP + 1))
+    g = preset("sigma+:box", 5, 5)
+    with pytest.raises(ValueError, match=solver.ORACLE_CAP_ENV):
+        brute_force_oracle(g, all_on(g.shape))
+    with pytest.raises(ValueError, match=solver.ORACLE_CAP_ENV):
+        brute_force_image(g)
 
 
 def test_oracle_cap_env_override(monkeypatch):
