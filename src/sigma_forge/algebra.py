@@ -197,7 +197,7 @@ class TensorElement:
             for k in range(r.value.bit_length()):
                 bits[k] = (r.value >> k) & 1
             acc = bits if acc is None else np.multiply.outer(acc, bits).ravel()
-        return cls(shape, BitVector(shape.total, gf2._pack_rows(acc)))
+        return cls(shape, BitVector._of(shape.total, gf2._pack_rows(acc)))
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()

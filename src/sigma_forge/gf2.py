@@ -3,8 +3,10 @@
 Vectors and matrices store their coordinates packed into 64-bit machine
 words (coordinate k lives in word k // 64 at bit k % 64); row operations
 are whole-word XORs vectorized with numpy.  All values are immutable
-after construction and all operations are pure functions, so everything
-here can be shared freely across threads.
+after construction: the public constructors check and copy the words
+they are given, and the internal ones take ownership of words built
+here.  All operations are pure functions, so everything here can be
+shared freely across threads.
 
 Every rank, kernel, solve, certificate and image query reads one
 :class:`Elimination` record.  Elimination is deterministic: pivots are
@@ -13,6 +15,13 @@ variables are fixed to zero when a solution is extracted.  Large
 systems are eliminated 8 columns at a time by the Method of Four
 Russians, small ones on Python-int rows; both give the same canonical
 RREF.
+
+The first elimination that extracts a matrix's kernel stores the packed
+basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
+only, never the reduced rows).  Later rank, kernel and certificate
+queries on the same object read it instead of eliminating again.  The
+basis is a function of the matrix alone, so two threads that race on
+the slot write equal values and either write may stand.
 """
 from __future__ import annotations
 
@@ -53,19 +62,47 @@ def _int_to_words(value: int, n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).copy()
 
 
+def _checked_words(words, shape: tuple, nbits: int) -> np.ndarray:
+    """A private copy of words passed to a public constructor, after
+    checking the dtype, the shape, and that no bit past nbits is set
+    (padding bits would break ==, hash and weight)."""
+    if not isinstance(words, np.ndarray) or words.dtype != np.uint64:
+        raise TypeError(f"words must be a numpy uint64 array, got "
+                        f"{getattr(words, 'dtype', type(words).__name__)}")
+    if words.shape != shape:
+        raise ValueError(f"words have shape {words.shape}, expected {shape}")
+    if nbits & 63 and (words[..., -1] >> np.uint64(nbits & 63)).any():
+        raise ValueError(f"words have bits set past bit {nbits - 1}")
+    return words.copy()
+
+
 class BitVector:
     """An immutable length-n vector over GF(2); addition is XOR."""
 
     __slots__ = ("n", "_words")
 
     def __init__(self, n: int, words: Optional[np.ndarray] = None):
+        """``words``: a uint64 array of shape (ceil(n / 64),) with zero
+        bits past n; it is copied."""
         if n < 0:
             raise ValueError(f"negative length {n}")
-        self.n = n
         if words is None:
             words = np.zeros(_nwords(n), dtype=np.uint64)
+        else:
+            words = _checked_words(words, (_nwords(n),), n)
+        self._init(n, words)
+
+    def _init(self, n: int, words: np.ndarray) -> None:
+        self.n = n
         self._words = words
         self._words.flags.writeable = False
+
+    @classmethod
+    def _of(cls, n: int, words: np.ndarray) -> "BitVector":
+        """Internal constructor: takes ownership of well-formed words."""
+        v = object.__new__(cls)
+        v._init(n, words)
+        return v
 
     # -- constructors -------------------------------------------------
 
@@ -80,19 +117,19 @@ class BitVector:
     @classmethod
     def from_int(cls, n: int, value: int) -> "BitVector":
         """Coordinate k = bit k of value; bits at or beyond n are dropped."""
-        return cls(n, _int_to_words(value, n))
+        return cls._of(n, _int_to_words(value, n))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
         arr = np.fromiter((b & 1 for b in bits), dtype=np.uint8)
-        return cls(arr.shape[0], _pack_rows(arr))
+        return cls._of(arr.shape[0], _pack_rows(arr))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVector":
         arr = np.zeros(n, dtype=np.uint8)
         for i in indices:
             arr[i] ^= 1
-        return cls(n, _pack_rows(arr))
+        return cls._of(n, _pack_rows(arr))
 
     # -- queries ------------------------------------------------------
 
@@ -131,7 +168,7 @@ class BitVector:
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return BitVector(self.n, self._words ^ other._words)
+        return BitVector._of(self.n, self._words ^ other._words)
 
     __add__ = __xor__
 
@@ -154,37 +191,60 @@ class BitMatrix:
     construction time; the flag lets :meth:`Elimination.certificate`
     prove a target outside the image by a kernel vector not orthogonal
     to it (Im m = (Ker m)^perp).
+
+    The first elimination that extracts the kernel leaves its packed
+    basis in ``_kernel``; later rank, kernel and certificate queries on
+    the same object read it.
     """
 
-    __slots__ = ("rows", "cols", "symmetric", "_words")
+    __slots__ = ("rows", "cols", "symmetric", "_words", "_kernel")
 
     def __init__(self, rows: int, cols: int, words: Optional[np.ndarray] = None,
-                 symmetric: bool = False, _trusted: bool = False):
+                 symmetric: bool = False):
+        """``words``: a uint64 array of shape (rows, ceil(cols / 64)) with
+        zero bits past cols in every row; it is copied."""
         if rows < 0 or cols < 0:
             raise ValueError(f"bad dimensions {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
         if words is None:
             words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
+        else:
+            words = _checked_words(words, (rows, _nwords(cols)), cols)
+        self._init(rows, cols, words, symmetric, _trusted=False)
+
+    def _init(self, rows: int, cols: int, words: np.ndarray, symmetric: bool,
+              _trusted: bool) -> None:
+        self.rows = rows
+        self.cols = cols
         self._words = words
         self._words.flags.writeable = False
+        self._kernel = None
         self.symmetric = symmetric
         if symmetric and not _trusted:
             if rows != cols or self != self.transpose():
                 raise ValueError("matrix flagged symmetric is not symmetric")
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, words: np.ndarray, symmetric: bool = False,
+            _trusted: bool = False) -> "BitMatrix":
+        """Internal constructor: takes ownership of well-formed words; a
+        symmetric flag is verified unless ``_trusted``."""
+        m = object.__new__(cls)
+        m._init(rows, cols, words, symmetric, _trusted)
+        return m
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int, symmetric: bool = False) -> "BitMatrix":
-        return cls(rows, cols, symmetric=symmetric, _trusted=True)
+        return cls._of(rows, cols, np.zeros((rows, _nwords(cols)), dtype=np.uint64),
+                       symmetric, _trusted=rows == cols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         w = np.zeros((n, _nwords(n)), dtype=np.uint64)
         idx = np.arange(n)
         w[idx, idx >> 6] = _ONE << (idx.astype(np.uint64) & np.uint64(63))
-        return cls(n, n, w, symmetric=True, _trusted=True)
+        return cls._of(n, n, w, symmetric=True, _trusted=True)
 
     @classmethod
     def from_rows(cls, rows: Sequence, cols: Optional[int] = None,
@@ -198,7 +258,7 @@ class BitMatrix:
             if v.n != cols:
                 raise ValueError(f"row {i} has length {v.n}, expected {cols}")
             w[i] = v._words
-        return cls(len(vecs), cols, w, symmetric=symmetric)
+        return cls._of(len(vecs), cols, w, symmetric=symmetric)
 
     @classmethod
     def from_row_ints(cls, rows: int, cols: int, ints: Sequence[int],
@@ -209,7 +269,7 @@ class BitMatrix:
         mask = (1 << cols) - 1
         buf = b"".join((v & mask).to_bytes(nb, "little") for v in ints)
         w = np.frombuffer(buf, dtype=np.uint64).reshape(rows, _nwords(cols)).copy()
-        return cls(rows, cols, w, symmetric=symmetric, _trusted=_trusted)
+        return cls._of(rows, cols, w, symmetric=symmetric, _trusted=_trusted)
 
     @classmethod
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
@@ -226,7 +286,7 @@ class BitMatrix:
     def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False,
                         _trusted: bool = False) -> "BitMatrix":
         rows, cols = bits.shape
-        return cls(rows, cols, _pack_rows(bits), symmetric=symmetric, _trusted=_trusted)
+        return cls._of(rows, cols, _pack_rows(bits), symmetric=symmetric, _trusted=_trusted)
 
     # -- queries ------------------------------------------------------
 
@@ -236,7 +296,7 @@ class BitMatrix:
         return int((self._words[i, j >> 6] >> np.uint64(j & 63)) & _ONE)
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self._words[i].copy())
+        return BitVector._of(self.cols, self._words[i].copy())
 
     def row_ints(self) -> list:
         nb = self._words.shape[1] * 8
@@ -273,8 +333,8 @@ class BitMatrix:
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
-        return BitMatrix(self.rows, self.cols, self._words ^ other._words,
-                         symmetric=self.symmetric and other.symmetric, _trusted=True)
+        return BitMatrix._of(self.rows, self.cols, self._words ^ other._words,
+                             symmetric=self.symmetric and other.symmetric, _trusted=True)
 
     __add__ = __xor__
 
@@ -284,7 +344,7 @@ class BitMatrix:
             raise ValueError(f"vector length {v.n} != cols {self.cols}")
         folded = np.bitwise_xor.reduce(self._words & v._words[None, :], axis=1)
         bits = np.bitwise_count(folded).astype(np.uint8) & 1
-        return BitVector(self.rows, _pack_rows(bits))
+        return BitVector._of(self.rows, _pack_rows(bits))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -315,8 +375,8 @@ class BitMatrix:
             e >>= 1
         # powers of a symmetric matrix stay symmetric
         if self.symmetric:
-            result = BitMatrix(result.rows, result.cols, result._words.copy(),
-                               symmetric=True, _trusted=True)
+            result = BitMatrix._of(result.rows, result.cols, result._words.copy(),
+                                   symmetric=True, _trusted=True)
         return result
 
 
@@ -373,19 +433,28 @@ class Elimination:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel(self) -> list:
-        """Basis of {x : m x = 0}: one vector per free column, in
-        increasing column order, each with its free coordinate set to 1."""
-        cols = self.m.cols
-        piv = np.asarray(self.pivots, dtype=np.intp)
-        free = np.setdiff1d(np.arange(cols, dtype=np.intp), piv, assume_unique=True)
-        if free.size == 0:
-            return []
-        bits = np.zeros((free.size, cols), dtype=np.uint8)
-        bits[np.arange(free.size), free] = 1
-        bits[:, piv] = _unpack_words_2d(self.rows[: self.rank], cols)[:, free].T
-        words = _pack_rows(bits)
-        return [BitVector(cols, words[i].copy()) for i in range(free.size)]
+    def kernel(self) -> np.ndarray:
+        """Basis of {x : m x = 0}, packed one vector per row: one vector
+        per free column, in increasing column order, each with its free
+        coordinate set to 1.  The first call for m stores the basis on m;
+        later calls, from this record or another of m, read it there."""
+        m = self.m
+        if m._kernel is None:
+            words = np.zeros((0, _nwords(m.cols)), dtype=np.uint64)
+            if self.rank < m.cols:
+                piv = np.asarray(self.pivots, dtype=np.intp)
+                free = np.ones(m.cols, dtype=bool)
+                free[piv] = False
+                free = np.flatnonzero(free)
+                bits = np.zeros((free.size, m.cols), dtype=np.uint8)
+                bits[np.arange(free.size), free] = 1
+                # the pivot rows' bits in the free columns, a rank x nullity block
+                strips = self.rows[: self.rank].view(np.uint8)
+                bits[:, piv] = ((strips[:, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
+                words = _pack_rows(bits)
+            words.flags.writeable = False
+            m._kernel = words
+        return m._kernel
 
     def consistent(self) -> list:
         """Per target, whether it lies in the column space of m."""
@@ -402,7 +471,7 @@ class Elimination:
             return None
         xbits = np.zeros(self.m.cols, dtype=np.uint8)
         xbits[np.asarray(self.pivots, dtype=np.intp)] = col[: self.rank]
-        return BitVector(self.m.cols, _pack_rows(xbits))
+        return BitVector._of(self.m.cols, _pack_rows(xbits))
 
     def certificate(self, j: int = 0) -> Optional[BitVector]:
         """A kernel vector k with k . t_j = 1, or None.
@@ -413,8 +482,13 @@ class Elimination:
         """
         if not self.m.symmetric or not self._target_column(j)[self.rank:].any():
             return None
-        t = self.targets[j]
-        return next((k for k in self.kernel() if k.dot(t)), None)
+        return _first_not_orthogonal(self.m.cols, self.kernel(), self.targets[j])
+
+
+def _first_not_orthogonal(n: int, kernel: np.ndarray, t: BitVector) -> Optional[BitVector]:
+    """The first packed kernel row k with k . t = 1, or None."""
+    hits = np.flatnonzero(np.bitwise_count(kernel & t._words).sum(axis=1) & 1)
+    return BitVector._of(n, kernel[hits[0]]) if hits.size else None
 
 
 # _BYTE_BITS[x, u] = bit u of byte x; _PARITY[m] maps byte x to the
@@ -554,14 +628,25 @@ def _rref_ints(words: np.ndarray, ncols: int) -> list:
     return pivots
 
 
+def _kernel_of(m: BitMatrix) -> np.ndarray:
+    """m's packed kernel basis; m is eliminated only if no earlier query
+    stored it."""
+    return Elimination(m).kernel() if m._kernel is None else m._kernel
+
+
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank via Gaussian elimination."""
-    return Elimination(m).rank
+    """GF(2) rank, as cols minus the nullity; it reads the kernel stored
+    on m, and an elimination of m stores it."""
+    return m.cols - len(_kernel_of(m))
 
 
 def kernel_basis(m: BitMatrix) -> list:
-    """Basis of the right kernel {x : m x = 0}, deterministic ordering."""
-    return Elimination(m).kernel()
+    """Basis of the right kernel {x : m x = 0}, deterministic ordering.
+
+    m is eliminated at most once for all kernel, rank and certificate
+    queries; each call returns a new list.
+    """
+    return [BitVector._of(m.cols, k) for k in _kernel_of(m)]
 
 
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
@@ -570,14 +655,24 @@ def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
 
 
 def solve_with_certificate(m: BitMatrix, b: BitVector):
-    """(solution, certificate) from one elimination.
+    """(solution, certificate) from at most one elimination.
 
     Exactly one side is set when m is symmetric: either a solution of
     m x = b, or a kernel vector k with k . b = 1 witnessing b outside
-    the image.  For a non-symmetric m an infeasible system yields
-    (None, None).
+    the image, the first such vector of :func:`kernel_basis`.  For a
+    non-symmetric m an infeasible system yields (None, None).
+
+    For a symmetric m the kernel stored on m answers a b outside the
+    image without an elimination; otherwise [m | b] is eliminated and
+    the kernel is stored on m for later queries.
     """
+    if m.symmetric and m._kernel is not None and b.n == m.rows:
+        k = _first_not_orthogonal(m.cols, m._kernel, b)
+        if k is not None:
+            return None, k
     e = Elimination(m, [b])
+    if m.symmetric:
+        e.kernel()  # stored on m even when b is reachable
     return e.solution(), e.certificate()
 
 

@@ -75,6 +75,15 @@ def _reference_rref(words, ncols):
     return pivots
 
 
+def fresh(m: BitMatrix) -> BitMatrix:
+    """An equal matrix with no kernel stored on it yet."""
+    return BitMatrix(m.rows, m.cols, m._words, symmetric=m.symmetric)
+
+
+def vector_bytes(v):
+    return None if v is None else (v.n, v._words.tobytes())
+
+
 def random_bit_matrix(rng, rows, cols, symmetric=False):
     if symmetric:
         bits = [[0] * cols for _ in range(rows)]
@@ -127,6 +136,70 @@ def test_vector_dot():
 def test_matrix_symmetric_flag_is_checked():
     with pytest.raises(ValueError):
         BitMatrix.from_rows([[0, 1], [0, 0]], symmetric=True)
+    with pytest.raises(ValueError):
+        BitMatrix(2, 2, BitMatrix.from_rows([[0, 1], [0, 0]])._words, symmetric=True)
+    with pytest.raises(ValueError):
+        BitMatrix.zeros(2, 3, symmetric=True)
+    assert BitMatrix.zeros(3, 3, symmetric=True).symmetric
+
+
+def test_constructors_reject_malformed_words():
+    # the same bits with and without a padding bit would compare unequal
+    with pytest.raises(ValueError, match="past bit 2"):
+        BitVector(3, np.array([0b1111], dtype=np.uint64))
+    assert BitVector(3, np.array([0b111], dtype=np.uint64)).weight() == 3
+    for bad in ([0b111], np.array([0b111], dtype=np.int64), np.array([7], dtype=">u8")):
+        with pytest.raises(TypeError):
+            BitVector(3, bad)
+    with pytest.raises(ValueError, match="shape"):
+        BitVector(3, np.zeros(2, dtype=np.uint64))
+    with pytest.raises(ValueError, match="shape"):
+        BitMatrix(2, 3, np.zeros(2, dtype=np.uint64))
+    with pytest.raises(ValueError, match="past bit 64"):
+        BitMatrix(1, 65, np.array([[0, 2]], dtype=np.uint64))
+
+
+@st.composite
+def word_arrays(draw, max_rows=4, max_cols=150):
+    """(rows, cols, words) with words of the right shape, padding bits
+    past cols set in some draws; rows is None for a vector."""
+    rows = draw(st.one_of(st.none(), st.integers(0, max_rows)))
+    cols = draw(st.integers(0, max_cols))
+    shape = ((rows,) if rows is not None else ()) + (gf2._nwords(cols),)
+    flat = draw(st.lists(st.integers(0, (1 << 64) - 1),
+                         min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    words = np.array(flat, dtype=np.uint64).reshape(shape)
+    if draw(st.booleans()) and cols & 63:
+        words[..., -1] &= np.uint64((1 << (cols & 63)) - 1)  # clean padding
+    return rows, cols, words
+
+
+@given(word_arrays())
+def test_public_constructors_check_and_copy_words(drawn):
+    rows, cols, words = drawn
+    ints = [int.from_bytes(w.tobytes(), "little")
+            for w in (words[None, :] if rows is None else words)]
+    padded = any(v >> cols for v in ints)
+    build = ((lambda w: BitVector(cols, w)) if rows is None
+             else (lambda w: BitMatrix(rows, cols, w)))
+    if padded:
+        with pytest.raises(ValueError, match="past bit"):
+            build(words)
+        return
+    built = build(words)
+    expect = (BitVector.from_int(cols, ints[0]) if rows is None
+              else BitMatrix.from_row_ints(rows, cols, ints))
+    assert built == expect and hash(built) == hash(expect)
+    if rows is None:
+        assert built.weight() == ints[0].bit_count()
+    else:
+        kernel = gf2.kernel_basis(built)
+    # the caller's array stays writable and changing it leaves the
+    # value, and a kernel stored on it, as they were
+    words ^= np.uint64(1)
+    assert built == expect
+    if rows is not None:
+        assert gf2.kernel_basis(built) == kernel == gf2.kernel_basis(expect)
 
 
 # ---------------------------------------------------------------------
@@ -387,7 +460,9 @@ def test_int_and_vectorized_paths_agree(monkeypatch):
                for m, _ in cases)
     default = [_all_queries(m, t) for m, t in cases]
     monkeypatch.setattr(gf2, "_INT_PATH_MAX", 0)
-    vectorized = [_all_queries(m, t) for m, t in cases]
+    # fresh copies: the first pass left each kernel stored on its matrix,
+    # and rank and kernel_basis would read it instead of eliminating
+    vectorized = [_all_queries(fresh(m), t) for m, t in cases]
     assert default == vectorized
     for (m, targets), (rank, kernel, member, xs, *certs) in zip(cases, vectorized):
         assert rank + len(kernel) == m.cols
@@ -399,6 +474,40 @@ def test_int_and_vectorized_paths_agree(monkeypatch):
             for (x, k), t in zip(certs[0], targets):
                 assert (x is None) == (k is not None)
                 assert k is None or (m.mul_vec(k).is_zero() and k.dot(t) == 1)
+
+
+def test_stored_kernel_answers_match_a_fresh_elimination():
+    # every preset on boards on both sides of the int-path cutoff, with
+    # targets inside and outside the image
+    rng = random.Random(128)
+    seen = set()
+    for name in PRESET_NAMES:
+        for dims in ((3, 5, 7), (9, 14), (11, 13), (14, 14)):
+            m = fresh(adjacency_matrix(GameSpec.preset(name, GridShape(dims))))
+            n = m.cols
+            targets = [BitVector.ones(n)]
+            targets += [BitVector.from_int(n, rng.getrandbits(n)) for _ in range(4)]
+            targets += [m.mul_vec(BitVector.from_int(n, rng.getrandbits(n))) for _ in range(3)]
+            cold = [[vector_bytes(v) for v in gf2.solve_with_certificate(fresh(m), t)]
+                    for t in targets]
+            cold_rank = gf2.rank(fresh(m))
+            cold_kernel = [vector_bytes(k) for k in gf2.kernel_basis(fresh(m))]
+            assert m._kernel is None
+            warm_kernel = [vector_bytes(k) for k in gf2.kernel_basis(m)]
+            assert m._kernel is not None
+            warm = [[vector_bytes(v) for v in gf2.solve_with_certificate(m, t)]
+                    for t in targets]
+            assert (warm, gf2.rank(m), warm_kernel) == (cold, cold_rank, cold_kernel)
+            seen |= {(n > gf2._INT_PATH_MAX, x is not None) for x, _ in warm}
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_kernel_basis_returns_a_new_list():
+    m = fresh(J3)
+    first = gf2.kernel_basis(m)
+    first.append(BitVector.zeros(3))
+    second = gf2.kernel_basis(m)
+    assert second == [BitVector.from_bits([1, 0, 1])] and second is not first
 
 
 def _augmented(rng, bits, ntargets):

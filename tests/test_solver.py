@@ -4,7 +4,7 @@ import pytest
 
 from sigma_forge import game, gf2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
-from sigma_forge.gf2 import BitVector
+from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import two_valuation
 from sigma_forge.solver import (achievable, all_on, brute_force_image,
                                 brute_force_oracle, closed_form_value,
@@ -28,7 +28,17 @@ def test_single_cell_sigma_plus():
     assert rep.witness == BitVector.from_bits([1])
 
 
-def test_achievable_rejects_a_wrong_witness(monkeypatch):
+@pytest.fixture
+def fresh_matrices():
+    """Empty the adjacency cache around a test: it starts from matrices
+    no earlier test has queried (so no kernel is stored on them yet) and
+    leaves behind none that it altered."""
+    adjacency_matrix.cache_clear()
+    yield
+    adjacency_matrix.cache_clear()
+
+
+def test_achievable_rejects_a_wrong_witness(monkeypatch, fresh_matrices):
     g = preset("sigma+:box", 3, 3)
     monkeypatch.setattr(gf2.Elimination, "solution",
                         lambda self, j=0: BitVector.ones(self.m.cols))
@@ -38,12 +48,25 @@ def test_achievable_rejects_a_wrong_witness(monkeypatch):
 
 @pytest.mark.parametrize("wrong", [BitVector.ones, BitVector.zeros],
                          ids=["not-in-kernel", "orthogonal"])
-def test_achievable_rejects_a_wrong_certificate(monkeypatch, wrong):
+def test_achievable_rejects_a_wrong_certificate(monkeypatch, fresh_matrices, wrong):
     g = preset("sigma-:boxtimes", 3, 3)
     monkeypatch.setattr(gf2.Elimination, "certificate",
                         lambda self, j=0: wrong(self.m.cols))
     with pytest.raises(RuntimeError, match="M k = 0"):
         achievable(g, all_on(g.shape))
+
+
+def test_a_wrong_stored_kernel_is_caught(fresh_matrices):
+    g = preset("sigma-:boxtimes", 3, 3)
+    m = adjacency_matrix(g)
+    # the all-ones vector meets all-on and the centre's one-cell orbit
+    # oddly, but M ones != 0 (a corner has 3 neighbours)
+    assert not m.mul_vec(BitVector.ones(m.cols)).is_zero()
+    m._kernel = BitMatrix.from_rows([BitVector.ones(m.cols)])._words
+    with pytest.raises(RuntimeError, match="M k = 0"):
+        achievable(g, all_on(g.shape))
+    with pytest.raises(RuntimeError, match="M k = 0"):
+        symmetric_achievability(g)
 
 
 def test_symmetric_achievability_rejects_a_wrong_certificate(monkeypatch):
@@ -54,6 +77,25 @@ def test_symmetric_achievability_rejects_a_wrong_certificate(monkeypatch):
                         lambda m: [k ^ BitVector.from_indices(m.cols, [0]) for k in kernel])
     with pytest.raises(RuntimeError, match="M k = 0"):
         symmetric_achievability(g)
+
+
+def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
+    # achievable(all-on), kernel_basis, symmetric_achievability: the first
+    # elimination leaves the kernel on the cached matrix for the other two
+    calls = []
+    for path in ("_rref", "_rref_ints"):
+        def counted(words, ncols, path=path, real=getattr(gf2, path)):
+            calls.append(path)
+            return real(words, ncols)
+        monkeypatch.setattr(gf2, path, counted)
+    for name in game.PRESET_NAMES:
+        for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref")):
+            g = preset(name, *dims)
+            calls.clear()
+            achievable(g, all_on(g.shape), "all-on")
+            gf2.kernel_basis(adjacency_matrix(g))
+            symmetric_achievability(g)
+            assert calls == [path]
 
 
 def test_vaillant_3x3_unachievable():
