@@ -4,9 +4,11 @@ A shape fixes moduli M_1, ..., M_d and the algebra
 F2[X_1]/M_1 (x) ... (x) F2[X_d]/M_d; elements are coefficient vectors
 over the monomial basis {x_1^{k_1} ... x_d^{k_d}}, flattened row-major
 with axis 1 slowest.  That flat order matches the Kronecker-product
-index convention in :mod:`.gf2`, so the multiplication operator of x_i
-is I (x) ... (x) C_i (x) ... (x) I with C_i the companion matrix of
-M_i, with no basis permutation.
+index convention in :mod:`.gf2`, so multiplication by x^e is
+C_1^{e_1} (x) ... (x) C_d^{e_d} with C_i the companion matrix of M_i,
+and the operator of an element sums those over its monomials.  The game
+matrix is the same sum over path-matrix powers J^e; one builder in
+:mod:`.gf2` makes both.
 
 For grid games the moduli are the Chebyshev-type Q_n and phi /
 phi_inverse translate between the monomial basis and the standard grid
@@ -18,7 +20,7 @@ the image of the multiplication-by-u operator.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +52,6 @@ class QuotientShape:
             acc *= n
         self.strides = tuple(reversed(strides))
         self.is_chebyshev = all(m == chebyshev_q(n) for m, n in zip(self.moduli, self.dims))
-        self._axis_ops: Optional[list] = None
         self._phi: Optional[BitMatrix] = None
         self._phi_inv: Optional[BitMatrix] = None
 
@@ -84,27 +85,18 @@ class QuotientShape:
             out.append((flat // s) % n)
         return tuple(out)
 
-    def axis_mult_ops(self) -> list:
-        """Multiplication-by-x_i operators, one full-size matrix per axis."""
-        if self._axis_ops is None:
-            ops = []
-            for i in range(self.d):
-                factors = [BitMatrix.identity(n) for n in self.dims]
-                factors[i] = _companion(self.moduli[i])
-                ops.append(reduce(gf2.kronecker, factors))
-            self._axis_ops = ops
-        return self._axis_ops
-
     def phi_matrix(self) -> BitMatrix:
         self._require_chebyshev()
         if self._phi is None:
-            self._phi = reduce(gf2.kronecker, [_phi_axis(n) for n in self.dims])
+            self._phi = gf2._kron_sum([[_phi_axis(n) for n in self.dims]],
+                                      self.total, self.total)
         return self._phi
 
     def phi_inverse_matrix(self) -> BitMatrix:
         self._require_chebyshev()
         if self._phi_inv is None:
-            self._phi_inv = reduce(gf2.kronecker, [_phi_inv_axis(n) for n in self.dims])
+            self._phi_inv = gf2._kron_sum([[_phi_inv_axis(n) for n in self.dims]],
+                                          self.total, self.total)
         return self._phi_inv
 
     def _require_chebyshev(self):
@@ -123,35 +115,43 @@ class QuotientShape:
         return f"QuotientShape({', '.join(map(str, self.moduli))})"
 
 
-def _companion(m: Poly2) -> BitMatrix:
-    """Companion matrix of m acting on the monomial basis of k[X]/m."""
+def _column_bits(n: int, columns: Sequence[int]) -> np.ndarray:
+    """Read-only dense 0/1 matrix with n rows whose column j holds the
+    low n bits of columns[j]."""
+    bits = BitMatrix.from_row_ints(len(columns), n, columns).to_bit_array().T.copy()
+    bits.flags.writeable = False
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _companion_power(m: Poly2, e: int) -> np.ndarray:
+    """Dense C^e for the companion matrix C of m (multiplication by x on
+    the monomial basis of k[X]/m): column k holds x^(k+e) mod m."""
     n = m.degree
-    low = m.value ^ (1 << n)  # x^n reduces to the low-order part of m
-    cols = [BitVector.from_indices(n, [k + 1]) for k in range(n - 1)]
-    cols.append(BitVector.from_int(n, low))
-    return BitMatrix.from_columns(cols)
-
-
-@lru_cache(maxsize=None)
-def _phi_axis(n: int) -> BitMatrix:
-    """Matrix of phi on one axis: column i is J_n^i applied to e_0."""
-    cols = []
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[0] = 1
+    r = (Poly2.x_power(e) % m).value
+    columns = []
     for _ in range(n):
-        cols.append(BitVector.from_bits(bits))
-        nxt = np.zeros(n, dtype=np.uint8)
-        nxt[1:] ^= bits[:-1]
-        nxt[:-1] ^= bits[1:]
-        bits = nxt
-    return BitMatrix.from_columns(cols)
+        columns.append(r)
+        r <<= 1
+        if r >> n:
+            r ^= m.value
+    return _column_bits(n, columns)
 
 
 @lru_cache(maxsize=None)
-def _phi_inv_axis(n: int) -> BitMatrix:
-    """Inverse axis matrix: column i holds the coefficients of Q_i."""
-    cols = [BitVector.from_int(n, chebyshev_q(i).value) for i in range(n)]
-    return BitMatrix.from_columns(cols)
+def _phi_axis(n: int) -> np.ndarray:
+    """Dense matrix of phi on one axis: column i is J_n^i applied to e_0."""
+    columns = [1]
+    for _ in range(n - 1):
+        v = columns[-1]
+        columns.append((v << 1 ^ v >> 1) & ((1 << n) - 1))
+    return _column_bits(n, columns)
+
+
+@lru_cache(maxsize=None)
+def _phi_inv_axis(n: int) -> np.ndarray:
+    """Dense inverse axis matrix: column i holds the coefficients of Q_i."""
+    return _column_bits(n, [chebyshev_q(i).value for i in range(n)])
 
 
 class TensorElement:
@@ -239,38 +239,16 @@ class TensorElement:
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product in the quotient algebra (each axis reduced mod its modulus)."""
     a._check_shape(b)
-    shape = a.shape
-    ops = shape.axis_mult_ops()
-    acc = BitVector.zeros(shape.total)
-    rest = a.coeffs.to_int()
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        j = low.bit_length() - 1
-        w = b.coeffs
-        for i, e in enumerate(shape.exponents_of(j)):
-            for _ in range(e):
-                w = ops[i].mul_vec(w)
-        acc ^= w
-    return TensorElement(shape, acc)
+    return TensorElement(a.shape, mult_operator(a).mul_vec(b.coeffs))
 
 
 def mult_operator(u: TensorElement) -> BitMatrix:
-    """Matrix of multiplication by u in the monomial basis.
-
-    Column j holds u * m_j; columns are produced incrementally, each one
-    a single multiply-by-x_i step away from an earlier column.
-    """
+    """Matrix of multiplication by u in the monomial basis: the sum, over
+    the monomials x^e of u, of C_1^{e_1} (x) ... (x) C_d^{e_d}."""
     shape = u.shape
-    ops = shape.axis_mult_ops()
-    cols: list = [None] * shape.total
-    cols[0] = u.coeffs
-    for j in range(1, shape.total):
-        for i in range(shape.d - 1, -1, -1):
-            if (j // shape.strides[i]) % shape.dims[i]:
-                break
-        cols[j] = ops[i].mul_vec(cols[j - shape.strides[i]])
-    return BitMatrix.from_columns(cols)
+    products = [[_companion_power(m, e) for m, e in zip(shape.moduli, shape.exponents_of(j))]
+                for j in np.flatnonzero(u.coeffs.to_array()).tolist()]
+    return gf2._kron_sum(products, shape.total, shape.total)
 
 
 def divides(u: TensorElement, t: TensorElement) -> bool:

@@ -18,10 +18,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from . import gf2
 from .algebra import QuotientShape, TensorElement
@@ -165,13 +163,12 @@ def _j_power_bits(n: int, e: int):
 
 @lru_cache(maxsize=512)
 def adjacency_matrix(g: GameSpec) -> BitMatrix:
-    """Sum over terms of Kronecker products of path-matrix powers."""
+    """Sum over terms of Kronecker products of path-matrix powers;
+    ValueError above 32,768 cells (:data:`gf2.DENSE_MAX_BYTES`)."""
     total = g.shape.total
-    acc = np.zeros((total, total), dtype=np.uint8)
-    for term in sorted(g.terms):
-        factors = [_j_power_bits(n, e) for n, e in zip(g.shape.dims, term)]
-        acc ^= reduce(gf2._kron_bits, factors)
-    return BitMatrix._from_bit_array(acc, symmetric=True, _trusted=True)
+    products = [[_j_power_bits(n, e) for n, e in zip(g.shape.dims, term)]
+                for term in sorted(g.terms)]
+    return gf2._kron_sum(products, total, total, symmetric=True)
 
 
 def is_sigma_plus(g: GameSpec) -> bool:
@@ -192,15 +189,6 @@ def u_element(g: GameSpec) -> TensorElement:
     return acc
 
 
-def _axis_j_matrices(shape: GridShape) -> list:
-    out = []
-    for i in range(shape.d):
-        factors = [BitMatrix.identity(n) for n in shape.dims]
-        factors[i] = make_j(shape.dims[i])
-        out.append(reduce(gf2.kronecker, factors))
-    return out
-
-
 def check_commutes(target: Union[GameSpec, BitMatrix],
                    shape: Optional[GridShape] = None) -> bool:
     """Whether the matrix commutes with every elementary axis game.
@@ -217,4 +205,6 @@ def check_commutes(target: Union[GameSpec, BitMatrix],
             raise ValueError("a raw matrix needs an explicit grid shape")
         if m.rows != shape.total or m.cols != shape.total:
             raise ValueError(f"matrix is {m.rows}x{m.cols}, shape wants {shape.total}")
-    return all(m @ e == e @ m for e in _axis_j_matrices(shape))
+    units = preset_terms("sigma-:box", shape.d)
+    return all(m @ e == e @ m
+               for e in (adjacency_matrix(GameSpec(shape, frozenset([t]))) for t in units))

@@ -126,8 +126,12 @@ class BitVector:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVector":
+        """The vector with a 1 at each index, which must lie in 0..n-1;
+        a repeated index cancels (the unit vectors are XORed)."""
         arr = np.zeros(n, dtype=np.uint8)
         for i in indices:
+            if not 0 <= i < n:
+                raise ValueError(f"index {i} outside 0..{n - 1}")
             arr[i] ^= 1
         return cls._of(n, _pack_rows(arr))
 
@@ -684,13 +688,35 @@ def in_image_many(m: BitMatrix, targets: Sequence[BitVector]) -> list:
 
 def kronecker(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Kronecker product: (a (x) b)[i*br+k][j*bc+l] = a[i][j] b[k][l]."""
-    bits = _kron_bits(a.to_bit_array(), b.to_bit_array())
-    return BitMatrix._from_bit_array(bits, symmetric=a.symmetric and b.symmetric,
-                                     _trusted=True)
+    return _kron_sum([(a.to_bit_array(), b.to_bit_array())], a.rows * b.rows,
+                     a.cols * b.cols, symmetric=a.symmetric and b.symmetric)
 
 
-def _kron_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of dense 0/1 uint8 matrices."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    return np.einsum("ij,kl->ikjl", a, b).reshape(ra * rb, ca * cb)
+# bytes of one dense 0/1 build: boards of up to 32,768 cells
+DENSE_MAX_BYTES = 1 << 30
+
+
+def _kron_sum(products: Iterable[Sequence[np.ndarray]], rows: int, cols: int,
+              symmetric: bool = False) -> BitMatrix:
+    """XOR of the Kronecker products of each sequence of dense 0/1
+    factors (never written, so they may be cached), packed once into a
+    rows x cols matrix; ``symmetric`` is trusted.  The size is checked
+    before anything is allocated."""
+    if rows * cols > DENSE_MAX_BYTES:
+        raise ValueError(f"a dense {rows}x{cols} matrix needs {rows * cols:,} bytes, "
+                         f"over the limit of {DENSE_MAX_BYTES:,}")
+    acc = None
+    for factors in products:
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.einsum("ij,kl->ikjl", term, f).reshape(
+                term.shape[0] * f.shape[0], term.shape[1] * f.shape[1])
+        if acc is None:
+            # a product of two or more factors is a new array; a lone factor may be cached
+            acc = term if len(factors) > 1 else term.copy()
+        else:
+            acc ^= term
+        del term  # at most two dense arrays are alive, and one while packing
+    if acc is None:
+        acc = np.zeros((rows, cols), dtype=np.uint8)
+    return BitMatrix._from_bit_array(acc, symmetric=symmetric, _trusted=True)

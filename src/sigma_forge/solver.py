@@ -18,7 +18,7 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import gf2
 from .game import (GameSpec, GridShape, adjacency_matrix, is_sigma_plus,
@@ -237,11 +237,6 @@ def brute_force_image(g: GameSpec, cap: Optional[int] = None) -> frozenset:
     return frozenset(seen)
 
 
-def _shape_range(d: int, max_n: int, odd_only: bool) -> Iterable[tuple]:
-    axis = range(1, max_n + 1, 2) if odd_only else range(1, max_n + 1)
-    return itertools.product(axis, repeat=d)
-
-
 def _sweep_one(task) -> PredicateVerdict:
     game_text, dims = task
     g = parse_game(game_text, GridShape(dims))
@@ -264,9 +259,14 @@ def sweep(game: str, d: int, max_n: int, odd_only: bool = False,
     Shapes run in lexicographic order; with jobs > 1 the shapes are
     evaluated in parallel and the row order is restored, so output is
     byte-identical to a sequential run.  Workers are capped at the
-    available CPUs and the number of shapes.
+    available CPUs and the number of shapes.  A range whose largest
+    shape is too large for a dense build raises ValueError up front.
     """
-    tasks = [(game, dims) for dims in _shape_range(d, max_n, odd_only)]
+    axis = range(1, max_n + 1, 2) if odd_only else range(1, max_n + 1)
+    if axis and d > 0 and (axis[-1] ** d) ** 2 > gf2.DENSE_MAX_BYTES:
+        raise ValueError(f"largest sweep shape has {axis[-1]}^{d} cells, too many for a "
+                         f"dense build of at most {gf2.DENSE_MAX_BYTES:,} bytes")
+    tasks = [(game, dims) for dims in itertools.product(axis, repeat=d)]
     jobs = min(jobs, _available_cpus(), len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:

@@ -14,8 +14,8 @@ and c collapses an axis to the parity of its entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import List, Sequence
 
 import numpy as np
@@ -123,4 +123,5 @@ def tensor_fold(v: BitVector, shape: GridShape, ops: Sequence[str]) -> BitVector
             factors.append(_c_matrix(n))
         else:
             raise ValueError(f"axis map must be 'S' or 'c', got {op!r}")
-    return reduce(gf2.kronecker, factors).mul_vec(v)
+    rows = math.prod(f.rows for f in factors)
+    return gf2._kron_sum([[f.to_bit_array() for f in factors]], rows, shape.total).mul_vec(v)

@@ -11,9 +11,10 @@ import pytest
 
 from sigma_forge import algebra, gf2, poly2
 from sigma_forge.algebra import QuotientShape, TensorElement
-from sigma_forge.game import make_j
+from sigma_forge.game import PRESET_NAMES, GameSpec, GridShape, make_j, u_element
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import Poly2, chebyshev_q
+from sigma_forge.symmetry import central_element
 
 
 # ---------------------------------------------------------------------
@@ -159,14 +160,35 @@ def test_operator_of_x_mod_q3():
     assert op == BitMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
 
+def assert_operator_columns_are_products(u):
+    qs = u.shape
+    op = algebra.mult_operator(u)
+    assert (op.rows, op.cols) == (qs.total, qs.total)
+    for j in range(qs.total):
+        ej = TensorElement(qs, BitVector.from_indices(qs.total, [j]))
+        assert op.mul_vec(ej.coeffs) == oracle_mul(u, ej).coeffs, (qs, u, j)
+
+
 def test_operator_columns_are_products():
     rng = random.Random(505)
-    for qs in (QuotientShape.chebyshev([4, 3]), QuotientShape.monomial([2, 3])):
-        u = random_element(rng, qs)
-        op = algebra.mult_operator(u)
-        for j in range(qs.total):
-            ej = TensorElement(qs, BitVector.from_indices(qs.total, [j]))
-            assert op.mul_vec(ej.coeffs) == oracle_mul(u, ej).coeffs
+    for qs in (QuotientShape.chebyshev([4, 3]), QuotientShape.monomial([2, 3]),
+               QuotientShape.chebyshev([2, 3, 4]), QuotientShape.monomial([3, 2, 2])):
+        for u in (random_element(rng, qs), TensorElement.zero(qs),
+                  TensorElement(qs, BitVector.ones(qs.total))):
+            assert_operator_columns_are_products(u)
+
+
+def test_operator_of_game_and_central_elements_matches_oracle():
+    """Every d <= 3 grid of at most 24 cells: the four preset u elements
+    and the central element."""
+    for d in (1, 2, 3):
+        for dims in itertools.product(range(1, 25), repeat=d):
+            shape = GridShape(dims)
+            if shape.total > 24:
+                continue
+            for name in PRESET_NAMES:
+                assert_operator_columns_are_products(u_element(GameSpec.preset(name, shape)))
+            assert_operator_columns_are_products(central_element(shape))
 
 
 def test_operator_of_x_is_kron_of_companions():

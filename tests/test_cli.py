@@ -217,6 +217,10 @@ def test_sweep_text(capsys):
     ["predicate", "--shape", "3x3x3", "--game", "sigma-:box"],
     ["nonsense"],
     [],
+    # boards above 32,768 cells are refused before a dense build
+    ["solve", "--shape", "200x200", "--game", "sigma-:box"],
+    ["check-symmetric", "--shape", "200x200", "--game", "sigma+:box"],
+    ["sweep", "--game", "sigma+:box", "--dims", "40", "--max-n", "13"],
 ])
 def test_usage_errors(capsys, argv):
     assert main(argv) == 2

@@ -125,6 +125,17 @@ def test_vector_padding_stays_zero():
     assert BitVector.from_int(65, (1 << 70) - 1) == v
 
 
+def test_from_indices_xors_and_checks_range():
+    assert BitVector.from_indices(5, [1, 3, 1]) == BitVector.from_bits([0, 0, 0, 1, 0])
+    assert BitVector.from_indices(5, []).is_zero()
+    assert BitVector.from_indices(5, [0, 4]).to_int() == 0b10001
+    for bad in ([-1], [5], [7], [2, 5]):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            BitVector.from_indices(5, bad)
+    with pytest.raises(ValueError):
+        BitVector.from_indices(0, [0])
+
+
 def test_vector_dot():
     a = BitVector.from_bits([1, 0, 1])
     assert a.dot(BitVector.from_bits([1, 0, 1])) == 0
@@ -343,6 +354,33 @@ def test_kron_associative():
     b = random_bit_matrix(rng, 3, 2)
     c = random_bit_matrix(rng, 2, 2)
     assert gf2.kronecker(gf2.kronecker(a, b), c) == gf2.kronecker(a, gf2.kronecker(b, c))
+
+
+def test_kron_sum_is_xor_of_kronecker_products():
+    rng = random.Random(13)
+    a, b, c, e = (random_bit_matrix(rng, r, k) for r, k in ((2, 3), (3, 2), (2, 3), (3, 2)))
+    got = gf2._kron_sum([(a.to_bit_array(), b.to_bit_array()),
+                         (c.to_bit_array(), e.to_bit_array())], 6, 6)
+    assert got == gf2.kronecker(a, b) ^ gf2.kronecker(c, e)
+    assert gf2._kron_sum([], 6, 4) == BitMatrix.zeros(6, 4)
+    assert gf2._kron_sum([(a.to_bit_array(),)], 2, 3) == a
+    cached = a.to_bit_array()
+    cached.flags.writeable = False  # a lone cached factor must not become the accumulator
+    assert gf2._kron_sum([(cached,), (c.to_bit_array(),)], 2, 3) == a ^ c
+    assert gf2._kron_sum([(cached,)], 2, 3) == a
+
+
+def test_dense_build_over_the_limit_fails_before_allocating(monkeypatch):
+    side = 1 << 15  # 32,768 cells: exactly DENSE_MAX_BYTES
+    assert side * side == gf2.DENSE_MAX_BYTES
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(gf2.np, "zeros", no_allocation)
+    for rows, cols in ((side, side + 1), (side + 1, side), (40_000, 40_000)):
+        with pytest.raises(ValueError, match=f"{rows}x{cols}.*1,073,741,824"):
+            gf2._kron_sum([], rows, cols)
 
 
 # ---------------------------------------------------------------------
