@@ -190,14 +190,7 @@ class TensorElement:
         """The separable element p_1(x_1) ... p_d(x_d)."""
         if len(polys) != shape.d:
             raise ValueError(f"expected {shape.d} polynomials, got {len(polys)}")
-        acc = None
-        for p, m, n in zip(polys, shape.moduli, shape.dims):
-            r = p % m
-            bits = np.zeros(n, dtype=np.uint8)
-            for k in range(r.value.bit_length()):
-                bits[k] = (r.value >> k) & 1
-            acc = bits if acc is None else np.multiply.outer(acc, bits).ravel()
-        return cls(shape, BitVector._of(shape.total, gf2._pack_rows(acc)))
+        return cls(shape, gf2._kron_vec([_axis_bits(p, m) for p, m in zip(polys, shape.moduli)]))
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()
@@ -236,6 +229,15 @@ class TensorElement:
             raise ValueError("tensor elements live in different algebras")
 
 
+def _axis_bits(p: Poly2, m: Poly2) -> np.ndarray:
+    """The coefficients of p mod m as a uint8 0/1 vector of length deg m."""
+    r = (p % m).value
+    bits = np.zeros(m.degree, dtype=np.uint8)
+    for k in range(r.bit_length()):
+        bits[k] = (r >> k) & 1
+    return bits
+
+
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product in the quotient algebra (each axis reduced mod its modulus)."""
     a._check_shape(b)
@@ -269,16 +271,22 @@ def phi(element, shape: Optional[QuotientShape] = None) -> BitVector:
 
     Accepts a TensorElement, or a list of per-axis Poly2 (the separable
     element) together with an explicit shape.  Requires Chebyshev moduli.
+    phi is the Kronecker product of the per-axis maps, so a separable
+    element is mapped axis by axis, without the total x total matrix.
     """
     if isinstance(element, TensorElement):
         if shape is not None and shape != element.shape:
             raise ValueError("shape argument disagrees with element shape")
-        shape = element.shape
-    else:
-        if shape is None:
-            raise ValueError("a list of axis polynomials needs an explicit shape")
-        element = TensorElement.from_axis_polys(shape, list(element))
-    return shape.phi_matrix().mul_vec(element.coeffs)
+        return element.shape.phi_matrix().mul_vec(element.coeffs)
+    if shape is None:
+        raise ValueError("a list of axis polynomials needs an explicit shape")
+    polys = list(element)
+    if len(polys) != shape.d:
+        raise ValueError(f"expected {shape.d} polynomials, got {len(polys)}")
+    shape._require_chebyshev()
+    # uint8 sums wrap mod 256, which keeps their parity
+    return gf2._kron_vec([(_phi_axis(n) @ _axis_bits(p, m)) & 1
+                          for p, m, n in zip(polys, shape.moduli, shape.dims)])
 
 
 def phi_inverse(v: BitVector, shape: QuotientShape) -> TensorElement:

@@ -276,17 +276,6 @@ class BitMatrix:
         return cls._of(rows, cols, w, symmetric=symmetric, _trusted=_trusted)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
-        cols = len(columns)
-        rows = columns[0].n if columns else 0
-        colbits = np.zeros((cols, rows), dtype=np.uint8)
-        for j, c in enumerate(columns):
-            if c.n != rows:
-                raise ValueError(f"column {j} has length {c.n}, expected {rows}")
-            colbits[j] = c.to_array()
-        return cls._from_bit_array(colbits.T)
-
-    @classmethod
     def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False,
                         _trusted: bool = False) -> "BitMatrix":
         rows, cols = bits.shape
@@ -312,9 +301,11 @@ class BitMatrix:
         return _unpack_words_2d(self._words, self.cols)
 
     def diagonal(self) -> BitVector:
-        n = min(self.rows, self.cols)
-        bits = self.to_bit_array()
-        return BitVector.from_bits(bits[i, i] for i in range(n))
+        """Entries (i, i) for i < min(rows, cols), read as bit i of each
+        row's words; the matrix is not unpacked."""
+        idx = np.arange(min(self.rows, self.cols))
+        bits = (self._words[idx, idx >> 6] >> (idx.astype(np.uint64) & np.uint64(63))) & _ONE
+        return BitVector._of(idx.size, _pack_rows(bits.astype(np.uint8)))
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix._from_bit_array(self.to_bit_array().T)
@@ -720,3 +711,12 @@ def _kron_sum(products: Iterable[Sequence[np.ndarray]], rows: int, cols: int,
     if acc is None:
         acc = np.zeros((rows, cols), dtype=np.uint8)
     return BitMatrix._from_bit_array(acc, symmetric=symmetric, _trusted=True)
+
+
+def _kron_vec(factors: Sequence[np.ndarray]) -> BitVector:
+    """The Kronecker product of one or more dense 0/1 vectors, packed
+    once."""
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = np.multiply.outer(acc, f).ravel()
+    return BitVector._of(acc.size, _pack_rows(acc))

@@ -20,12 +20,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import gf2
 from .game import (GameSpec, GridShape, adjacency_matrix, is_sigma_plus,
                    parse_game, u_element)
 from .gf2 import BitMatrix, BitVector
 from .poly2 import two_valuation
-from .symmetry import symmetric_basis
+from .symmetry import orbit_indicator, orbit_parities
 
 DEFAULT_ORACLE_CAP = 20
 # the oracle walks 2^cap Gray-code steps; 24 bounds that at 16.8 million
@@ -94,23 +96,27 @@ def _check_certificate(g: GameSpec, m: BitMatrix, k: Optional[BitVector],
 def symmetric_achievability(g: GameSpec) -> AchievabilityReport:
     """Whether every completely symmetric configuration is achievable.
 
-    Equivalent, by kernel orthogonality, to every orbit-indicator basis
-    vector lying in Im M.  On failure the report carries the first
-    failing basis vector as target and a kernel certificate for it,
-    checked as in :func:`achievable`.
+    M is symmetric, so Im M = (Ker M)^perp: the answer is yes iff
+    F k = 0 for every kernel vector k, where the rows of
+    F = S (x) ... (x) S are the orbit indicators (see :mod:`.symmetry`).
+    The kernel is unpacked once and folded axis by axis; no orbit vector
+    is built unless one fails.  On failure the report carries as target
+    the first orbit indicator that some kernel vector meets oddly, and
+    as certificate the first such kernel vector, checked as in
+    :func:`achievable`.
     """
     m = adjacency_matrix(g)
     kernel = gf2.kernel_basis(m)
-    basis = symmetric_basis(g.shape).basis
     if kernel:
-        kmat = BitMatrix.from_rows(kernel, cols=m.cols)
-        for w in basis:
-            hits = kmat.mul_vec(w)
-            if not hits.is_zero():
-                bad = next(i for i in range(hits.n) if hits[i])
-                _check_certificate(g, m, kernel[bad], w)
-                return AchievabilityReport(g, "symmetric-subspace", w, False,
-                                           witness=None, certificate=kernel[bad])
+        hits = orbit_parities(BitMatrix.from_rows(kernel, cols=m.cols).to_bit_array(), g.shape)
+        failing = np.flatnonzero(hits.any(axis=0))
+        if failing.size:
+            i = int(failing[0])
+            k = kernel[int(np.argmax(hits[:, i]))]
+            w = orbit_indicator(g.shape, i)
+            _check_certificate(g, m, k, w)
+            return AchievabilityReport(g, "symmetric-subspace", w, False,
+                                       witness=None, certificate=k)
     return AchievabilityReport(g, "symmetric-subspace", None, True,
                                witness=None, certificate=None)
 

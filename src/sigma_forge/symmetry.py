@@ -9,21 +9,25 @@ the grid by phi.
 
 The fold maps: S halves an axis by adding coordinate i to coordinate
 n+1-i (for odd n the middle coordinate rides along as the last entry),
-and c collapses an axis to the parity of its entries.
+and c collapses an axis to the parity of its entries.  The rows of
+F = S (x) ... (x) S are exactly the orbit indicators, so F v lists the
+parities of v on the orbits.  The game matrix M is symmetric, so
+Im M = (Ker M)^perp, and every symmetric configuration is reachable iff
+F k = 0 for every kernel vector k.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from . import algebra, gf2
 from .algebra import TensorElement
 from .game import GridShape, quotient_shape
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 from .poly2 import chebyshev_q
 
 
@@ -42,20 +46,37 @@ def symmetric_basis(shape: GridShape) -> SymmetricSubspace:
 
     One vector per orbit of the 2^d reflection group, ordered by the
     orbit representative in the low quadrant; dimension is the product
-    of ceil(n_i / 2).
+    of ceil(n_i / 2).  The vectors are the rows of F = S (x) ... (x) S,
+    built as one Kronecker product.
     """
-    half_ranges = [range((n + 1) // 2) for n in shape.dims]
-    basis = []
-    for rep in itertools.product(*half_ranges):
-        axis_sets = [sorted({j, n - 1 - j}) for j, n in zip(rep, shape.dims)]
-        indices = []
-        for cell in itertools.product(*axis_sets):
-            flat = 0
-            for c, n in zip(cell, shape.dims):
-                flat = flat * n + c
-            indices.append(flat)
-        basis.append(BitVector.from_indices(shape.total, indices))
-    return SymmetricSubspace(shape, tuple(basis))
+    factors = [_s_matrix(n) for n in shape.dims]
+    f = gf2._kron_sum([factors], math.prod(s.shape[0] for s in factors), shape.total)
+    return SymmetricSubspace(shape, tuple(f.row(i) for i in range(f.rows)))
+
+
+def orbit_indicator(shape: GridShape, i: int) -> BitVector:
+    """Basis vector i of :func:`symmetric_basis`, built alone: the
+    Kronecker product of one row of S per axis."""
+    halves = tuple((n + 1) // 2 for n in shape.dims)
+    rep = np.unravel_index(i, halves)
+    return gf2._kron_vec([_s_matrix(n)[r] for r, n in zip(rep, shape.dims)])
+
+
+def orbit_parities(bits: np.ndarray, shape: GridShape) -> np.ndarray:
+    """F applied to every row of a (k, total) uint8 0/1 array: entry
+    (j, i) is the parity of row j on orbit i, in basis order.
+
+    Each axis is folded by XORing its mirrored halves, an odd axis
+    keeping its middle slice last, so no orbit vector is built.
+    """
+    arr = bits.reshape((bits.shape[0],) + shape.dims)
+    for axis, n in enumerate(shape.dims, start=1):
+        a = np.moveaxis(arr, axis, 0)
+        folded = a[: n // 2] ^ a[::-1][: n // 2]
+        if n % 2:
+            folded = np.concatenate([folded, a[n // 2: n // 2 + 1]])
+        arr = np.moveaxis(folded, 0, axis)
+    return arr.reshape(bits.shape[0], -1)
 
 
 def central_axis_poly(n: int):
@@ -72,8 +93,13 @@ def central_element(shape: GridShape) -> TensorElement:
 
 
 def central_configuration(shape: GridShape) -> BitVector:
-    """Indicator of the central cells (2 per even axis, 1 per odd axis)."""
-    return algebra.phi(central_element(shape))
+    """Indicator of the central cells (2 per even axis, 1 per odd axis).
+
+    phi of :func:`central_element`; the element is separable, so its
+    image is the Kronecker product of the d per-axis images and no
+    total x total phi matrix is built.
+    """
+    return algebra.phi([central_axis_poly(n) for n in shape.dims], quotient_shape(shape))
 
 
 def s_map(v: BitVector, n: int) -> BitVector:
@@ -93,15 +119,24 @@ def c_map(v: BitVector) -> int:
     return v.weight() & 1
 
 
-def _s_matrix(n: int) -> BitMatrix:
-    ints = [(1 << i) | (1 << (n - 1 - i)) for i in range(n // 2)]
-    if n % 2:
-        ints.append(1 << (n // 2))
-    return BitMatrix.from_row_ints((n + 1) // 2, n, ints)
+@lru_cache(maxsize=None)
+def _s_matrix(n: int) -> np.ndarray:
+    """Dense read-only S on one axis: row i is the indicator of
+    {i, n-1-i}, and for odd n the last row is the middle cell."""
+    bits = np.zeros(((n + 1) // 2, n), dtype=np.uint8)
+    i = np.arange((n + 1) // 2)
+    bits[i, i] = 1
+    bits[i, n - 1 - i] = 1
+    bits.flags.writeable = False
+    return bits
 
 
-def _c_matrix(n: int) -> BitMatrix:
-    return BitMatrix.from_row_ints(1, n, [(1 << n) - 1])
+@lru_cache(maxsize=None)
+def _c_matrix(n: int) -> np.ndarray:
+    """Dense read-only c on one axis: one row of ones."""
+    bits = np.ones((1, n), dtype=np.uint8)
+    bits.flags.writeable = False
+    return bits
 
 
 def tensor_fold(v: BitVector, shape: GridShape, ops: Sequence[str]) -> BitVector:
@@ -109,13 +144,14 @@ def tensor_fold(v: BitVector, shape: GridShape, ops: Sequence[str]) -> BitVector
 
     The maps act on disjoint tensor factors, so the result does not
     depend on application order; output length is the product of the
-    per-axis output lengths.
+    per-axis output lengths.  The map is one Kronecker product of the
+    cached axis factors that :func:`symmetric_basis` also reads.
     """
     if v.n != shape.total:
         raise ValueError(f"vector length {v.n} != grid size {shape.total}")
     if len(ops) != shape.d:
         raise ValueError(f"expected {shape.d} axis maps, got {len(ops)}")
-    factors: List[BitMatrix] = []
+    factors = []
     for op, n in zip(ops, shape.dims):
         if op == "S":
             factors.append(_s_matrix(n))
@@ -123,5 +159,5 @@ def tensor_fold(v: BitVector, shape: GridShape, ops: Sequence[str]) -> BitVector
             factors.append(_c_matrix(n))
         else:
             raise ValueError(f"axis map must be 'S' or 'c', got {op!r}")
-    rows = math.prod(f.rows for f in factors)
-    return gf2._kron_sum([[f.to_bit_array() for f in factors]], rows, shape.total).mul_vec(v)
+    rows = math.prod(f.shape[0] for f in factors)
+    return gf2._kron_sum([factors], rows, shape.total).mul_vec(v)

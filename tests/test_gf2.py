@@ -584,6 +584,17 @@ def _blocked_rref_cases():
     yield _augmented(rng, np.zeros((20, 30), dtype=np.uint8), 65), 30
 
 
+def test_diagonal_matches_dense_diagonal():
+    rng = np.random.default_rng(17)
+    for rows, cols in [(1, 1), (3, 5), (5, 3), (70, 130), (130, 70), (200, 67), (65, 199)]:
+        assert cols % 64 != 0
+        bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        m = BitMatrix.from_rows(bits.tolist(), cols=cols)
+        d = m.diagonal()
+        assert d.n == min(rows, cols)
+        assert d.to_bits() == tuple(np.diagonal(m.to_bit_array()).tolist())
+
+
 def test_blocked_rref_matches_per_column_reference():
     for words, ncols in _blocked_rref_cases():
         expected = words.copy()

@@ -5,10 +5,22 @@ import numpy as np
 import pytest
 
 from sigma_forge import algebra, gf2
-from sigma_forge.game import GridShape, make_j, quotient_shape
+from sigma_forge.algebra import QuotientShape
+from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
+                              make_j, parse_game, quotient_shape)
 from sigma_forge.gf2 import BitMatrix, BitVector
+from sigma_forge.solver import symmetric_achievability
 from sigma_forge.symmetry import (c_map, central_configuration, central_element,
                                   s_map, symmetric_basis, tensor_fold)
+
+# every preset game of the sweeps: d = 1 up to 30, d = 2 up to 13, d = 3 up to 7
+SWEEP_SHAPES = ([(n,) for n in range(1, 31)]
+                + list(itertools.product(range(1, 14), repeat=2))
+                + list(itertools.product(range(1, 8), repeat=3)))
+# every d <= 3 shape of at most 48 cells
+SMALL_SHAPES = [dims for d in (1, 2, 3) for dims in itertools.product(range(1, 49), repeat=d)
+                if np.prod(dims) <= 48]
+BIG_SHAPES = [(49, 49), (50, 50), (13, 13, 13)]
 
 
 # ---------------------------------------------------------------------
@@ -58,6 +70,63 @@ def test_basis_vectors_are_disjoint_and_cover():
 
 
 # ---------------------------------------------------------------------
+# the folded kernel against the orbit walk
+# ---------------------------------------------------------------------
+
+def _reference_orbit_basis(shape):
+    """The orbit indicators by walking each orbit's cells, one vector
+    per representative of the low quadrant in lexicographic order."""
+    basis = []
+    for rep in itertools.product(*[range((n + 1) // 2) for n in shape.dims]):
+        axis_sets = [sorted({j + 1, n - j}) for j, n in zip(rep, shape.dims)]  # 1-based
+        basis.append(BitVector.from_indices(
+            shape.total, [shape.flat_index(cell) for cell in itertools.product(*axis_sets)]))
+    return basis
+
+
+def _reference_symmetric_achievability(g):
+    """(achievable, target, certificate) by one mat-vec of the kernel
+    against each orbit indicator in turn: the first orbit some kernel
+    vector meets oddly, and the first such kernel vector."""
+    m = adjacency_matrix(g)
+    kernel = gf2.kernel_basis(m)
+    if kernel:
+        kmat = BitMatrix.from_rows(kernel, cols=m.cols)
+        for w in _reference_orbit_basis(g.shape):
+            hits = kmat.mul_vec(w)
+            if not hits.is_zero():
+                return False, w, kernel[next(i for i in range(hits.n) if hits[i])]
+    return True, None, None
+
+
+def test_symmetric_basis_matches_orbit_walk():
+    for dims in SWEEP_SHAPES:
+        shape = GridShape(dims)
+        got = symmetric_basis(shape).basis
+        want = _reference_orbit_basis(shape)
+        assert [v._words.tobytes() for v in got] == [v._words.tobytes() for v in want], dims
+        assert all(v.n == shape.total for v in got)
+
+
+def test_symmetric_achievability_matches_orbit_walk():
+    games = [GameSpec.preset(name, GridShape(dims))
+             for dims in SWEEP_SHAPES for name in PRESET_NAMES]
+    games += [parse_game(text, GridShape(dims)) for dims, text in [
+        ((4, 6), "custom:0,1;1,0;1,1"), ((7, 7), "custom:0,0;2,0;0,2"),
+        ((5, 5, 3), "custom:1,0,0;0,1,1"), ((9,), "custom:1;3"), ((6, 5), "custom:1,1")]]
+    failing = 0
+    for g in games:
+        rep = symmetric_achievability(g)
+        ok, target, cert = _reference_symmetric_achievability(g)
+        assert rep.achievable == ok, (g.shape, g.label())
+        if not ok:
+            failing += 1
+            assert rep.target._words.tobytes() == target._words.tobytes(), (g.shape, g.label())
+            assert rep.certificate._words.tobytes() == cert._words.tobytes(), (g.shape, g.label())
+    assert 0 < failing < len(games)  # both verdicts are exercised
+
+
+# ---------------------------------------------------------------------
 # central configuration
 # ---------------------------------------------------------------------
 
@@ -97,6 +166,17 @@ def test_central_matches_geometric_description():
     for dims in [(3, 4), (4, 4), (5, 5), (2, 3, 4), (3, 3, 3), (2, 3, 2, 3)]:
         shape = GridShape(dims)
         assert central_configuration(shape) == geometric_central(shape)
+
+
+def test_central_configuration_builds_no_phi_matrix(monkeypatch):
+    shapes = [GridShape(dims) for dims in SMALL_SHAPES + BIG_SHAPES]
+    want = [algebra.phi(central_element(shape)) for shape in shapes]
+
+    def no_phi_matrix(self):
+        raise AssertionError("central_configuration built a total x total phi")
+    monkeypatch.setattr(QuotientShape, "phi_matrix", no_phi_matrix)
+    for shape, w in zip(shapes, want):
+        assert central_configuration(shape) == w, shape
 
 
 # ---------------------------------------------------------------------
