@@ -22,8 +22,9 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from . import gf2
-from .algebra import QuotientShape, TensorElement
+from .algebra import QuotientShape, TensorElement, _axis_bits
 from .gf2 import BitMatrix, BitVector
+from .poly2 import Poly2, chebyshev_q
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -164,11 +165,16 @@ def _j_power_bits(n: int, e: int):
 @lru_cache(maxsize=512)
 def adjacency_matrix(g: GameSpec) -> BitMatrix:
     """Sum over terms of Kronecker products of path-matrix powers;
-    ValueError above 32,768 cells (:data:`gf2.DENSE_MAX_BYTES`)."""
+    ValueError above 32,768 cells (:data:`gf2.DENSE_MAX_BYTES`).
+
+    The matrix keeps the game's dims and terms in its write-once
+    ``_game`` slot, which lets an elimination chase it (:mod:`.chase`)."""
     total = g.shape.total
-    products = [[_j_power_bits(n, e) for n, e in zip(g.shape.dims, term)]
-                for term in sorted(g.terms)]
-    return gf2._kron_sum(products, total, total, symmetric=True)
+    terms = tuple(sorted(g.terms))
+    products = [[_j_power_bits(n, e) for n, e in zip(g.shape.dims, term)] for term in terms]
+    m = gf2._kron_sum(products, total, total, symmetric=True)
+    m._game = (g.shape.dims, terms)
+    return m
 
 
 def is_sigma_plus(g: GameSpec) -> bool:
@@ -181,12 +187,22 @@ def quotient_shape(shape: GridShape) -> QuotientShape:
 
 
 def u_element(g: GameSpec) -> TensorElement:
-    """The algebra element whose multiplication operator is the game."""
+    """The algebra element whose multiplication operator is the game:
+    the sum over terms of the monomials x^e, each axis reduced mod its
+    modulus."""
     qs = quotient_shape(g.shape)
-    acc = TensorElement.zero(qs)
-    for term in sorted(g.terms):
-        acc = acc + TensorElement.monomial(qs, term)
-    return acc
+    coeffs = BitVector.zeros(qs.total)
+    for term in g.terms:
+        coeffs ^= gf2._kron_vec([_monomial_bits(n, e) for n, e in zip(g.shape.dims, term)])
+    return TensorElement(qs, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _monomial_bits(n: int, e: int):
+    """Read-only coefficients of x^e mod Q_n."""
+    bits = _axis_bits(Poly2.x_power(e), chebyshev_q(n))
+    bits.flags.writeable = False
+    return bits
 
 
 def check_commutes(target: Union[GameSpec, BitMatrix],

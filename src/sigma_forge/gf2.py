@@ -9,12 +9,17 @@ here.  All operations are pure functions, so everything here can be
 shared freely across threads.
 
 Every rank, kernel, solve, certificate and image query reads one
-:class:`Elimination` record.  Elimination is deterministic: pivots are
+:class:`Elimination` record, the one place that picks a backend.  Its
+answers are those of the canonical reduced row echelon form: pivots are
 the first nonzero row in column order, rows are swapped, and free
-variables are fixed to zero when a solution is extracted.  Large
-systems are eliminated 8 columns at a time by the Method of Four
-Russians, small ones on Python-int rows; both give the same canonical
-RREF.
+variables are fixed to zero when a solution is extracted.  A game
+matrix of 64 cells or more with an axis that qualifies is chased
+(:mod:`.chase`): one layer of total / n cells is eliminated and the
+answers are lifted to the grid, then put in the same canonical form
+(the free columns are the highest set bits of the kernel vectors).
+Every other matrix is eliminated whole: 8 columns at a time by the
+Method of Four Russians above 128 rows or columns, on Python-int rows
+below; both give the same RREF.
 
 The first elimination that extracts a matrix's kernel stores the packed
 basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
@@ -25,9 +30,12 @@ the slot write equal values and either write may stand.
 """
 from __future__ import annotations
 
+import logging
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 _WORD = 64  # internal word width; public behavior does not depend on it
 _ONE = np.uint64(1)
@@ -198,10 +206,11 @@ class BitMatrix:
 
     The first elimination that extracts the kernel leaves its packed
     basis in ``_kernel``; later rank, kernel and certificate queries on
-    the same object read it.
+    the same object read it.  A game matrix keeps its (dims, terms) in
+    the write-once ``_game`` slot, which lets an elimination chase it.
     """
 
-    __slots__ = ("rows", "cols", "symmetric", "_words", "_kernel")
+    __slots__ = ("rows", "cols", "symmetric", "_words", "_kernel", "_game")
 
     def __init__(self, rows: int, cols: int, words: Optional[np.ndarray] = None,
                  symmetric: bool = False):
@@ -222,6 +231,7 @@ class BitMatrix:
         self._words = words
         self._words.flags.writeable = False
         self._kernel = None
+        self._game = None
         self.symmetric = symmetric
         if symmetric and not _trusted:
             if rows != cols or self != self.transpose():
@@ -385,88 +395,81 @@ _INT_PATH_MAX = 128
 
 
 class Elimination:
-    """One reduced row echelon form of [m | t_1 ... t_k] over GF(2).
+    """One elimination of [m | t_1 ... t_k] over GF(2).
 
     Every rank, kernel, solve, certificate and image query is read off
-    this record.  Pivot rule: first nonzero row at or below the current
-    row, in column order, with a row swap.  The RREF and the pivot
-    sequence are canonical, so the int-bitset path (at most
-    ``_INT_PATH_MAX`` rows and columns) and the blocked Four Russians
-    path (:func:`_rref`, 8 columns per table XOR) produce bit-identical
-    records.
+    this record, and every backend gives the answers of the reduced row
+    echelon form (RREF) of m under the pivot rule "first nonzero row at
+    or below the current row, in column order, with a row swap": the
+    kernel basis has one vector per free column, in increasing column
+    order, each the identity on the free columns; a solution has its
+    free variables zero.  These answers depend only on Ker m and on
+    each target's coset of solutions: column j is free exactly when
+    some kernel vector has its highest set bit at j, exactly one kernel
+    basis is the identity on those columns, and exactly one solution in
+    a coset is zero on them.
 
-    ``rows`` holds the reduced m-columns, ``rhs`` the transformed
-    target block (bit j of a row is target j) and ``pivots`` the pivot
-    columns.
+    The backend is picked here and nowhere else:
+
+    - dense: the RREF of m itself;
+    - chase: a game matrix of :func:`.game.adjacency_matrix` with an
+      axis that qualifies (:mod:`.chase`) is reduced to an r x r end
+      system of r = total / n cells, whose kernel and solutions are
+      lifted to the grid and, unless the axis is the first, made
+      canonical by one RREF of the kernel with its columns reversed.
+
+    Either way the routine that runs is picked by m's size: Python-int
+    rows when m has at most ``_INT_PATH_MAX`` rows and columns, the
+    blocked Four Russians path (:func:`_rref`, 8 columns per table
+    XOR) above; both give bit-identical RREFs.
     """
 
-    __slots__ = ("m", "targets", "pivots", "rows", "rhs")
+    __slots__ = ("m", "targets", "rank", "_solutions", "_echelon")
 
     def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
         self.m = m
         self.targets = tuple(targets)
-        # the target block rides in the words after m's, so every row
-        # operation covers both
-        split = m._words.shape[1]
-        words = np.zeros((m.rows, split + _nwords(len(self.targets))), dtype=np.uint64)
-        words[:, :split] = m._words
-        if self.targets:
-            tbits = np.zeros((m.rows, len(self.targets)), dtype=np.uint8)
-            for j, t in enumerate(self.targets):
-                if t.n != m.rows:
-                    raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
-                tbits[:, j] = t.to_array()
-            words[:, split:] = _pack_rows(tbits)
+        tbits = np.zeros((len(self.targets), m.rows), dtype=np.uint8)
+        for j, t in enumerate(self.targets):
+            if t.n != m.rows:
+                raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
+            tbits[j] = t.to_array()
         if 0 < m.rows <= _INT_PATH_MAX and m.cols <= _INT_PATH_MAX:
-            self.pivots = _rref_ints(words, m.cols)
+            rref = _rref_ints
         else:
-            self.pivots = _rref(words, m.cols)
-        words.flags.writeable = False
-        self.rows, self.rhs = words[:, :split], words[:, split:]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+            rref = _rref
+        chase = _pick_chase(m)
+        if chase is None:
+            self._echelon = _Echelon(m._words, m.cols, tbits, rref)
+            self.rank = self._echelon.rank
+            self._solutions = [self._echelon.solution(j) for j in range(len(self.targets))]
+        else:
+            self._echelon = None
+            kernel, self._solutions = _chased(chase, tbits, rref)
+            self.rank = m.cols - kernel.shape[0]
+            if m._kernel is None:
+                kernel.flags.writeable = False
+                m._kernel = kernel
 
     def kernel(self) -> np.ndarray:
-        """Basis of {x : m x = 0}, packed one vector per row: one vector
-        per free column, in increasing column order, each with its free
-        coordinate set to 1.  The first call for m stores the basis on m;
-        later calls, from this record or another of m, read it there."""
+        """Basis of {x : m x = 0}, packed one vector per row, in RREF
+        order.  The first call for m stores the basis on m; later calls,
+        from this record or another of m, read it there."""
         m = self.m
         if m._kernel is None:
-            words = np.zeros((0, _nwords(m.cols)), dtype=np.uint64)
-            if self.rank < m.cols:
-                piv = np.asarray(self.pivots, dtype=np.intp)
-                free = np.ones(m.cols, dtype=bool)
-                free[piv] = False
-                free = np.flatnonzero(free)
-                bits = np.zeros((free.size, m.cols), dtype=np.uint8)
-                bits[np.arange(free.size), free] = 1
-                # the pivot rows' bits in the free columns, a rank x nullity block
-                strips = self.rows[: self.rank].view(np.uint8)
-                bits[:, piv] = ((strips[:, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
-                words = _pack_rows(bits)
+            words = self._echelon.kernel()
             words.flags.writeable = False
             m._kernel = words
         return m._kernel
 
     def consistent(self) -> list:
         """Per target, whether it lies in the column space of m."""
-        stuck = np.bitwise_or.reduce(self.rhs[self.rank:], axis=0)
-        return [not b for b in _unpack_words(stuck, len(self.targets))]
-
-    def _target_column(self, j: int) -> np.ndarray:
-        return ((self.rhs[:, j >> 6] >> np.uint64(j & 63)) & _ONE).astype(np.uint8)
+        return [s is not None for s in self._solutions]
 
     def solution(self, j: int = 0) -> Optional[BitVector]:
         """Some x with m x = t_j (free variables zero), or None."""
-        col = self._target_column(j)
-        if col[self.rank:].any():
-            return None
-        xbits = np.zeros(self.m.cols, dtype=np.uint8)
-        xbits[np.asarray(self.pivots, dtype=np.intp)] = col[: self.rank]
-        return BitVector._of(self.m.cols, _pack_rows(xbits))
+        words = self._solutions[j]
+        return None if words is None else BitVector._of(self.m.cols, words.copy())
 
     def certificate(self, j: int = 0) -> Optional[BitVector]:
         """A kernel vector k with k . t_j = 1, or None.
@@ -475,9 +478,123 @@ class Elimination:
         proves t_j outside the image, and such a k exists whenever t_j
         is outside it.
         """
-        if not self.m.symmetric or not self._target_column(j)[self.rank:].any():
+        if not self.m.symmetric or self._solutions[j] is not None:
             return None
         return _first_not_orthogonal(self.m.cols, self.kernel(), self.targets[j])
+
+
+class _Echelon:
+    """The RREF of the first ``ncols`` columns of packed rows, with a
+    (k, rows) block of target bits riding in the words after them.
+
+    ``rows`` holds the reduced matrix columns, ``rhs`` the transformed
+    target block (bit j of a row is target j) and ``pivots`` the pivot
+    columns.
+    """
+
+    __slots__ = ("ncols", "pivots", "rows", "rhs")
+
+    def __init__(self, words: np.ndarray, ncols: int, tbits: np.ndarray, rref):
+        self.ncols = ncols
+        split = words.shape[1]
+        aug = np.zeros((words.shape[0], split + _nwords(tbits.shape[0])), dtype=np.uint64)
+        aug[:, :split] = words
+        if tbits.shape[0]:
+            aug[:, split:] = _pack_rows(np.ascontiguousarray(tbits.T))
+        self.pivots = rref(aug, ncols)
+        self.rows, self.rhs = aug[:, :split], aug[:, split:]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self) -> np.ndarray:
+        """The packed kernel basis: one vector per free column, in
+        increasing column order, each with its free coordinate set."""
+        if self.rank == self.ncols:
+            return np.zeros((0, _nwords(self.ncols)), dtype=np.uint64)
+        piv = np.asarray(self.pivots, dtype=np.intp)
+        free = np.ones(self.ncols, dtype=bool)
+        free[piv] = False
+        free = np.flatnonzero(free)
+        bits = np.zeros((free.size, self.ncols), dtype=np.uint8)
+        bits[np.arange(free.size), free] = 1
+        # the pivot rows' bits in the free columns, a rank x nullity block
+        strips = self.rows[: self.rank].view(np.uint8)
+        bits[:, piv] = ((strips[:, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
+        return _pack_rows(bits)
+
+    def solution(self, j: int) -> Optional[np.ndarray]:
+        """The packed solution for target j with free variables zero, or
+        None when target j is inconsistent."""
+        col = ((self.rhs[:, j >> 6] >> np.uint64(j & 63)) & _ONE).astype(np.uint8)
+        if col[self.rank:].any():
+            return None
+        xbits = np.zeros(self.ncols, dtype=np.uint8)
+        xbits[np.asarray(self.pivots, dtype=np.intp)] = col[: self.rank]
+        return _pack_rows(xbits)
+
+
+# the chase's fixed cost, about 0.3 ms, beats the dense elimination it
+# saves on boards of fewer cells
+_CHASE_MIN_CELLS = 64
+
+
+def _pick_chase(m: BitMatrix):
+    """The chase for m, or None for the dense backend; one DEBUG line
+    names the choice for a game matrix."""
+    if m._game is None:
+        return None
+    dims, terms = m._game
+    shape = "x".join(map(str, dims))
+    if m.cols < _CHASE_MIN_CELLS:
+        _log.debug("dense elimination of %s: %d cells, fewer than %d", shape, m.cols,
+                   _CHASE_MIN_CELLS)
+        return None
+    chase, why = _chase._pick(dims, terms)
+    if chase is None:
+        _log.debug("dense elimination of %s: %s", shape, why)
+    else:
+        _log.debug("chase of %s along axis %d: r = %d", shape, chase.axis, chase.r)
+    return chase
+
+
+def _chased(chase, tbits: np.ndarray, rref):
+    """(packed canonical kernel, packed solution or None per target) of
+    a game matrix by the chase; see :class:`Elimination`."""
+    r, ntargets = chase.r, tbits.shape[0]
+    end, layers = chase.run(tbits)
+    e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T), rref)
+    last = [e.solution(j) for j in range(ntargets)]
+    solved = [j for j in range(ntargets) if last[j] is not None]
+    # a grid vector sums the unit starts its last layer selects, plus
+    # its target's affine column
+    kernel = _unpack_words_2d(e.kernel(), r)
+    select = np.zeros((kernel.shape[0] + len(solved), r + ntargets), dtype=np.uint8)
+    select[:kernel.shape[0], :r] = kernel
+    for q, j in enumerate(solved, start=kernel.shape[0]):
+        select[q, :r] = _unpack_words(last[j], r)
+        select[q, r + j] = 1
+    grid = chase.lift(layers, select)
+    kernel, xs = grid[:kernel.shape[0]], grid[kernel.shape[0]:]
+    if chase.axis and kernel.shape[0]:
+        kernel, free = _canonical_kernel(kernel, rref)
+        xs = xs ^ (xs[:, free] @ kernel & 1).astype(np.uint8)
+    solutions = [None] * ntargets
+    for j, x in zip(solved, _pack_rows(xs)):
+        solutions[j] = x
+    return _pack_rows(kernel), solutions
+
+
+def _canonical_kernel(bits: np.ndarray, rref):
+    """(RREF kernel basis, its free columns) of the span of the rows of
+    a full-rank 0/1 array: the RREF of the rows with their columns
+    reversed pivots on the highest set bits."""
+    ncols = bits.shape[1]
+    words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
+    pivots = rref(words, ncols)
+    free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
+    return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
 
 
 def _first_not_orthogonal(n: int, kernel: np.ndarray, t: BitVector) -> Optional[BitVector]:
@@ -720,3 +837,7 @@ def _kron_vec(factors: Sequence[np.ndarray]) -> BitVector:
     for f in factors[1:]:
         acc = np.multiply.outer(acc, f).ravel()
     return BitVector._of(acc.size, _pack_rows(acc))
+
+
+# the chase builds on the helpers above
+from . import chase as _chase  # noqa: E402
