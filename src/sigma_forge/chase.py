@@ -21,9 +21,9 @@ run once over the r unit starts and the affine columns; it gives P and s.
 
 Every nonzero kernel vector has a nonzero last layer (from
 x_n = x_{n-1} = 0 and t = 0 the recurrence gives zero layers only), so
-Ker M is the lift of Ker P.  When p is the first axis, the last layer is the last block of
-r flat indices, so every kernel vector has its highest set bit there; the
-free columns of the dense RREF of M are then the free columns of the
+Ker M is the lift of Ker P.  When p is the first axis, the last layer
+is the last block of r flat indices, so every kernel vector has its
+highest set bit there; the free columns of the dense RREF of M are then the free columns of the
 RREF of P, shifted into that block, and lifting the RREF kernel basis
 and the free-variables-zero solution of P gives the dense RREF's
 kernel basis and solution byte for byte.  On any other axis the lifted
@@ -37,11 +37,23 @@ invertible iff each a_i is prime to Q_{n_i}, the minimal polynomial of
 J_{n_i}, and then A^-1 is the product of the inverses mod Q_{n_i}.
 
 Arithmetic is exact over GF(2), on vectors packed in uint64 words: a
-product by a sparse C XORs the words of the rows each row of C selects,
-and a product by a dense matrix goes through Four Russians tables.
+step by a sparse C XORs the words of the rows each row of C selects,
+and a product by a dense matrix goes through Four Russians tables
+(:func:`.gf2._product`).  Working memory is a few transient arrays of
+r x r bytes (building C and its gather index, the end system), the
+n + 2 packed layers over the r + T chased columns (T targets), and the
+lifted vectors, total x (nullity + T) bytes; gathers and tables are
+staged in blocks of at most 1 MB.  On 2^12 cells, sigma-:box (r and
+the nullity both 2,048) peaks at 25 MB under tracemalloc, against
+36 MB for the dense build before it.
+
+:func:`pick` is called by :class:`.gf2.Elimination` for a matrix of
+:func:`.game.adjacency_matrix`, which keeps the game's dims and terms in
+its ``_game`` slot; it logs one DEBUG line naming the backend.
 """
 from __future__ import annotations
 
+import logging
 import math
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -49,10 +61,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import poly2
-from .gf2 import _kron_sum, _nwords, _pack_rows, _unpack_words_2d
+from .gf2 import (_STAGE_WORDS, _Echelon, _kron_sum, _nwords, _pack_rows, _product,
+                  _unpack_words, _unpack_words_2d)
 
-# words one table gather of :func:`_product` may stage: 8 MB
-_GATHER_WORDS = 1 << 20
+_log = logging.getLogger(__name__)
+
+# the chase's fixed cost, about 0.3 ms, beats the dense elimination it
+# saves on boards of fewer cells
+_MIN_CELLS = 64
 
 # the Kronecker factor of a layer with no other axes
 _ONE = np.ones((1, 1), dtype=np.uint8)
@@ -88,64 +104,44 @@ def _path_poly(n: int, f: int) -> np.ndarray:
     return y
 
 
-def _gather_index(bits: np.ndarray) -> np.ndarray:
-    """Row i lists the columns set in row i of a square 0/1 matrix,
-    padded with r (the index of an all-zero row) to a common length."""
-    r = bits.shape[0]
-    k = max(int(bits.sum(axis=1).max(initial=0)), 1)
-    order = np.argsort(bits == 0, axis=1, kind="stable")[:, :k]
-    return np.where(np.take_along_axis(bits, order, axis=1) != 0, order, r)
-
-
-def _product(a: np.ndarray, ncols: int, b: np.ndarray) -> np.ndarray:
-    """The GF(2) product of packed rows a (ncols columns) with packed
-    rows b (ncols of them), by Four Russians: per byte of a's columns,
-    a table of the 256 sums of the 8 rows of b it covers."""
-    groups = (ncols + 7) >> 3
-    width = b.shape[1]
-    rows = np.zeros((groups * 8, width), dtype=np.uint64)
-    rows[:ncols] = b
-    tables = np.zeros((groups, 256, width), dtype=np.uint64)
-    for i in range(8):
-        np.bitwise_xor(tables[:, : 1 << i], rows[i::8, None, :], out=tables[:, 1 << i: 2 << i])
-    # keys[g, i]: the row of the flattened tables that byte g of row i picks
-    keys = a.view(np.uint8)[:, :groups].T + (np.arange(groups) << 8)[:, None]
-    tables = tables.reshape(groups * 256, width)
-    out = np.empty((a.shape[0], width), dtype=np.uint64)
-    step = max(1, _GATHER_WORDS // (groups * width))
-    for i in range(0, a.shape[0], step):
-        np.bitwise_xor.reduce(np.take(tables, keys[:, i:i + step], axis=0), axis=0,
-                              out=out[i:i + step])
-    return out
+def _gather_index(c: np.ndarray, r: int) -> Optional[np.ndarray]:
+    """The rows a step x_{k-1} = C x_k + x_{k+1} XORs for each entry, as
+    indices into the step's block [x_k; 0; x_{k+1}] of 2r + 1 rows: row i
+    lists the columns of packed C set in row i, padded with r (the zero
+    row), and then r + 1 + i.  None when a row of C has more than
+    max(48, r / 8) entries, where Four Russians tables win: one step on
+    a random C of k entries per row, r from 16 to 2,048, gathers faster
+    below that line (up to 50x at k = 1) and slower above it."""
+    rows, cols = np.nonzero(_unpack_words_2d(c, r))
+    counts = np.bincount(rows, minlength=r)
+    k = int(counts.max(initial=0))
+    if k > max(48, r // 8):
+        return None
+    index = np.full((r, k + 1), r, dtype=np.intp)
+    index[rows, np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)] = cols
+    index[:, k] = r + 1 + np.arange(r)
+    return index
 
 
 class _Chase:
     """A game on ``dims`` chased along ``axis``; see the module notes.
 
-    A step x_{k-1} = C x_k + x_{k+1} is one gather when C is sparse:
-    row i of ``gather`` lists the rows that x_{k-1}[i] sums, the columns
-    of C in row i and then r + 1 + i for x_{k+1}[i], padded with r, the
-    index of an all-zero row.  A dense C (``gather`` None) goes through
-    its Four Russians tables instead.  ``a_inv`` is A^-1, packed, or
-    None when A = I.
+    ``c`` is C packed, ``gather`` its :func:`_gather_index` (None for a
+    dense C, whose steps go through Four Russians tables) and ``a_inv``
+    A^-1 packed, or None when A = I.
     """
 
     __slots__ = ("dims", "axis", "n", "r", "c", "gather", "a_inv")
 
     def __init__(self, dims: Tuple[int, ...], axis: int, c: np.ndarray,
                  a_inv: Optional[np.ndarray]):
-        """``c`` and ``a_inv``: packed C and A^-1 (or None)."""
         self.dims = dims
         self.axis = axis
         self.n = dims[axis]
-        self.r = r = math.prod(dims) // self.n
+        self.r = math.prod(dims) // self.n
         self.c = c
+        self.gather = _gather_index(c, self.r)
         self.a_inv = a_inv
-        index = _gather_index(_unpack_words_2d(c, r))
-        # gathering costs r words per entry, the tables about 32 + r / 8
-        self.gather = None
-        if index.shape[1] <= 32 + r // 8:
-            self.gather = np.hstack([index, (r + 1 + np.arange(r))[:, None]])
 
     # -- layers --------------------------------------------------------
 
@@ -162,45 +158,51 @@ class _Chase:
         return np.moveaxis(layers.reshape((q, self.n) + others), 1, 1 + self.axis).reshape(q, -1)
 
     def _sources(self, tbits: np.ndarray) -> np.ndarray:
-        """A^-1 t_k for every target and layer, as (n, r, T) bits."""
-        t = self._layers(tbits).transpose(2, 1, 0)  # (r, n, T)
+        """A^-1 t_k for every layer k and each of the T targets, packed
+        as (n, r, w) words that line up with the words of a chased row
+        from word r // 64 on, so that target j lands in column r + j."""
+        ntargets, n, r = tbits.shape[0], self.n, self.r
+        t = self._layers(tbits)  # (T, n, r)
         if self.a_inv is not None:
-            shape = t.shape
-            t = _unpack_words_2d(_product(self.a_inv, self.r, _pack_rows(t.reshape(self.r, -1))),
-                                 shape[1] * shape[2]).reshape(shape)
-        return t.transpose(1, 0, 2)
+            cols = _pack_rows(np.ascontiguousarray(t.transpose(2, 1, 0)).reshape(r, n * ntargets))
+            t = _unpack_words_2d(_product(self.a_inv, r, cols), n * ntargets).reshape(
+                r, n, ntargets).transpose(2, 1, 0)
+        pad = r & 63
+        bits = np.zeros((n, r, pad + ntargets), dtype=np.uint8)
+        bits[:, :, pad:] = t.transpose(1, 2, 0)
+        return _pack_rows(bits)
 
     def run(self, tbits: np.ndarray):
-        """Chase the r unit starts of the last layer and the (T, total)
-        target bits; returns x_{-1} as (r, r + T) bits, whose columns
-        are [P | s], and the packed layers x_0 .. x_{n-1} over the same
-        r + T columns, for :meth:`lift`."""
+        """Chase the r unit starts of the last layer and one affine column
+        per row of the (T, total) target bits: r + T chased columns.
+        Returns x_{-1} as (r, r + T) bits, whose columns are [P | s], and
+        the packed layers x_0 .. x_{n-1}, for :meth:`lift`."""
         r, n, ntargets = self.r, self.n, tbits.shape[0]
+        width = _nwords(r + ntargets)
         # buf[k + 1] holds x_k, with an all-zero row after its r rows
-        buf = np.zeros((n + 2, r + 1, _nwords(r + ntargets)), dtype=np.uint64)
-        start = np.zeros((r, r + ntargets), dtype=np.uint8)
-        start[np.arange(r), np.arange(r)] = 1
-        buf[n, :r] = _pack_rows(start)
-        sources = None
-        if ntargets:
-            full = np.zeros((n, r, r + ntargets), dtype=np.uint8)
-            full[:, :, r:] = self._sources(tbits)
-            sources = _pack_rows(full)
-        flat = buf.reshape((n + 2) * (r + 1), -1)
+        buf = np.zeros((n + 2, r + 1, width), dtype=np.uint64)
+        idx = np.arange(r)
+        buf[n, idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+        sources = self._sources(tbits) if ntargets else None
+        flat = buf.reshape((n + 2) * (r + 1), width)
+        if self.gather is not None:
+            step = max(1, _STAGE_WORDS // (self.gather.shape[1] * width))
         for k in range(n - 1, -1, -1):
             # x_{k-1} = C x_k + x_{k+1}
             if self.gather is None:
                 np.bitwise_xor(_product(self.c, r, buf[k + 1, :r]), buf[k + 2, :r], out=buf[k, :r])
             else:
-                block = flat[(k + 1) * (r + 1):(k + 3) * (r + 1)]  # x_k and x_{k+1}
-                np.bitwise_xor.reduce(np.take(block, self.gather, axis=0), axis=1, out=buf[k, :r])
+                block, out = flat[(k + 1) * (r + 1):(k + 3) * (r + 1)], buf[k, :r]
+                for i in range(0, r, step):
+                    np.bitwise_xor.reduce(np.take(block, self.gather[i:i + step], axis=0), axis=1,
+                                          out=out[i:i + step])
             if sources is not None:
-                buf[k, :r] ^= sources[k]
+                buf[k, :r, r >> 6:] ^= sources[k]
         return _unpack_words_2d(buf[0, :r], r + ntargets), buf[1:n + 1, :r]
 
     def lift(self, layers: np.ndarray, select: np.ndarray) -> np.ndarray:
         """Grid vectors from :meth:`run`'s layers: row q of ``select``
-        picks the columns (unit starts and targets) vector q sums.
+        picks the chased columns (unit starts and targets) vector q sums.
         Returns (q, total) bits."""
         q = select.shape[0]
         n, r = self.n, self.r
@@ -210,6 +212,46 @@ class _Chase:
                           _pack_rows(np.ascontiguousarray(select.T)))
         bits = _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
         return self._grid(bits)
+
+    # -- answers -------------------------------------------------------
+
+    def solve(self, tbits: np.ndarray, rref):
+        """(packed canonical kernel, packed solution or None per target)
+        of the game matrix, in the dense RREF's canonical form (see
+        :class:`.gf2.Elimination`); ``rref`` eliminates the end system."""
+        r, ntargets = self.r, tbits.shape[0]
+        end, layers = self.run(tbits)
+        e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T), rref)
+        last = [e.solution(j) for j in range(ntargets)]
+        solved = [j for j in range(ntargets) if last[j] is not None]
+        # a grid vector sums the unit starts its last layer selects, plus
+        # its target's affine column
+        kernel = _unpack_words_2d(e.kernel(), r)
+        select = np.zeros((kernel.shape[0] + len(solved), r + ntargets), dtype=np.uint8)
+        select[:kernel.shape[0], :r] = kernel
+        for q, j in enumerate(solved, start=kernel.shape[0]):
+            select[q, :r] = _unpack_words(last[j], r)
+            select[q, r + j] = 1
+        grid = self.lift(layers, select)
+        kernel, xs = grid[:kernel.shape[0]], grid[kernel.shape[0]:]
+        if self.axis and kernel.shape[0]:
+            kernel, free = _canonical_kernel(kernel, rref)
+            xs = xs ^ (xs[:, free] @ kernel & 1).astype(np.uint8)
+        solutions = [None] * ntargets
+        for j, x in zip(solved, _pack_rows(xs)):
+            solutions[j] = x
+        return _pack_rows(kernel), solutions
+
+
+def _canonical_kernel(bits: np.ndarray, rref):
+    """(RREF kernel basis, its free columns) of the span of the rows of
+    a full-rank 0/1 array: the RREF of the rows with their columns
+    reversed pivots on the highest set bits."""
+    ncols = bits.shape[1]
+    words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
+    pivots = rref(words, ncols)
+    free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
+    return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
 
 
 def _axis_factor(e_set: Sequence[int], n: int, g: int = 1) -> int:
@@ -266,3 +308,19 @@ def _pick(dims: Tuple[int, ...], terms: Tuple[tuple, ...]):
             return chase, None
         reasons.append(why)
     return None, "; ".join(reasons)
+
+
+def pick(m) -> Optional[_Chase]:
+    """The chase for a game matrix m (its ``_game`` slot set), or None
+    for the dense backend; one DEBUG line names the choice."""
+    dims, terms = m._game
+    shape = "x".join(map(str, dims))
+    if m.cols < _MIN_CELLS:
+        _log.debug("dense elimination of %s: %d cells, fewer than %d", shape, m.cols, _MIN_CELLS)
+        return None
+    chase, why = _pick(dims, terms)
+    if chase is None:
+        _log.debug("dense elimination of %s: %s", shape, why)
+    else:
+        _log.debug("chase of %s along axis %d: r = %d", shape, chase.axis, chase.r)
+    return chase

@@ -13,13 +13,15 @@ Every rank, kernel, solve, certificate and image query reads one
 answers are those of the canonical reduced row echelon form: pivots are
 the first nonzero row in column order, rows are swapped, and free
 variables are fixed to zero when a solution is extracted.  A game
-matrix of 64 cells or more with an axis that qualifies is chased
-(:mod:`.chase`): one layer of total / n cells is eliminated and the
-answers are lifted to the grid, then put in the same canonical form
-(the free columns are the highest set bits of the kernel vectors).
-Every other matrix is eliminated whole: 8 columns at a time by the
-Method of Four Russians above 128 rows or columns, on Python-int rows
-below; both give the same RREF.
+matrix (its ``_game`` slot set) is handed to :func:`.chase.pick`; when
+it has 64 cells or more and an axis qualifies it is chased: one layer
+of total / n cells is eliminated and the answers are lifted to the
+grid, then put in the same canonical form (the free columns are the
+highest set bits of the kernel vectors).  Every other matrix is
+eliminated whole: 8 columns at a time by the Method of Four Russians
+above 128 rows or columns, on Python-int rows below; both give the same
+RREF.  Matrix products go through Four Russians tables as well
+(:func:`_product`, shared with the chase).
 
 The first elimination that extracts a matrix's kernel stores the packed
 basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
@@ -30,12 +32,9 @@ the slot write equal values and either write may stand.
 """
 from __future__ import annotations
 
-import logging
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-_log = logging.getLogger(__name__)
 
 _WORD = 64  # internal word width; public behavior does not depend on it
 _ONE = np.uint64(1)
@@ -206,8 +205,8 @@ class BitMatrix:
 
     The first elimination that extracts the kernel leaves its packed
     basis in ``_kernel``; later rank, kernel and certificate queries on
-    the same object read it.  A game matrix keeps its (dims, terms) in
-    the write-once ``_game`` slot, which lets an elimination chase it.
+    the same object read it.  A game matrix keeps its game in the
+    write-once ``_game`` slot, which only :mod:`.chase` reads.
     """
 
     __slots__ = ("rows", "cols", "symmetric", "_words", "_kernel", "_game")
@@ -354,17 +353,7 @@ class BitMatrix:
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rints = other.row_ints()
-        out = []
-        for i in range(self.rows):
-            acc = 0
-            v = int.from_bytes(self._words[i].tobytes(), "little")
-            while v:
-                low = v & -v
-                acc ^= rints[low.bit_length() - 1]
-                v ^= low
-            out.append(acc)
-        return BitMatrix.from_row_ints(self.rows, other.cols, out, _trusted=True)
+        return BitMatrix._of(self.rows, other.cols, _product(self._words, self.cols, other._words))
 
     def pow(self, e: int) -> "BitMatrix":
         if self.rows != self.cols:
@@ -409,14 +398,15 @@ class Elimination:
     basis is the identity on those columns, and exactly one solution in
     a coset is zero on them.
 
-    The backend is picked here and nowhere else:
+    The backend is picked here and nowhere else (what qualifies a game
+    for the chase is decided by :func:`.chase.pick`):
 
     - dense: the RREF of m itself;
     - chase: a game matrix of :func:`.game.adjacency_matrix` with an
-      axis that qualifies (:mod:`.chase`) is reduced to an r x r end
-      system of r = total / n cells, whose kernel and solutions are
-      lifted to the grid and, unless the axis is the first, made
-      canonical by one RREF of the kernel with its columns reversed.
+      axis that qualifies is reduced to an r x r end system of
+      r = total / n cells, whose kernel and solutions are lifted to the
+      grid and, unless the axis is the first, made canonical by one RREF
+      of the kernel with its columns reversed.
 
     Either way the routine that runs is picked by m's size: Python-int
     rows when m has at most ``_INT_PATH_MAX`` rows and columns, the
@@ -438,14 +428,14 @@ class Elimination:
             rref = _rref_ints
         else:
             rref = _rref
-        chase = _pick_chase(m)
+        chase = _chase.pick(m) if m._game is not None else None
         if chase is None:
             self._echelon = _Echelon(m._words, m.cols, tbits, rref)
             self.rank = self._echelon.rank
             self._solutions = [self._echelon.solution(j) for j in range(len(self.targets))]
         else:
             self._echelon = None
-            kernel, self._solutions = _chased(chase, tbits, rref)
+            kernel, self._solutions = chase.solve(tbits, rref)
             self.rank = m.cols - kernel.shape[0]
             if m._kernel is None:
                 kernel.flags.writeable = False
@@ -535,68 +525,6 @@ class _Echelon:
         return _pack_rows(xbits)
 
 
-# the chase's fixed cost, about 0.3 ms, beats the dense elimination it
-# saves on boards of fewer cells
-_CHASE_MIN_CELLS = 64
-
-
-def _pick_chase(m: BitMatrix):
-    """The chase for m, or None for the dense backend; one DEBUG line
-    names the choice for a game matrix."""
-    if m._game is None:
-        return None
-    dims, terms = m._game
-    shape = "x".join(map(str, dims))
-    if m.cols < _CHASE_MIN_CELLS:
-        _log.debug("dense elimination of %s: %d cells, fewer than %d", shape, m.cols,
-                   _CHASE_MIN_CELLS)
-        return None
-    chase, why = _chase._pick(dims, terms)
-    if chase is None:
-        _log.debug("dense elimination of %s: %s", shape, why)
-    else:
-        _log.debug("chase of %s along axis %d: r = %d", shape, chase.axis, chase.r)
-    return chase
-
-
-def _chased(chase, tbits: np.ndarray, rref):
-    """(packed canonical kernel, packed solution or None per target) of
-    a game matrix by the chase; see :class:`Elimination`."""
-    r, ntargets = chase.r, tbits.shape[0]
-    end, layers = chase.run(tbits)
-    e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T), rref)
-    last = [e.solution(j) for j in range(ntargets)]
-    solved = [j for j in range(ntargets) if last[j] is not None]
-    # a grid vector sums the unit starts its last layer selects, plus
-    # its target's affine column
-    kernel = _unpack_words_2d(e.kernel(), r)
-    select = np.zeros((kernel.shape[0] + len(solved), r + ntargets), dtype=np.uint8)
-    select[:kernel.shape[0], :r] = kernel
-    for q, j in enumerate(solved, start=kernel.shape[0]):
-        select[q, :r] = _unpack_words(last[j], r)
-        select[q, r + j] = 1
-    grid = chase.lift(layers, select)
-    kernel, xs = grid[:kernel.shape[0]], grid[kernel.shape[0]:]
-    if chase.axis and kernel.shape[0]:
-        kernel, free = _canonical_kernel(kernel, rref)
-        xs = xs ^ (xs[:, free] @ kernel & 1).astype(np.uint8)
-    solutions = [None] * ntargets
-    for j, x in zip(solved, _pack_rows(xs)):
-        solutions[j] = x
-    return _pack_rows(kernel), solutions
-
-
-def _canonical_kernel(bits: np.ndarray, rref):
-    """(RREF kernel basis, its free columns) of the span of the rows of
-    a full-rank 0/1 array: the RREF of the rows with their columns
-    reversed pivots on the highest set bits."""
-    ncols = bits.shape[1]
-    words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
-    pivots = rref(words, ncols)
-    free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
-    return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
-
-
 def _first_not_orthogonal(n: int, kernel: np.ndarray, t: BitVector) -> Optional[BitVector]:
     """The first packed kernel row k with k . t = 1, or None."""
     hits = np.flatnonzero(np.bitwise_count(kernel & t._words).sum(axis=1) & 1)
@@ -609,6 +537,52 @@ _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 _PARITY = [t.tobytes() for t in
            np.bitwise_count(np.arange(256, dtype=np.uint8)[:, None]
                             & np.arange(256, dtype=np.uint8)) & np.uint8(1)]
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """The 2^k sums of k packed rows (the last two axes of ``rows``):
+    entry c of the table is the XOR of the rows picked by the bits of c.
+    Leading axes are independent batches."""
+    k, width = rows.shape[-2:]
+    table = np.zeros(rows.shape[:-2] + (1 << k, width), dtype=np.uint64)
+    for i in range(k):
+        np.bitwise_xor(table[..., : 1 << i, :], rows[..., i, None, :],
+                       out=table[..., 1 << i: 2 << i, :])
+    return table
+
+
+# words one step of :func:`_product` may stage, for its tables or its
+# gathers: 1 MB
+_STAGE_WORDS = 1 << 17
+
+
+def _product(a: np.ndarray, ncols: int, b: np.ndarray) -> np.ndarray:
+    """The GF(2) product of packed rows a (ncols columns) with packed
+    rows b (ncols of them), by Four Russians: per byte of a's columns, a
+    table of the 256 sums of the 8 rows of b it covers, and per row of
+    a one gather of a table entry per byte.  Tables and gathers are
+    built in blocks of at most ``_STAGE_WORDS`` words."""
+    groups = (ncols + 7) >> 3
+    width = b.shape[1]
+    if not groups or not width:
+        return np.zeros((a.shape[0], width), dtype=np.uint64)
+    rows = np.zeros((groups * 8, width), dtype=np.uint64)
+    rows[:ncols] = b
+    rows = rows.reshape(groups, 8, width)
+    keys = a.view(np.uint8)[:, :groups].T  # keys[g, i]: byte g of row i
+    out = np.empty((a.shape[0], width), dtype=np.uint64)
+    gstep = max(1, _STAGE_WORDS // (256 * width))
+    for g in range(0, groups, gstep):
+        tables = _subset_sums(rows[g:g + gstep]).reshape(-1, width)
+        block = keys[g:g + gstep] + (np.arange(tables.shape[0] >> 8) << 8)[:, None]
+        step = max(1, _STAGE_WORDS // (block.shape[0] * width))
+        for i in range(0, a.shape[0], step):
+            picked = np.take(tables, block[:, i:i + step], axis=0)
+            if g:
+                out[i:i + step] ^= np.bitwise_xor.reduce(picked, axis=0)
+            else:
+                np.bitwise_xor.reduce(picked, axis=0, out=out[i:i + step])
+    return out
 
 
 def _rref(words: np.ndarray, ncols: int) -> list:
@@ -691,10 +665,7 @@ def _rref(words: np.ndarray, ncols: int) -> list:
         # left alone; rows from end on have a zero strip.
         lo = c0 >> 6
         end = row + len(s.rstrip(b"\0"))
-        raw = words[row:row + rank, lo:]
-        table = np.zeros((1 << rank, raw.shape[1]), dtype=np.uint64)
-        for i in range(rank):
-            np.bitwise_xor(table[: 1 << i], raw[i], out=table[1 << i: 2 << i])
+        table = _subset_sums(words[row:row + rank, lo:])
         reduced = table[combos]
         # lut[x]: the raw combination that clears the pivot bits of byte x
         clear = np.zeros(8, dtype=np.intp)
@@ -839,5 +810,6 @@ def _kron_vec(factors: Sequence[np.ndarray]) -> BitVector:
     return BitVector._of(acc.size, _pack_rows(acc))
 
 
-# the chase builds on the helpers above
+# the chase builds on the helpers above, and Elimination hands it game
+# matrices
 from . import chase as _chase  # noqa: E402

@@ -2,6 +2,7 @@
 import itertools
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,9 +67,9 @@ def _chased_answers(g, targets, axis):
     total = g.shape.total
     rref = gf2._rref_ints if total <= gf2._INT_PATH_MAX else gf2._rref
     tbits = np.stack([t.to_array() for t in targets])
-    kernel, sols = gf2._chased(c, tbits, rref)
+    kernel, sols = c.solve(tbits, rref)
     # with no targets at all, the same kernel
-    assert np.array_equal(gf2._chased(c, tbits[:0], rref)[0], kernel)
+    assert np.array_equal(c.solve(tbits[:0], rref)[0], kernel)
     xs = [None if s is None else BitVector._of(total, s) for s in sols]
     certs = [None if x is not None else gf2._first_not_orthogonal(total, kernel, t)
              for t, x in zip(targets, xs)]
@@ -132,6 +133,37 @@ def test_chase_matches_dense_on_the_bench_boards():
             assert got is None if name == "sigma+:boxtimes" else got == want
 
 
+def test_chase_matches_dense_on_short_axis_boards():
+    shapes = [(2,) * 6, (2,) * 8, (3,) * 5, (2, 3, 2, 3, 2, 2)]
+    chased, fallbacks = _check_shapes(shapes, seed=5)
+    assert chased > 40 and fallbacks >= len(shapes)
+
+
+def test_a_short_axis_board_is_chased_in_less_memory_than_its_build(fresh_matrices):
+    """On 2^12 cells sigma-:box has r = 2,048 and nullity 2,048, the
+    largest layer and lift per cell; its gathers and tables run in
+    several staged blocks.  The chase, C built afresh, peaks below the
+    dense build it follows and gives the dense answers."""
+    g = GameSpec.preset("sigma-:box", GridShape((2,) * 12))
+    chase._pick.cache_clear()
+    targets = _targets(g.shape, random.Random(6))
+    tracemalloc.start()
+    try:
+        m = adjacency_matrix(g)
+        build = tracemalloc.get_traced_memory()[1]
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        e = gf2.Elimination(m, targets)
+        chased = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert chase._pick(g.shape.dims, tuple(sorted(g.terms)))[0].r == 2048
+    assert chased < build
+    rank, kernel, xs, certs = _dense_answers(g, targets)
+    assert e.rank == rank == 2048 and e.kernel().tobytes() == kernel
+    assert [e.solution(j) for j in range(2)] == xs
+
+
 def test_the_squares_game_never_chases():
     for dims in ((5, 7), (4, 6, 8), (9,)):
         g = GameSpec(GridShape(dims), _custom(len(dims))["squares"])
@@ -191,13 +223,13 @@ def test_the_backend_choice_is_logged_at_debug(caplog, fresh_matrices):
     for name, dims, line in boards:
         m = adjacency_matrix(GameSpec.preset(name, GridShape(dims)))
         caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="sigma_forge.gf2"):
+        with caplog.at_level(logging.DEBUG, logger="sigma_forge.chase"):
             gf2.Elimination(m)
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 1 and lines[0].startswith(line), lines
     # other matrices log nothing
     caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="sigma_forge.gf2"):
+    with caplog.at_level(logging.DEBUG, logger="sigma_forge.chase"):
         gf2.Elimination(BitMatrix.identity(200))
     assert not caplog.records
 
