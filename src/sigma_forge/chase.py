@@ -29,7 +29,8 @@ and the free-variables-zero solution of P gives the dense RREF's
 kernel basis and solution byte for byte.  On any other axis the lifted
 kernel is put in the same canonical form by one RREF with its columns
 reversed (free columns are the highest set bits), and the solution's
-free coordinates are cleared with it.
+free coordinates are cleared with it.  Each RREF picks its routine by
+its own size (:func:`.gf2._rref_any`), the end system's by r.
 
 A and C are Kronecker sums of polynomials in the path matrices J.  The
 chase needs A to be a product of per-axis factors a_i(J); it is
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import poly2
 from .gf2 import (_STAGE_WORDS, _Echelon, _kron_sum, _nwords, _pack_rows, _product,
-                  _unpack_words, _unpack_words_2d)
+                  _rref_any, _unpack_words, _unpack_words_2d)
 
 _log = logging.getLogger(__name__)
 
@@ -85,23 +86,6 @@ def _inverse_mod(a: int, m: int) -> Optional[int]:
         r0, r1 = r1, rem
         s0, s1 = s1, s0 ^ poly2._mul_int(q, s1)
     return poly2._mod_int(s0, m) if r0 == 1 else None
-
-
-@lru_cache(maxsize=256)
-def _path_poly(n: int, f: int) -> np.ndarray:
-    """Dense read-only f(J_n) for a polynomial f of degree < n, by
-    Horner's rule (J y adds each row's two neighbours)."""
-    y = np.zeros((n, n), dtype=np.uint8)
-    diag = np.arange(n)
-    for k in range(f.bit_length() - 1, -1, -1):
-        jy = np.zeros_like(y)
-        jy[1:] = y[:-1]
-        jy[:-1] ^= y[1:]
-        y = jy
-        if f >> k & 1:
-            y[diag, diag] ^= 1
-    y.flags.writeable = False
-    return y
 
 
 def _gather_index(c: np.ndarray, r: int) -> Optional[np.ndarray]:
@@ -215,13 +199,13 @@ class _Chase:
 
     # -- answers -------------------------------------------------------
 
-    def solve(self, tbits: np.ndarray, rref):
+    def solve(self, tbits: np.ndarray):
         """(packed canonical kernel, packed solution or None per target)
         of the game matrix, in the dense RREF's canonical form (see
-        :class:`.gf2.Elimination`); ``rref`` eliminates the end system."""
+        :class:`.gf2.Elimination`)."""
         r, ntargets = self.r, tbits.shape[0]
         end, layers = self.run(tbits)
-        e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T), rref)
+        e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T))
         last = [e.solution(j) for j in range(ntargets)]
         solved = [j for j in range(ntargets) if last[j] is not None]
         # a grid vector sums the unit starts its last layer selects, plus
@@ -235,7 +219,7 @@ class _Chase:
         grid = self.lift(layers, select)
         kernel, xs = grid[:kernel.shape[0]], grid[kernel.shape[0]:]
         if self.axis and kernel.shape[0]:
-            kernel, free = _canonical_kernel(kernel, rref)
+            kernel, free = _canonical_kernel(kernel)
             xs = xs ^ (xs[:, free] @ kernel & 1).astype(np.uint8)
         solutions = [None] * ntargets
         for j, x in zip(solved, _pack_rows(xs)):
@@ -243,13 +227,13 @@ class _Chase:
         return _pack_rows(kernel), solutions
 
 
-def _canonical_kernel(bits: np.ndarray, rref):
+def _canonical_kernel(bits: np.ndarray):
     """(RREF kernel basis, its free columns) of the span of the rows of
     a full-rank 0/1 array: the RREF of the rows with their columns
     reversed pivots on the highest set bits."""
     ncols = bits.shape[1]
     words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
-    pivots = rref(words, ncols)
+    pivots = _rref_any(words, ncols)
     free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
     return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
 
@@ -287,13 +271,14 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
     r = math.prod(dims) // n
     # C = A^-1 B: over the exponent-0 terms, the products of g_i X^e_i
     # (a one-cell layer has the empty product 1)
-    c_products = [[_path_poly(dims[i], _axis_factor([e], dims[i], g))
+    c_products = [[poly2._path_poly(dims[i], _axis_factor([e], dims[i], g))
                    for i, g, e in zip(others, inverses, s)] or [_ONE]
                   for s in zeros]
     c = _kron_sum(c_products, r, r)._words
     a_inv = None
     if any(g != 1 for g in inverses):
-        a_inv = _kron_sum([[_path_poly(dims[i], g) for i, g in zip(others, inverses)]], r, r)._words
+        factors = [poly2._path_poly(dims[i], g) for i, g in zip(others, inverses)]
+        a_inv = _kron_sum([factors], r, r)._words
     return _Chase(dims, axis, c, a_inv), None
 
 

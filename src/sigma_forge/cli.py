@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import solver, symmetry
+from . import gf2, solver, symmetry
 from .game import PRESET_NAMES, GridShape, adjacency_matrix, parse_game, parse_shape
 from .gf2 import BitVector
 from .poly2 import chebyshev_q
@@ -49,6 +49,14 @@ def _load_grid_file(path: str, shape: GridShape) -> BitVector:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
+def _board(args):
+    """(shape, game) of --shape and --game; a board too large for the
+    dense game matrix is refused here, before a target is built."""
+    shape = parse_shape(args.shape)
+    gf2._check_dense(shape.total, shape.total)
+    return shape, parse_game(args.game, shape)
+
+
 def _resolve_target(spec: str, shape: GridShape) -> BitVector:
     if spec == "all-on":
         return solver.all_on(shape)
@@ -60,8 +68,7 @@ def _resolve_target(spec: str, shape: GridShape) -> BitVector:
 
 
 def _cmd_solve(args) -> int:
-    shape = parse_shape(args.shape)
-    g = parse_game(args.game, shape)
+    shape, g = _board(args)
     target = _resolve_target(args.target, shape)
     if args.verify:
         witness = _load_grid_file(args.verify, shape)
@@ -83,8 +90,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_symmetric(args) -> int:
-    shape = parse_shape(args.shape)
-    g = parse_game(args.game, shape)
+    shape, g = _board(args)
     report = solver.symmetric_achievability(g)
     if report.achievable:
         print("ACHIEVABLE: every completely symmetric configuration is reachable")
@@ -98,8 +104,7 @@ def _cmd_check_symmetric(args) -> int:
 
 
 def _cmd_predicate(args) -> int:
-    shape = parse_shape(args.shape)
-    g = parse_game(args.game, shape)
+    shape, g = _board(args)
     verdict = solver.principal_predicate(g)
     note = "" if args.game in PRESET_NAMES else " (hypothesis unverified)"
     print(f"closed_form: {int(verdict.closed_form)}{note}")
@@ -133,8 +138,7 @@ def _cmd_cheb(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    shape = parse_shape(args.shape)
-    g = parse_game(args.game, shape)
+    shape, g = _board(args)
     target = _resolve_target(args.target, shape)
     by_oracle = solver.brute_force_oracle(g, target)
     by_solver = solver.achievable(g, target, args.target).achievable

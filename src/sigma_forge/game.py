@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 from . import gf2
 from .algebra import QuotientShape, TensorElement, _axis_bits
 from .gf2 import BitMatrix, BitVector
-from .poly2 import Poly2, chebyshev_q
+from .poly2 import X, Poly2, _path_poly, chebyshev_q, pow_mod
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -139,39 +139,22 @@ def make_j(n: int) -> BitMatrix:
     """Path adjacency matrix: ones directly above and below the diagonal."""
     if n < 1:
         raise ValueError(f"make_j needs n >= 1, got {n}")
-    ints = []
-    for i in range(n):
-        v = 0
-        if i > 0:
-            v |= 1 << (i - 1)
-        if i + 1 < n:
-            v |= 1 << (i + 1)
-        ints.append(v)
-    return BitMatrix.from_row_ints(n, n, ints, symmetric=True, _trusted=True)
-
-
-@lru_cache(maxsize=None)
-def _j_power(n: int, e: int) -> BitMatrix:
-    return make_j(n).pow(e)
-
-
-@lru_cache(maxsize=None)
-def _j_power_bits(n: int, e: int):
-    bits = _j_power(n, e).to_bit_array()
-    bits.flags.writeable = False
-    return bits
+    return BitMatrix._from_bit_array(_path_poly(n, X.value), symmetric=True)
 
 
 @lru_cache(maxsize=512)
 def adjacency_matrix(g: GameSpec) -> BitMatrix:
-    """Sum over terms of Kronecker products of path-matrix powers;
-    ValueError above 32,768 cells (:data:`gf2.DENSE_MAX_BYTES`).
+    """Sum over terms of Kronecker products of path-matrix powers
+    J_n^e = (X^e mod Q_n)(J_n); ValueError above 32,768 cells
+    (:data:`gf2.DENSE_MAX_BYTES`).
 
     The matrix keeps the game's dims and terms in its write-once
     ``_game`` slot, which lets an elimination chase it (:mod:`.chase`)."""
     total = g.shape.total
     terms = tuple(sorted(g.terms))
-    products = [[_j_power_bits(n, e) for n, e in zip(g.shape.dims, term)] for term in terms]
+    # X^e is already reduced when e < n
+    products = [[_path_poly(n, 1 << e if e < n else pow_mod(X, e, chebyshev_q(n)).value)
+                 for n, e in zip(g.shape.dims, term)] for term in terms]
     m = gf2._kron_sum(products, total, total, symmetric=True)
     m._game = (g.shape.dims, terms)
     return m

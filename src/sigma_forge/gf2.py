@@ -18,10 +18,12 @@ it has 64 cells or more and an axis qualifies it is chased: one layer
 of total / n cells is eliminated and the answers are lifted to the
 grid, then put in the same canonical form (the free columns are the
 highest set bits of the kernel vectors).  Every other matrix is
-eliminated whole: 8 columns at a time by the Method of Four Russians
-above 128 rows or columns, on Python-int rows below; both give the same
-RREF.  Matrix products go through Four Russians tables as well
-(:func:`_product`, shared with the chase).
+eliminated whole.  Each system, whole or a chase's end system, is
+eliminated 8 columns at a time by the Method of Four Russians above 128
+rows or columns and on Python-int rows below, by its own size
+(:func:`_rref_any`); both give the same RREF.  Matrix products go
+through Four Russians tables as well (:func:`_product`, shared with the
+chase).
 
 The first elimination that extracts a matrix's kernel stores the packed
 basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
@@ -198,10 +200,10 @@ class BitVector:
 class BitMatrix:
     """An immutable rows x cols matrix over GF(2), rows packed into words.
 
-    A matrix flagged ``symmetric`` is verified to equal its transpose at
-    construction time; the flag lets :meth:`Elimination.certificate`
-    prove a target outside the image by a kernel vector not orthogonal
-    to it (Im m = (Ker m)^perp).
+    A public constructor verifies that a matrix flagged ``symmetric``
+    equals its transpose (``_of`` trusts the flag); the flag lets
+    :meth:`Elimination.certificate` prove a target outside the image by
+    a kernel vector not orthogonal to it (Im m = (Ker m)^perp).
 
     The first elimination that extracts the kernel leaves its packed
     basis in ``_kernel``; later rank, kernel and certificate queries on
@@ -221,10 +223,11 @@ class BitMatrix:
             words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
         else:
             words = _checked_words(words, (rows, _nwords(cols)), cols)
-        self._init(rows, cols, words, symmetric, _trusted=False)
+        self._init(rows, cols, words, symmetric)
+        if symmetric and (rows != cols or self != self.transpose()):
+            raise ValueError("matrix flagged symmetric is not symmetric")
 
-    def _init(self, rows: int, cols: int, words: np.ndarray, symmetric: bool,
-              _trusted: bool) -> None:
+    def _init(self, rows: int, cols: int, words: np.ndarray, symmetric: bool) -> None:
         self.rows = rows
         self.cols = cols
         self._words = words
@@ -232,32 +235,27 @@ class BitMatrix:
         self._kernel = None
         self._game = None
         self.symmetric = symmetric
-        if symmetric and not _trusted:
-            if rows != cols or self != self.transpose():
-                raise ValueError("matrix flagged symmetric is not symmetric")
 
     @classmethod
-    def _of(cls, rows: int, cols: int, words: np.ndarray, symmetric: bool = False,
-            _trusted: bool = False) -> "BitMatrix":
-        """Internal constructor: takes ownership of well-formed words; a
-        symmetric flag is verified unless ``_trusted``."""
+    def _of(cls, rows: int, cols: int, words: np.ndarray, symmetric: bool = False) -> "BitMatrix":
+        """Internal constructor: takes ownership of well-formed words and
+        trusts a symmetric flag."""
         m = object.__new__(cls)
-        m._init(rows, cols, words, symmetric, _trusted)
+        m._init(rows, cols, words, symmetric)
         return m
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int, symmetric: bool = False) -> "BitMatrix":
-        return cls._of(rows, cols, np.zeros((rows, _nwords(cols)), dtype=np.uint64),
-                       symmetric, _trusted=rows == cols)
+        return cls(rows, cols, symmetric=symmetric)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         w = np.zeros((n, _nwords(n)), dtype=np.uint64)
         idx = np.arange(n)
         w[idx, idx >> 6] = _ONE << (idx.astype(np.uint64) & np.uint64(63))
-        return cls._of(n, n, w, symmetric=True, _trusted=True)
+        return cls._of(n, n, w, symmetric=True)
 
     @classmethod
     def from_rows(cls, rows: Sequence, cols: Optional[int] = None,
@@ -271,24 +269,23 @@ class BitMatrix:
             if v.n != cols:
                 raise ValueError(f"row {i} has length {v.n}, expected {cols}")
             w[i] = v._words
-        return cls._of(len(vecs), cols, w, symmetric=symmetric)
+        return cls(len(vecs), cols, w, symmetric)
 
     @classmethod
     def from_row_ints(cls, rows: int, cols: int, ints: Sequence[int],
-                      symmetric: bool = False, _trusted: bool = False) -> "BitMatrix":
+                      symmetric: bool = False) -> "BitMatrix":
         if len(ints) != rows:
             raise ValueError(f"expected {rows} row ints, got {len(ints)}")
         nb = _nwords(cols) * 8
         mask = (1 << cols) - 1
         buf = b"".join((v & mask).to_bytes(nb, "little") for v in ints)
-        w = np.frombuffer(buf, dtype=np.uint64).reshape(rows, _nwords(cols)).copy()
-        return cls._of(rows, cols, w, symmetric=symmetric, _trusted=_trusted)
+        w = np.frombuffer(buf, dtype=np.uint64).reshape(rows, _nwords(cols))
+        return cls(rows, cols, w, symmetric)
 
     @classmethod
-    def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False,
-                        _trusted: bool = False) -> "BitMatrix":
+    def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False) -> "BitMatrix":
         rows, cols = bits.shape
-        return cls._of(rows, cols, _pack_rows(bits), symmetric=symmetric, _trusted=_trusted)
+        return cls._of(rows, cols, _pack_rows(bits), symmetric)
 
     # -- queries ------------------------------------------------------
 
@@ -338,7 +335,7 @@ class BitMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
         return BitMatrix._of(self.rows, self.cols, self._words ^ other._words,
-                             symmetric=self.symmetric and other.symmetric, _trusted=True)
+                             symmetric=self.symmetric and other.symmetric)
 
     __add__ = __xor__
 
@@ -369,8 +366,7 @@ class BitMatrix:
             e >>= 1
         # powers of a symmetric matrix stay symmetric
         if self.symmetric:
-            result = BitMatrix._of(result.rows, result.cols, result._words.copy(),
-                                   symmetric=True, _trusted=True)
+            result = BitMatrix._of(result.rows, result.cols, result._words, symmetric=True)
         return result
 
 
@@ -408,10 +404,11 @@ class Elimination:
       grid and, unless the axis is the first, made canonical by one RREF
       of the kernel with its columns reversed.
 
-    Either way the routine that runs is picked by m's size: Python-int
-    rows when m has at most ``_INT_PATH_MAX`` rows and columns, the
-    blocked Four Russians path (:func:`_rref`, 8 columns per table
-    XOR) above; both give bit-identical RREFs.
+    Either way the routine is picked by the size of the system
+    eliminated, m or the end system (:func:`_rref_any`): Python-int
+    rows up to ``_INT_PATH_MAX`` rows and columns, the blocked Four
+    Russians path (:func:`_rref`, 8 columns per table XOR) above; both
+    give bit-identical RREFs.
     """
 
     __slots__ = ("m", "targets", "rank", "_solutions", "_echelon")
@@ -424,18 +421,14 @@ class Elimination:
             if t.n != m.rows:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
             tbits[j] = t.to_array()
-        if 0 < m.rows <= _INT_PATH_MAX and m.cols <= _INT_PATH_MAX:
-            rref = _rref_ints
-        else:
-            rref = _rref
         chase = _chase.pick(m) if m._game is not None else None
         if chase is None:
-            self._echelon = _Echelon(m._words, m.cols, tbits, rref)
+            self._echelon = _Echelon(m._words, m.cols, tbits)
             self.rank = self._echelon.rank
             self._solutions = [self._echelon.solution(j) for j in range(len(self.targets))]
         else:
             self._echelon = None
-            kernel, self._solutions = chase.solve(tbits, rref)
+            kernel, self._solutions = chase.solve(tbits)
             self.rank = m.cols - kernel.shape[0]
             if m._kernel is None:
                 kernel.flags.writeable = False
@@ -484,14 +477,14 @@ class _Echelon:
 
     __slots__ = ("ncols", "pivots", "rows", "rhs")
 
-    def __init__(self, words: np.ndarray, ncols: int, tbits: np.ndarray, rref):
+    def __init__(self, words: np.ndarray, ncols: int, tbits: np.ndarray):
         self.ncols = ncols
         split = words.shape[1]
         aug = np.zeros((words.shape[0], split + _nwords(tbits.shape[0])), dtype=np.uint64)
         aug[:, :split] = words
         if tbits.shape[0]:
             aug[:, split:] = _pack_rows(np.ascontiguousarray(tbits.T))
-        self.pivots = rref(aug, ncols)
+        self.pivots = _rref_any(aug, ncols)
         self.rows, self.rhs = aug[:, :split], aug[:, split:]
 
     @property
@@ -583,6 +576,14 @@ def _product(a: np.ndarray, ncols: int, b: np.ndarray) -> np.ndarray:
             else:
                 np.bitwise_xor.reduce(picked, axis=0, out=out[i:i + step])
     return out
+
+
+def _rref_any(words: np.ndarray, ncols: int) -> list:
+    """:func:`_rref_ints` on a system of at most ``_INT_PATH_MAX`` rows
+    and columns, :func:`_rref` on a larger one: the one routine pick."""
+    if 0 < words.shape[0] <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
+        return _rref_ints(words, ncols)
+    return _rref(words, ncols)
 
 
 def _rref(words: np.ndarray, ncols: int) -> list:
@@ -775,15 +776,21 @@ def kronecker(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 DENSE_MAX_BYTES = 1 << 30
 
 
+def _check_dense(rows: int, cols: int) -> None:
+    """ValueError when a dense rows x cols 0/1 build would take more
+    than :data:`DENSE_MAX_BYTES`."""
+    if rows * cols > DENSE_MAX_BYTES:
+        raise ValueError(f"a dense {rows}x{cols} matrix needs {rows * cols:,} bytes, "
+                         f"over the limit of {DENSE_MAX_BYTES:,}")
+
+
 def _kron_sum(products: Iterable[Sequence[np.ndarray]], rows: int, cols: int,
               symmetric: bool = False) -> BitMatrix:
     """XOR of the Kronecker products of each sequence of dense 0/1
     factors (never written, so they may be cached), packed once into a
     rows x cols matrix; ``symmetric`` is trusted.  The size is checked
     before anything is allocated."""
-    if rows * cols > DENSE_MAX_BYTES:
-        raise ValueError(f"a dense {rows}x{cols} matrix needs {rows * cols:,} bytes, "
-                         f"over the limit of {DENSE_MAX_BYTES:,}")
+    _check_dense(rows, cols)
     acc = None
     for factors in products:
         term = factors[0]
@@ -798,7 +805,7 @@ def _kron_sum(products: Iterable[Sequence[np.ndarray]], rows: int, cols: int,
         del term  # at most two dense arrays are alive, and one while packing
     if acc is None:
         acc = np.zeros((rows, cols), dtype=np.uint8)
-    return BitMatrix._from_bit_array(acc, symmetric=symmetric, _trusted=True)
+    return BitMatrix._from_bit_array(acc, symmetric)
 
 
 def _kron_vec(factors: Sequence[np.ndarray]) -> BitVector:

@@ -7,12 +7,14 @@ polynomial has degree -1, the conventional "minus infinity" marker.
 
 The family Q_n is defined by Q_0 = 1, Q_1 = X and the Chebyshev
 relation Q_{n+1} = X Q_n + Q_{n-1}; Q_n is the characteristic (and
-minimal) polynomial of the n-vertex path adjacency matrix.
+minimal) polynomial of the n-vertex path adjacency matrix J_n.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+
+import numpy as np
 
 
 def _mul_int(a: int, b: int) -> int:
@@ -212,3 +214,21 @@ def chebyshev_q(n: int) -> Poly2:
     for _ in range(n - 1):
         prev, cur = cur, (cur << 1) ^ prev
     return Poly2(cur)
+
+
+@lru_cache(maxsize=None)
+def _path_poly(n: int, f: int) -> np.ndarray:
+    """Dense read-only f(J_n) for f as an int (bit k the coefficient of
+    X^k), by Horner's rule (J y adds each row's two neighbours); reduce
+    f mod Q_n first, as Q_n(J_n) = 0, to keep the rule short."""
+    y = np.zeros((n, n), dtype=np.uint8)
+    diag = np.arange(n)
+    for k in range(f.bit_length() - 1, -1, -1):
+        jy = np.zeros_like(y)
+        jy[1:] = y[:-1]
+        jy[:-1] ^= y[1:]
+        y = jy
+        if f >> k & 1:
+            y[diag, diag] ^= 1
+    y.flags.writeable = False
+    return y

@@ -269,9 +269,8 @@ def sweep(game: str, d: int, max_n: int, odd_only: bool = False,
     shape is too large for a dense build raises ValueError up front.
     """
     axis = range(1, max_n + 1, 2) if odd_only else range(1, max_n + 1)
-    if axis and d > 0 and (axis[-1] ** d) ** 2 > gf2.DENSE_MAX_BYTES:
-        raise ValueError(f"largest sweep shape has {axis[-1]}^{d} cells, too many for a "
-                         f"dense build of at most {gf2.DENSE_MAX_BYTES:,} bytes")
+    if axis and d > 0:
+        gf2._check_dense(axis[-1] ** d, axis[-1] ** d)
     tasks = [(game, dims) for dims in itertools.product(axis, repeat=d)]
     jobs = min(jobs, _available_cpus(), len(tasks))
     if jobs > 1:

@@ -64,17 +64,27 @@ def orbit_indicator(shape: GridShape, i: int) -> BitVector:
 
 def orbit_parities(bits: np.ndarray, shape: GridShape) -> np.ndarray:
     """F applied to every row of a (k, total) uint8 0/1 array: entry
-    (j, i) is the parity of row j on orbit i, in basis order.
-
-    Each axis is folded by XORing its mirrored halves, an odd axis
-    keeping its middle slice last, so no orbit vector is built.
+    (j, i) is the parity of row j on orbit i, in basis order.  The axes
+    are folded one by one (:func:`_fold`), so no orbit vector is built.
     """
-    arr = bits.reshape((bits.shape[0],) + shape.dims)
-    for axis, n in enumerate(shape.dims, start=1):
+    return _fold(bits, shape.dims, "S" * shape.d)
+
+
+def _fold(bits: np.ndarray, dims: tuple, ops: Sequence[str]) -> np.ndarray:
+    """Each row of a (k, prod(dims)) uint8 0/1 array folded axis by axis:
+    S XORs an axis's mirrored halves, an odd axis keeping its middle
+    slice last, and c XORs the whole axis into one slice."""
+    arr = bits.reshape((bits.shape[0],) + dims)
+    for axis, (n, op) in enumerate(zip(dims, ops), start=1):
         a = np.moveaxis(arr, axis, 0)
-        folded = a[: n // 2] ^ a[::-1][: n // 2]
-        if n % 2:
-            folded = np.concatenate([folded, a[n // 2: n // 2 + 1]])
+        if op == "S":
+            folded = a[: n // 2] ^ a[::-1][: n // 2]
+            if n % 2:
+                folded = np.concatenate([folded, a[n // 2: n // 2 + 1]])
+        elif op == "c":
+            folded = np.bitwise_xor.reduce(a, axis=0, keepdims=True)
+        else:
+            raise ValueError(f"axis map must be 'S' or 'c', got {op!r}")
         arr = np.moveaxis(folded, 0, axis)
     return arr.reshape(bits.shape[0], -1)
 
@@ -106,12 +116,7 @@ def s_map(v: BitVector, n: int) -> BitVector:
     """Fold coordinate i with n+1-i; odd n keeps the middle entry last."""
     if v.n != n:
         raise ValueError(f"vector length {v.n} != n = {n}")
-    arr = v.to_array()
-    half = n // 2
-    folded = arr[:half] ^ arr[::-1][:half]
-    if n % 2:
-        folded = np.append(folded, arr[half])
-    return BitVector.from_bits(folded)
+    return tensor_fold(v, GridShape((n,)), "S")
 
 
 def c_map(v: BitVector) -> int:
@@ -131,33 +136,17 @@ def _s_matrix(n: int) -> np.ndarray:
     return bits
 
 
-@lru_cache(maxsize=None)
-def _c_matrix(n: int) -> np.ndarray:
-    """Dense read-only c on one axis: one row of ones."""
-    bits = np.ones((1, n), dtype=np.uint8)
-    bits.flags.writeable = False
-    return bits
-
-
 def tensor_fold(v: BitVector, shape: GridShape, ops: Sequence[str]) -> BitVector:
     """Apply a per-axis choice of S or c as a tensor product of maps.
 
     The maps act on disjoint tensor factors, so the result does not
     depend on application order; output length is the product of the
-    per-axis output lengths.  The map is one Kronecker product of the
-    cached axis factors that :func:`symmetric_basis` also reads.
+    per-axis output lengths.  The axes are folded one by one, as in
+    :func:`orbit_parities`; no matrix is built.
     """
     if v.n != shape.total:
         raise ValueError(f"vector length {v.n} != grid size {shape.total}")
     if len(ops) != shape.d:
         raise ValueError(f"expected {shape.d} axis maps, got {len(ops)}")
-    factors = []
-    for op, n in zip(ops, shape.dims):
-        if op == "S":
-            factors.append(_s_matrix(n))
-        elif op == "c":
-            factors.append(_c_matrix(n))
-        else:
-            raise ValueError(f"axis map must be 'S' or 'c', got {op!r}")
-    rows = math.prod(f.shape[0] for f in factors)
-    return gf2._kron_sum([factors], rows, shape.total).mul_vec(v)
+    folded = _fold(v.to_array()[None], shape.dims, ops)[0]
+    return BitVector._of(folded.size, gf2._pack_rows(folded))

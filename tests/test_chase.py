@@ -46,7 +46,7 @@ def _dense_answers(g, targets):
     elimination of g's matrix; the certificate is found here, as the
     first kernel row not orthogonal to the target."""
     m = adjacency_matrix(g)
-    plain = BitMatrix._of(m.rows, m.cols, m._words, symmetric=True, _trusted=True)
+    plain = BitMatrix._of(m.rows, m.cols, m._words, symmetric=True)
     e = gf2.Elimination(plain, targets)
     kernel = e.kernel()
     xs = [e.solution(j) for j in range(len(targets))]
@@ -65,11 +65,10 @@ def _chased_answers(g, targets, axis):
     if c is None:
         return None
     total = g.shape.total
-    rref = gf2._rref_ints if total <= gf2._INT_PATH_MAX else gf2._rref
     tbits = np.stack([t.to_array() for t in targets])
-    kernel, sols = c.solve(tbits, rref)
+    kernel, sols = c.solve(tbits)
     # with no targets at all, the same kernel
-    assert np.array_equal(c.solve(tbits[:0], rref)[0], kernel)
+    assert np.array_equal(c.solve(tbits[:0])[0], kernel)
     xs = [None if s is None else BitVector._of(total, s) for s in sols]
     certs = [None if x is not None else gf2._first_not_orthogonal(total, kernel, t)
              for t, x in zip(targets, xs)]
@@ -203,6 +202,15 @@ def test_a_chased_board_runs_no_rref_as_wide_as_the_board(monkeypatch, fresh_mat
     calls = _rref_calls(monkeypatch)
     _solve_all(g)
     assert calls and all(ncols < g.shape.total for _, ncols in calls)
+
+
+def test_a_small_end_system_runs_on_int_rows(monkeypatch, fresh_matrices):
+    """The routine is picked by the size of the system eliminated: the
+    49 x 49 end system of a 2,401-cell board runs on Python-int rows."""
+    g = GameSpec.preset("sigma-:boxtimes", GridShape((49, 49)))
+    calls = _rref_calls(monkeypatch)
+    _solve_all(g)
+    assert calls == [("_rref_ints", 49)]
 
 
 @pytest.mark.parametrize("name,dims", [("sigma+:boxtimes", (50, 50)),

@@ -1,6 +1,6 @@
 import pytest
 
-from sigma_forge import solver
+from sigma_forge import solver, symmetry
 from sigma_forge.cli import format_grid, main, parse_grid
 from sigma_forge.game import GridShape, adjacency_matrix, parse_game
 from sigma_forge.gf2 import BitVector
@@ -225,3 +225,21 @@ def test_sweep_text(capsys):
 def test_usage_errors(capsys, argv):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--shape", "40000x1", "--game", "sigma+:box", "--target", "central"],
+    ["solve", "--shape", "100000x100000", "--game", "sigma+:box", "--target", "all-on"],
+    ["oracle", "--shape", "40000x1", "--game", "sigma+:box", "--target", "central"],
+    ["oracle", "--shape", "100000x100000", "--game", "sigma+:box", "--target", "all-on"],
+])
+def test_a_board_over_the_dense_limit_is_refused_before_its_target(monkeypatch, capsys, argv):
+    # the central target of 40000x1 alone would need gigabytes
+    def no_target(shape):
+        raise AssertionError("target built before the size check")
+
+    monkeypatch.setattr(symmetry, "central_configuration", no_target)
+    monkeypatch.setattr(solver, "all_on", no_target)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a dense ") and "1,073,741,824" in err

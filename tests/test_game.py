@@ -132,6 +132,15 @@ def test_u_element_reduces_large_exponents():
         assert conj == algebra.mult_operator(u_element(g))
 
 
+def test_one_axis_game_matrices_are_the_powers_of_j():
+    # the factors J^e are built as (X^e mod Q_n)(J); pow multiplies J out
+    for n in range(1, 41):
+        j = make_j(n)
+        for e in range(45):
+            g = GameSpec(GridShape((n,)), frozenset({(e,)}))
+            assert adjacency_matrix(g) == j.pow(e), (n, e)
+
+
 def test_conjugacy_invariant_presets():
     # phi^-1 M phi = multiplication operator of u, across shapes
     shapes = [(n,) for n in range(1, 13)]

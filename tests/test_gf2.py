@@ -150,6 +150,8 @@ def test_matrix_symmetric_flag_is_checked():
     with pytest.raises(ValueError):
         BitMatrix(2, 2, BitMatrix.from_rows([[0, 1], [0, 0]])._words, symmetric=True)
     with pytest.raises(ValueError):
+        BitMatrix.from_row_ints(2, 2, [0b10, 0b00], symmetric=True)
+    with pytest.raises(ValueError):
         BitMatrix.zeros(2, 3, symmetric=True)
     assert BitMatrix.zeros(3, 3, symmetric=True).symmetric
 
@@ -492,15 +494,36 @@ def _all_queries(m, targets):
     return out
 
 
+def _fresh_game(m: BitMatrix) -> BitMatrix:
+    """:func:`fresh`, keeping the game, so an elimination still chases."""
+    copy = fresh(m)
+    copy._game = m._game
+    return copy
+
+
 def test_int_and_vectorized_paths_agree(monkeypatch):
     cases = list(_agreement_cases(random.Random(271)))
     assert any(m.rows <= gf2._INT_PATH_MAX and m.cols <= gf2._INT_PATH_MAX
                for m, _ in cases)
+    # chased boards, whose end systems of 12 and 10 cells run on int rows
+    rng = random.Random(272)
+    for name in PRESET_NAMES:
+        for dims in ((12, 12), (10, 15)):
+            m = _fresh_game(adjacency_matrix(GameSpec.preset(name, GridShape(dims))))
+            images = [m.mul_vec(BitVector.from_int(m.cols, rng.getrandbits(m.cols)))
+                      for _ in range(2)]
+            cases.append((m, [BitVector.ones(m.rows),
+                              BitVector.from_int(m.rows, rng.getrandbits(m.rows))] + images))
     default = [_all_queries(m, t) for m, t in cases]
     monkeypatch.setattr(gf2, "_INT_PATH_MAX", 0)
+
+    def no_int_rows(words, ncols):
+        raise AssertionError("_rref_ints ran with _INT_PATH_MAX = 0")
+
+    monkeypatch.setattr(gf2, "_rref_ints", no_int_rows)
     # fresh copies: the first pass left each kernel stored on its matrix,
     # and rank and kernel_basis would read it instead of eliminating
-    vectorized = [_all_queries(fresh(m), t) for m, t in cases]
+    vectorized = [_all_queries(_fresh_game(m), t) for m, t in cases]
     assert default == vectorized
     for (m, targets), (rank, kernel, member, xs, *certs) in zip(cases, vectorized):
         assert rank + len(kernel) == m.cols

@@ -88,8 +88,11 @@ def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
             calls.append(path)
             return real(words, ncols)
         monkeypatch.setattr(gf2, path, counted)
+    # the routine follows the system eliminated: 4x6 whole, and the
+    # chased boards' end systems of 12 and 169 cells
     for name in game.PRESET_NAMES:
-        for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref")):
+        for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref_ints"),
+                           ((13, 13, 13), "_rref")):
             g = preset(name, *dims)
             calls.clear()
             achievable(g, all_on(g.shape), "all-on")
