@@ -1,8 +1,29 @@
-"""Light chasing: a game matrix solved one layer at a time.
+"""Game matrices solved without eliminating them whole: axis by axis
+when the game is a Kronecker product, else one layer at a time (light
+chasing).
 
-Pick an axis p of length n and cut the grid into the n layers across it,
-each of r = total / n cells.  When every term has exponent 0 or 1 on p,
-the game matrix is
+A game whose term set is a product E_1 x ... x E_d of d >= 2 axes has
+the matrix M = U_1 (x) ... (x) U_d, U_i = f_i(J) with f_i the sum of X^e
+over E_i (reduced mod Q_{n_i}).  One RREF of [U_i | I] per axis gives
+its pivots P_i, the T_i with T_i U_i = R_i in RREF, and the canonical
+kernel of U_i.  As (T_1 (x) ... (x) T_d) M = R_1 (x) ... (x) R_d, M x = t
+holds iff (R_1 (x) ... (x) R_d) x = t' = (T_1 (x) ... (x) T_d) t, applied
+as d mode products on the grid: t is consistent iff t' vanishes outside
+the leading rank_1 x ... x rank_d block, and that block put on
+P_1 x ... x P_d, zero elsewhere, solves it.  Column c of U_i is U_i W_i[c],
+where W_i[c] = e_c for a pivot c and, for a free c, the pivot part of
+its kernel vector, set on pivots below c only.  So v_c = e_c + W_1[c_1]
+(x) ... (x) W_d[c_d] lies in Ker M, and when some c_i is free its other
+bits lie on P_1 x ... x P_d, below c: c is a free column of the dense
+RREF of M and v_c its canonical kernel vector.  These are total -
+prod(rank_i) columns, the nullity, so they are all of them, and the
+solution above is zero on every one.  The answers are the dense RREF's,
+byte for byte, and no RREF spans more than one axis; working memory is
+the kernel's nullity x total bytes and the targets'.
+
+Light chasing: pick an axis p of length n and cut the grid into the n
+layers across it, each of r = total / n cells.  When every term has
+exponent 0 or 1 on p, the game matrix is
 
     M = I_n (x) B + J_n (x) A
 
@@ -50,14 +71,16 @@ the nullity both 2,048) peaks at 25 MB under tracemalloc, against
 
 :func:`pick` is called by :class:`.gf2.Elimination` for a matrix of
 :func:`.game.adjacency_matrix`, which keeps the game's dims and terms in
-its ``_game`` slot; it logs one DEBUG line naming the backend.
+its ``_game`` slot.  On 64 cells or more it picks the product backend
+for a product game, else the chase on the longest axis that qualifies,
+else the dense RREF, and logs one DEBUG line naming the backend.
 """
 from __future__ import annotations
 
 import logging
 import math
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,7 +91,8 @@ from .gf2 import (_STAGE_WORDS, _Echelon, _kron_sum, _nwords, _pack_rows, _produ
 _log = logging.getLogger(__name__)
 
 # the chase's fixed cost, about 0.3 ms, beats the dense elimination it
-# saves on boards of fewer cells
+# saves on boards of fewer cells; the product backend (about 0.2 ms,
+# even with dense from about 36 cells) takes the same gate
 _MIN_CELLS = 64
 
 # the Kronecker factor of a layer with no other axes
@@ -241,10 +265,88 @@ def _canonical_kernel(bits: np.ndarray):
 def _axis_factor(e_set: Sequence[int], n: int, g: int = 1) -> int:
     """g times the sum of X^e over e_set, reduced mod Q_n; polynomials
     are ints, bit k the coefficient of X^k."""
-    f = 0
-    for e in e_set:
-        f ^= 1 << e
+    f = poly2._power_sum(n, e_set)
     return poly2._mod_int(poly2._mul_int(g, f), poly2.chebyshev_q(n).value)
+
+
+def product_factors(dims: Tuple[int, ...], terms: Sequence[tuple]) -> Optional[list]:
+    """The per-axis factors f_i (sums of X^e over E_i, reduced mod
+    Q_{n_i}) when the term set is E_1 x ... x E_d, so that the game
+    matrix is f_1(J) (x) ... (x) f_d(J); else None."""
+    sets = [{t[i] for t in terms} for i in range(len(dims))]
+    # distinct terms drawn from the product fill it iff they are as many
+    if len(terms) != math.prod(len(e) for e in sets):
+        return None
+    return [_axis_factor(e_set, n) for e_set, n in zip(sets, dims)]
+
+
+def _axis_echelon(n: int, f: int):
+    """(pivots, T, W) of U = f(J_n), from one RREF of [U | I]; T and W
+    are packed n x n.  T U is the RREF of U, row c of W is the pivot part
+    of the canonical kernel vector of free column c, and W[p] = e_p for
+    a pivot p."""
+    e = _Echelon(_pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
+    pivots = np.asarray(e.pivots, dtype=np.intp)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    w = np.zeros((n, _nwords(n)), dtype=np.uint64)
+    w[pivots, pivots >> 6] = np.uint64(1) << (pivots & 63).astype(np.uint64)
+    w[free] = e.kernel()
+    w[free, free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
+    return pivots, np.ascontiguousarray(e.rhs), w
+
+
+class _Product:
+    """A game of two or more axes whose term set is a product E_1 x ...
+    x E_d, eliminated one axis at a time; see the module notes.
+
+    Per axis i, ``pivots[i]`` are the pivot columns of U_i = f_i(J),
+    ``transforms[i]`` the T_i with T_i U_i in RREF and ``parts[i]`` the
+    W_i of :func:`_axis_echelon`, both packed.
+    """
+
+    __slots__ = ("dims", "pivots", "transforms", "parts")
+
+    def __init__(self, dims: Tuple[int, ...], factors: Sequence[int]):
+        self.dims = dims
+        axes = {key: _axis_echelon(*key) for key in set(zip(dims, factors))}
+        self.pivots, self.transforms, self.parts = zip(*(axes[key] for key in zip(dims, factors)))
+
+    def solve(self, tbits: np.ndarray):
+        """(packed canonical kernel, packed solution or None per target)
+        of the game matrix, in the dense RREF's canonical form (see
+        :class:`.gf2.Elimination`)."""
+        dims, ntargets, total = self.dims, tbits.shape[0], tbits.shape[1]
+        # t' = (T_1 (x) ... (x) T_d) t, one mode product per axis
+        t = tbits.reshape((ntargets,) + dims)
+        for i, ti in enumerate(self.transforms if ntargets else ()):
+            moved = np.moveaxis(t, i + 1, 0)
+            cols = ntargets * total // dims[i]
+            product = _product(ti, dims[i], _pack_rows(moved.reshape(dims[i], cols)))
+            t = np.moveaxis(_unpack_words_2d(product, cols).reshape(moved.shape), 0, i + 1)
+        t = t.copy()
+        # consistent iff t' vanishes outside the leading rank_1 x ... x
+        # rank_d block, which then lands on the pivots P_1 x ... x P_d
+        lead = (slice(None),) + tuple(slice(0, p.size) for p in self.pivots)
+        x = np.zeros_like(t)
+        x[(slice(None),) + np.ix_(*self.pivots)] = t[lead]
+        t[lead] = 0
+        bad = t.reshape(ntargets, total).any(axis=1)
+        xs = _pack_rows(x.reshape(ntargets, total))
+        solutions = [None if bad[j] else xs[j] for j in range(ntargets)]
+        # free column c has some c_i free; its kernel vector is
+        # e_c + W_1[c_1] (x) ... (x) W_d[c_d]
+        pivot = np.zeros(dims, dtype=bool)
+        pivot[np.ix_(*self.pivots)] = True
+        free = np.flatnonzero(~pivot.ravel())
+        coords = np.unravel_index(free, dims)
+        bits = _unpack_words_2d(self.parts[0][coords[0]], dims[0])
+        for n, w, c in zip(dims[1:], self.parts[1:], coords[1:]):
+            w = _unpack_words_2d(w[c], n)
+            bits = (bits[:, :, None] & w[:, None, :]).reshape(free.size, bits.shape[1] * n)
+        bits[np.arange(free.size), free] = 1
+        return _pack_rows(bits), solutions
 
 
 def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
@@ -258,13 +360,12 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
     others = [i for i in range(len(dims)) if i != axis]
     ones = {tuple(t[i] for i in others) for t in terms if t[axis] == 1}
     zeros = [tuple(t[i] for i in others) for t in terms if t[axis] == 0]
-    per_axis = [sorted({s[j] for s in ones}) for j in range(len(others))]
-    if not ones or len(ones) != math.prod(len(e) for e in per_axis):
+    a_factors = product_factors(tuple(dims[i] for i in others), ones) if ones else None
+    if a_factors is None:
         return None, f"A is not a product of per-axis factors on axis {axis}"
     inverses = []
-    for i, e_set in zip(others, per_axis):
-        q = poly2.chebyshev_q(dims[i]).value
-        g = _inverse_mod(_axis_factor(e_set, dims[i]), q)
+    for i, f in zip(others, a_factors):
+        g = _inverse_mod(f, poly2.chebyshev_q(dims[i]).value)
         if g is None:
             return None, f"A is singular on axis {axis}"
         inverses.append(g)
@@ -284,8 +385,13 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
 
 @lru_cache(maxsize=64)
 def _pick(dims: Tuple[int, ...], terms: Tuple[tuple, ...]):
-    """(_Chase, None) on the longest axis that qualifies (the first of
-    equals), or (None, the reasons no axis does)."""
+    """(backend, None): the product backend for a product game of two
+    or more axes, else the chase on the longest axis that qualifies
+    (the first of equals); or (None, the reasons no axis does)."""
+    if len(dims) > 1:
+        factors = product_factors(dims, terms)
+        if factors is not None:
+            return _Product(dims, factors), None
     reasons = []
     for axis in sorted(range(len(dims)), key=lambda i: (-dims[i], i)):
         chase, why = _chase_on(dims, terms, axis)
@@ -295,17 +401,21 @@ def _pick(dims: Tuple[int, ...], terms: Tuple[tuple, ...]):
     return None, "; ".join(reasons)
 
 
-def pick(m) -> Optional[_Chase]:
-    """The chase for a game matrix m (its ``_game`` slot set), or None
-    for the dense backend; one DEBUG line names the choice."""
+def pick(m) -> Union[_Product, _Chase, None]:
+    """The product backend or the chase for a game matrix m (its
+    ``_game`` slot set), or None for the dense backend; one DEBUG line
+    names the choice."""
     dims, terms = m._game
     shape = "x".join(map(str, dims))
     if m.cols < _MIN_CELLS:
         _log.debug("dense elimination of %s: %d cells, fewer than %d", shape, m.cols, _MIN_CELLS)
         return None
-    chase, why = _pick(dims, terms)
-    if chase is None:
+    backend, why = _pick(dims, terms)
+    if backend is None:
         _log.debug("dense elimination of %s: %s", shape, why)
+    elif isinstance(backend, _Product):
+        _log.debug("product of %s: axis ranks %s", shape,
+                   ", ".join(str(p.size) for p in backend.pivots))
     else:
-        _log.debug("chase of %s along axis %d: r = %d", shape, chase.axis, chase.r)
-    return chase
+        _log.debug("chase of %s along axis %d: r = %d", shape, backend.axis, backend.r)
+    return backend

@@ -139,6 +139,7 @@ def _cmd_cheb(args) -> int:
 
 def _cmd_oracle(args) -> int:
     shape, g = _board(args)
+    solver._check_oracle_size(shape)  # before a target is built
     target = _resolve_target(args.target, shape)
     by_oracle = solver.brute_force_oracle(g, target)
     by_solver = solver.achievable(g, target, args.target).achievable

@@ -23,8 +23,9 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .algebra import QuotientShape, TensorElement, _axis_bits
+from .chase import product_factors
 from .gf2 import BitMatrix, BitVector
-from .poly2 import X, Poly2, _path_poly, chebyshev_q, pow_mod
+from .poly2 import X, Poly2, _path_poly, _power_sum, chebyshev_q
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -145,16 +146,21 @@ def make_j(n: int) -> BitMatrix:
 @lru_cache(maxsize=512)
 def adjacency_matrix(g: GameSpec) -> BitMatrix:
     """Sum over terms of Kronecker products of path-matrix powers
-    J_n^e = (X^e mod Q_n)(J_n); ValueError above 32,768 cells
-    (:data:`gf2.DENSE_MAX_BYTES`).
+    J_n^e = (X^e mod Q_n)(J_n), built as one Kronecker product of
+    per-axis sums when the terms are a product E_1 x ... x E_d;
+    ValueError above 32,768 cells (:data:`gf2.DENSE_MAX_BYTES`).
 
     The matrix keeps the game's dims and terms in its write-once
     ``_game`` slot, which lets an elimination chase it (:mod:`.chase`)."""
     total = g.shape.total
     terms = tuple(sorted(g.terms))
-    # X^e is already reduced when e < n
-    products = [[_path_poly(n, 1 << e if e < n else pow_mod(X, e, chebyshev_q(n)).value)
-                 for n, e in zip(g.shape.dims, term)] for term in terms]
+    factors = product_factors(g.shape.dims, terms)
+    if factors is not None:
+        # the sum over E_1 x ... x E_d is one product of per-axis sums
+        products = [[_path_poly(n, f) for n, f in zip(g.shape.dims, factors)]]
+    else:
+        products = [[_path_poly(n, _power_sum(n, [e])) for n, e in zip(g.shape.dims, term)]
+                    for term in terms]
     m = gf2._kron_sum(products, total, total, symmetric=True)
     m._game = (g.shape.dims, terms)
     return m

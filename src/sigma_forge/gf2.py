@@ -13,15 +13,18 @@ Every rank, kernel, solve, certificate and image query reads one
 answers are those of the canonical reduced row echelon form: pivots are
 the first nonzero row in column order, rows are swapped, and free
 variables are fixed to zero when a solution is extracted.  A game
-matrix (its ``_game`` slot set) is handed to :func:`.chase.pick`; when
-it has 64 cells or more and an axis qualifies it is chased: one layer
-of total / n cells is eliminated and the answers are lifted to the
-grid, then put in the same canonical form (the free columns are the
-highest set bits of the kernel vectors).  Every other matrix is
-eliminated whole.  Each system, whole or a chase's end system, is
-eliminated 8 columns at a time by the Method of Four Russians above 128
-rows or columns and on Python-int rows below, by its own size
-(:func:`_rref_any`); both give the same RREF.  Matrix products go
+matrix (its ``_game`` slot set) of 64 cells or more is handed to
+:func:`.chase.pick`.  A product game (terms E_1 x ... x E_d, d >= 2) is
+eliminated axis by axis: one n_i-column RREF per axis gives the
+canonical kernel and solutions in closed form.  Otherwise, when an axis
+qualifies, it is chased: one layer of total / n cells is eliminated and
+the answers are lifted to the grid, then put in the same canonical form
+(the free columns are the highest set bits of the kernel vectors).
+Every other matrix is eliminated whole.  Each system, whole, an axis
+factor or a chase's end system, is eliminated 8 columns at a time by
+the Method of Four Russians above 128 rows or columns and on Python-int
+rows below, by its own size (:func:`_rref_any`); both give the same
+RREF.  Matrix products go
 through Four Russians tables as well (:func:`_product`, shared with the
 chase).
 
@@ -395,20 +398,25 @@ class Elimination:
     a coset is zero on them.
 
     The backend is picked here and nowhere else (what qualifies a game
-    for the chase is decided by :func:`.chase.pick`):
+    for the product backend or the chase is decided by
+    :func:`.chase.pick`):
 
     - dense: the RREF of m itself;
-    - chase: a game matrix of :func:`.game.adjacency_matrix` with an
-      axis that qualifies is reduced to an r x r end system of
-      r = total / n cells, whose kernel and solutions are lifted to the
-      grid and, unless the axis is the first, made canonical by one RREF
-      of the kernel with its columns reversed.
+    - product: a game matrix of :func:`.game.adjacency_matrix` whose
+      terms are a product E_1 x ... x E_d, so m = U_1 (x) ... (x) U_d,
+      is eliminated one factor U_i at a time; the canonical kernel and
+      solutions are assembled from the per-axis RREFs;
+    - chase: a game matrix with an axis that qualifies is reduced to an
+      r x r end system of r = total / n cells, whose kernel and
+      solutions are lifted to the grid and, unless the axis is the
+      first, made canonical by one RREF of the kernel with its columns
+      reversed.
 
-    Either way the routine is picked by the size of the system
-    eliminated, m or the end system (:func:`_rref_any`): Python-int
-    rows up to ``_INT_PATH_MAX`` rows and columns, the blocked Four
-    Russians path (:func:`_rref`, 8 columns per table XOR) above; both
-    give bit-identical RREFs.
+    Every way the routine is picked by the size of the system
+    eliminated, m, an axis factor or the end system (:func:`_rref_any`):
+    Python-int rows up to ``_INT_PATH_MAX`` rows and columns, the
+    blocked Four Russians path (:func:`_rref`, 8 columns per table XOR)
+    above; both give bit-identical RREFs.
     """
 
     __slots__ = ("m", "targets", "rank", "_solutions", "_echelon")
@@ -421,14 +429,14 @@ class Elimination:
             if t.n != m.rows:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
             tbits[j] = t.to_array()
-        chase = _chase.pick(m) if m._game is not None else None
-        if chase is None:
+        backend = _chase.pick(m) if m._game is not None else None
+        if backend is None:
             self._echelon = _Echelon(m._words, m.cols, tbits)
             self.rank = self._echelon.rank
             self._solutions = [self._echelon.solution(j) for j in range(len(self.targets))]
         else:
             self._echelon = None
-            kernel, self._solutions = chase.solve(tbits)
+            kernel, self._solutions = backend.solve(tbits)
             self.rank = m.cols - kernel.shape[0]
             if m._kernel is None:
                 kernel.flags.writeable = False
@@ -817,6 +825,6 @@ def _kron_vec(factors: Sequence[np.ndarray]) -> BitVector:
     return BitVector._of(acc.size, _pack_rows(acc))
 
 
-# the chase builds on the helpers above, and Elimination hands it game
-# matrices
+# the product backend and the chase build on the helpers above, and
+# Elimination hands them game matrices
 from . import chase as _chase  # noqa: E402

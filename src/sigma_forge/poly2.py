@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -214,6 +215,16 @@ def chebyshev_q(n: int) -> Poly2:
     for _ in range(n - 1):
         prev, cur = cur, (cur << 1) ^ prev
     return Poly2(cur)
+
+
+def _power_sum(n: int, exps: Iterable[int]) -> int:
+    """The sum of X^e over exps reduced mod Q_n, as an int: X^e is
+    already reduced when e < n, and a larger e goes by :func:`pow_mod`,
+    so a huge exponent costs only its bit length."""
+    f = 0
+    for e in exps:
+        f ^= 1 << e if e < n else pow_mod(X, e, chebyshev_q(n)).value
+    return f
 
 
 @lru_cache(maxsize=None)

@@ -199,6 +199,15 @@ def _oracle_cap(cap: Optional[int]) -> int:
     return int(env)
 
 
+def _check_oracle_size(shape: GridShape, cap: Optional[int] = None) -> None:
+    """ValueError when a board has more cells than the brute-force cap
+    (``cap``, else :data:`ORACLE_CAP_ENV`, else the default)."""
+    limit = _oracle_cap(cap)
+    if shape.total > limit:
+        raise ValueError(f"shape {shape} too large for brute force "
+                         f"(total {shape.total} > cap {limit})")
+
+
 def _push_columns(g: GameSpec) -> list:
     m = adjacency_matrix(g)
     cols = m if m.symmetric else m.transpose()
@@ -209,10 +218,7 @@ def brute_force_oracle(g: GameSpec, target: BitVector,
                        cap: Optional[int] = None) -> bool:
     """Exhaustive search over all push subsets, Gray-code order."""
     total = g.shape.total
-    limit = _oracle_cap(cap)
-    if total > limit:
-        raise ValueError(f"shape {g.shape} too large for brute force "
-                         f"(total {total} > cap {limit})")
+    _check_oracle_size(g.shape, cap)
     if target.n != total:
         raise ValueError(f"target length {target.n} != grid size {total}")
     t = target.to_int()
@@ -230,10 +236,7 @@ def brute_force_oracle(g: GameSpec, target: BitVector,
 def brute_force_image(g: GameSpec, cap: Optional[int] = None) -> frozenset:
     """All reachable configurations (as ints), by the same enumeration."""
     total = g.shape.total
-    limit = _oracle_cap(cap)
-    if total > limit:
-        raise ValueError(f"shape {g.shape} too large for brute force "
-                         f"(total {total} > cap {limit})")
+    _check_oracle_size(g.shape, cap)
     cols = _push_columns(g)
     seen = {0}
     cur = 0

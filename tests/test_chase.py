@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sigma_forge import chase, gf2
+from sigma_forge import chase, gf2, poly2
 from sigma_forge.algebra import TensorElement
-from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
+from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix, make_j,
                               quotient_shape, u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
 
@@ -170,13 +170,107 @@ def test_the_squares_game_never_chases():
         assert c is None and "exponent above 1" in why
 
 
+def _product_games(dims):
+    """sigma+:boxtimes and custom product games on dims: one with
+    exponent 2 on the first axis, and one with exponents 0, 1 and 3 on
+    every axis (3 reduces mod Q_n on short axes)."""
+    shape = GridShape(dims)
+    others = [(1,)] * (len(dims) - 1)
+    return [GameSpec.preset("sigma+:boxtimes", shape),
+            GameSpec(shape, frozenset(itertools.product((0, 2), *others))),
+            GameSpec(shape, frozenset(itertools.product(*[(0, 1, 3)] * len(dims))))]
+
+
+def _product_answers(g, targets):
+    """The answers of the product backend, as :func:`_dense_answers`."""
+    backend, _ = chase._pick(g.shape.dims, tuple(sorted(g.terms)))
+    assert isinstance(backend, chase._Product)
+    total = g.shape.total
+    tbits = np.stack([t.to_array() for t in targets])
+    kernel, sols = backend.solve(tbits)
+    # with no targets at all, the same kernel
+    assert np.array_equal(backend.solve(tbits[:0])[0], kernel)
+    xs = [None if s is None else BitVector._of(total, s) for s in sols]
+    certs = [None if x is not None else gf2._first_not_orthogonal(total, kernel, t)
+             for t, x in zip(targets, xs)]
+    return total - kernel.shape[0], kernel.tobytes(), xs, certs
+
+
+def _check_products(games, seed):
+    """Each product game gives the dense answers for all-on, a random
+    target and a target in the image."""
+    rng = random.Random(seed)
+    for g in games:
+        targets = _targets(g.shape, rng)
+        targets.append(adjacency_matrix(g).mul_vec(targets[1]))
+        assert _product_answers(g, targets) == _dense_answers(g, targets), \
+            f"{g.label()} on {g.shape}"
+
+
+def test_the_product_backend_matches_dense_on_sigma_plus_boxtimes():
+    shapes = (list(itertools.product(range(1, 21), repeat=2))
+              + list(itertools.product(range(1, 8), repeat=3)))
+    _check_products([GameSpec.preset("sigma+:boxtimes", GridShape(dims)) for dims in shapes],
+                    seed=7)
+
+
+def test_the_product_backend_matches_dense_on_custom_product_games():
+    shapes = (list(itertools.product(range(1, 13), repeat=2))
+              + list(itertools.product(range(1, 6), repeat=3)))
+    _check_products([g for dims in shapes for g in _product_games(dims)[1:]], seed=8)
+
+
+def test_only_product_games_of_two_or_more_axes_take_the_product_backend():
+    for dims in ((9, 8), (4, 4, 4)):
+        for g in _games(dims):
+            backend, _ = chase._pick(dims, tuple(sorted(g.terms)))
+            assert isinstance(backend, chase._Product) == (g.label() == "sigma+:boxtimes")
+    # a 1-d game is a product of one factor, left to the chase
+    backend, _ = chase._pick((70,), ((0,), (1,)))
+    assert isinstance(backend, chase._Chase)
+
+
+def test_a_product_game_is_built_as_the_sum_of_its_terms():
+    for dims in ((1, 9), (6, 7), (50, 50), (2, 3, 4), (5, 8, 8)):
+        for g in _product_games(dims):
+            assert chase.product_factors(dims, tuple(sorted(g.terms))) is not None
+            per_term = BitMatrix.zeros(g.shape.total, g.shape.total)
+            for t in g.terms:
+                term = make_j(dims[0]).pow(t[0])
+                for n, e in zip(dims[1:], t[1:]):
+                    term = gf2.kronecker(term, make_j(n).pow(e))
+                per_term = per_term ^ term
+            assert adjacency_matrix(g) == per_term
+
+
+def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
+    """X^e with e = 10^7 reaches the build and the product backend by
+    pow_mod, never as a 10^7-bit polynomial."""
+    real = poly2._mod_int
+
+    def bounded(a, b):
+        assert a.bit_length() < 1000, "a huge power reduced bit by bit"
+        return real(a, b)
+    monkeypatch.setattr(poly2, "_mod_int", bounded)
+    g = GameSpec(GridShape((9, 8)), frozenset(itertools.product((0, 10 ** 7), (0, 1))))
+    m = adjacency_matrix(g)
+    assert m == gf2.kronecker(make_j(9).pow(10 ** 7) + BitMatrix.identity(9),
+                              make_j(8) + BitMatrix.identity(8))
+    assert isinstance(chase.pick(m), chase._Product)
+    targets = _targets(g.shape, random.Random(9))
+    assert _product_answers(g, targets) == _dense_answers(g, targets)
+
+
 @pytest.fixture
 def fresh_matrices():
-    """Empty the adjacency cache around a test, so its matrices hold no
-    stored kernel yet."""
+    """Empty the adjacency and backend caches around a test, so its
+    matrices hold no stored kernel yet and a product game eliminates its
+    axis factors again."""
     adjacency_matrix.cache_clear()
+    chase._pick.cache_clear()
     yield
     adjacency_matrix.cache_clear()
+    chase._pick.cache_clear()
 
 
 def _rref_calls(monkeypatch):
@@ -204,6 +298,15 @@ def test_a_chased_board_runs_no_rref_as_wide_as_the_board(monkeypatch, fresh_mat
     assert calls and all(ncols < g.shape.total for _, ncols in calls)
 
 
+def test_a_product_board_eliminates_only_its_axis_factor(monkeypatch, fresh_matrices):
+    """50x50 sigma+:boxtimes: both axes share I + J_50, eliminated once
+    on int rows; no RREF spans the board."""
+    g = GameSpec.preset("sigma+:boxtimes", GridShape((50, 50)))
+    calls = _rref_calls(monkeypatch)
+    assert _solve_all(g)[0] is not None
+    assert calls == [("_rref_ints", 50)]
+
+
 def test_a_small_end_system_runs_on_int_rows(monkeypatch, fresh_matrices):
     """The routine is picked by the size of the system eliminated: the
     49 x 49 end system of a 2,401-cell board runs on Python-int rows."""
@@ -213,7 +316,7 @@ def test_a_small_end_system_runs_on_int_rows(monkeypatch, fresh_matrices):
     assert calls == [("_rref_ints", 49)]
 
 
-@pytest.mark.parametrize("name,dims", [("sigma+:boxtimes", (50, 50)),
+@pytest.mark.parametrize("name,dims", [("sigma-:boxtimes", (50, 50)),
                                        ("sigma-:boxtimes", (5, 5, 7))])
 def test_a_board_no_axis_qualifies_for_runs_the_dense_rref(monkeypatch, fresh_matrices,
                                                            name, dims):
@@ -226,7 +329,8 @@ def test_a_board_no_axis_qualifies_for_runs_the_dense_rref(monkeypatch, fresh_ma
 def test_the_backend_choice_is_logged_at_debug(caplog, fresh_matrices):
     boards = [("sigma+:box", (13, 13, 13), "chase of 13x13x13 along axis 0: r = 169"),
               ("sigma-:box", (10, 15), "chase of 10x15 along axis 1: r = 10"),
-              ("sigma+:boxtimes", (50, 50), "dense elimination of 50x50: A is singular"),
+              ("sigma+:boxtimes", (50, 50), "product of 50x50: axis ranks 49, 49"),
+              ("sigma-:boxtimes", (50, 50), "dense elimination of 50x50: A is singular"),
               ("sigma+:box", (4, 6), "dense elimination of 4x6: 24 cells")]
     for name, dims, line in boards:
         m = adjacency_matrix(GameSpec.preset(name, GridShape(dims)))

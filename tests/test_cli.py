@@ -186,6 +186,17 @@ def test_oracle_command_cap_env_is_bounded(capsys, monkeypatch):
     assert out == ""
 
 
+def test_the_oracle_cap_is_checked_before_the_target(capsys, monkeypatch):
+    # the central target of 8000x1 alone peaks at about 150 MB
+    def no_target(shape):
+        raise AssertionError("target built before the oracle cap check")
+    monkeypatch.setattr(symmetry, "central_configuration", no_target)
+    code, out, err = run(capsys, "oracle", "--shape", "8000x1",
+                         "--game", "sigma+:box", "--target", "central")
+    assert code == 2 and out == ""
+    assert err == "error: shape 8000x1 too large for brute force (total 8000 > cap 20)\n"
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(capsys, "sweep", "--game", "sigma-:boxtimes",
                        "--dims", "2", "--max-n", "4", "--format", "csv")
