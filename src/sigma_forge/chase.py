@@ -74,6 +74,12 @@ the nullity both 2,048) peaks at 25 MB under tracemalloc, against
 its ``_game`` slot.  On 64 cells or more it picks the product backend
 for a product game, else the chase on the longest axis that qualifies,
 else the dense RREF, and logs one DEBUG line naming the backend.
+
+The same matrix is described once, by :func:`kron_factors`, as a sum of
+Kronecker products of per-axis factors f_i(J).  Its dense words
+(:func:`game_words`, built only when read), its mat-vec (:func:`apply`,
+which checks every answer without the dense matrix) and its diagonal
+(:func:`diagonal`) all read that description.
 """
 from __future__ import annotations
 
@@ -85,8 +91,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, _Echelon, _kron_sum, _nwords, _pack_rows, _product,
-                  _rref_any, _unpack_words, _unpack_words_2d)
+from .gf2 import (_STAGE_WORDS, _Echelon, _kron_sum, _kron_vec, _nwords, _pack_rows,
+                  _product, _rref_any, _unpack_words, _unpack_words_2d)
 
 _log = logging.getLogger(__name__)
 
@@ -280,11 +286,85 @@ def product_factors(dims: Tuple[int, ...], terms: Sequence[tuple]) -> Optional[l
     return [_axis_factor(e_set, n) for e_set, n in zip(sets, dims)]
 
 
+@lru_cache(maxsize=512)
+def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
+    """The game matrix as a sum of Kronecker products f_1(J) (x) ... (x)
+    f_d(J): per product, its per-axis factors f_i (ints, reduced mod
+    Q_{n_i}).  A product game is one product of its per-axis exponent
+    sets (:func:`product_factors`); any other game has one product per
+    term, f_i = X^{e_i}.  The dense words, the mat-vec and the diagonal
+    of a game matrix all read this description."""
+    factors = product_factors(dims, terms)
+    if factors is not None:
+        return (tuple(factors),)
+    return tuple(tuple(poly2._power_sum(n, [e]) for n, e in zip(dims, t)) for t in terms)
+
+
+def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
+    """The packed rows of the dense game matrix, read-only: one
+    :func:`.gf2._kron_sum` of the n_i x n_i factors f_i(J)."""
+    total = math.prod(dims)
+    products = [[poly2._path_poly(n, f) for n, f in zip(dims, factors)]
+                for factors in kron_factors(dims, terms)]
+    return _kron_sum(products, total, total, symmetric=True)._words
+
+
+def apply(dims: Tuple[int, ...], terms: Tuple[tuple, ...], bits: np.ndarray) -> np.ndarray:
+    """M x for each row x of the (q, total) 0/1 array ``bits``, applied on
+    the grid one axis at a time, each product of :func:`kron_factors` in
+    turn, without building M: the factor 1 leaves an axis alone, X (that
+    is J) and 1 + X are two shifted XORs, and any other factor is one
+    :func:`_mode_product` by its n x n matrix."""
+    q = bits.shape[0]
+    out = np.zeros_like(bits)
+    for factors in kron_factors(dims, terms):
+        y = bits
+        for axis, (n, f) in enumerate(zip(dims, factors)):
+            if f > 3:
+                y = _mode_product(y.reshape((q,) + dims), axis,
+                                  _pack_rows(poly2._path_poly(n, f))).reshape(q, -1)
+            elif f != 1:
+                # the axis in the middle: (cells before, n, cells after)
+                src = y.reshape(-1, n, math.prod(dims[axis + 1:]))
+                y = src.copy() if f & 1 else np.zeros_like(src)
+                if f & 2:
+                    # (J y)_k = y_{k-1} + y_{k+1}
+                    y[:, 1:] ^= src[:, :-1]
+                    y[:, :-1] ^= src[:, 1:]
+        out ^= y.reshape(q, -1)
+    return out
+
+
+def diagonal(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
+    """The packed diagonal of the game matrix, from :func:`kron_factors`:
+    that of a Kronecker product is the Kronecker product of the factors'
+    diagonals, and f(J) has the constant diagonal f(0) when f has degree
+    1 or less, as J has a zero one."""
+    out = np.zeros(_nwords(math.prod(dims)), dtype=np.uint64)
+    for factors in kron_factors(dims, terms):
+        out ^= _kron_vec([np.full(n, f & 1, dtype=np.uint8) if f < 4
+                          else np.diagonal(poly2._path_poly(n, f))
+                          for n, f in zip(dims, factors)])._words
+    return out
+
+
+def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
+    """(q,) + dims bits t with the packed n x n matrix ``words`` applied
+    along grid axis ``axis`` (n long): one :func:`.gf2._product`."""
+    n = t.shape[axis + 1]
+    moved = np.moveaxis(t, axis + 1, 0)
+    cols = moved.size // n
+    product = _product(words, n, _pack_rows(moved.reshape(n, cols)))
+    return np.moveaxis(_unpack_words_2d(product, cols).reshape(moved.shape), 0, axis + 1)
+
+
+@lru_cache(maxsize=64)
 def _axis_echelon(n: int, f: int):
     """(pivots, T, W) of U = f(J_n), from one RREF of [U | I]; T and W
-    are packed n x n.  T U is the RREF of U, row c of W is the pivot part
-    of the canonical kernel vector of free column c, and W[p] = e_p for
-    a pivot p."""
+    are packed n x n, and all three are read-only, as boards that share
+    an axis share them.  T U is the RREF of U, row c of W is the pivot
+    part of the canonical kernel vector of free column c, and W[p] = e_p
+    for a pivot p."""
     e = _Echelon(_pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
     pivots = np.asarray(e.pivots, dtype=np.intp)
     free = np.ones(n, dtype=bool)
@@ -294,7 +374,10 @@ def _axis_echelon(n: int, f: int):
     w[pivots, pivots >> 6] = np.uint64(1) << (pivots & 63).astype(np.uint64)
     w[free] = e.kernel()
     w[free, free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
-    return pivots, np.ascontiguousarray(e.rhs), w
+    t = np.ascontiguousarray(e.rhs)
+    for a in (pivots, t, w):
+        a.flags.writeable = False
+    return pivots, t, w
 
 
 class _Product:
@@ -310,8 +393,7 @@ class _Product:
 
     def __init__(self, dims: Tuple[int, ...], factors: Sequence[int]):
         self.dims = dims
-        axes = {key: _axis_echelon(*key) for key in set(zip(dims, factors))}
-        self.pivots, self.transforms, self.parts = zip(*(axes[key] for key in zip(dims, factors)))
+        self.pivots, self.transforms, self.parts = zip(*map(_axis_echelon, dims, factors))
 
     def solve(self, tbits: np.ndarray):
         """(packed canonical kernel, packed solution or None per target)
@@ -321,10 +403,7 @@ class _Product:
         # t' = (T_1 (x) ... (x) T_d) t, one mode product per axis
         t = tbits.reshape((ntargets,) + dims)
         for i, ti in enumerate(self.transforms if ntargets else ()):
-            moved = np.moveaxis(t, i + 1, 0)
-            cols = ntargets * total // dims[i]
-            product = _product(ti, dims[i], _pack_rows(moved.reshape(dims[i], cols)))
-            t = np.moveaxis(_unpack_words_2d(product, cols).reshape(moved.shape), 0, i + 1)
+            t = _mode_product(t, i, ti)
         t = t.copy()
         # consistent iff t' vanishes outside the leading rank_1 x ... x
         # rank_d block, which then lands on the pivots P_1 x ... x P_d

@@ -23,9 +23,8 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .algebra import QuotientShape, TensorElement, _axis_bits
-from .chase import product_factors
 from .gf2 import BitMatrix, BitVector
-from .poly2 import X, Poly2, _path_poly, _power_sum, chebyshev_q
+from .poly2 import X, Poly2, _path_poly, chebyshev_q
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -146,24 +145,20 @@ def make_j(n: int) -> BitMatrix:
 @lru_cache(maxsize=512)
 def adjacency_matrix(g: GameSpec) -> BitMatrix:
     """Sum over terms of Kronecker products of path-matrix powers
-    J_n^e = (X^e mod Q_n)(J_n), built as one Kronecker product of
-    per-axis sums when the terms are a product E_1 x ... x E_d;
-    ValueError above 32,768 cells (:data:`gf2.DENSE_MAX_BYTES`).
+    J_n^e = (X^e mod Q_n)(J_n), one Kronecker product of per-axis sums
+    when the terms are a product E_1 x ... x E_d
+    (:func:`.chase.kron_factors`); ValueError above 32,768 cells
+    (:data:`gf2.DENSE_MAX_BYTES`).
 
     The matrix keeps the game's dims and terms in its write-once
-    ``_game`` slot, which lets an elimination chase it (:mod:`.chase`)."""
+    ``_game`` slot and is returned without its dense words, which are
+    packed on their first read.  An elimination may chase it or solve
+    it axis by axis (:mod:`.chase`), and its mat-vec and diagonal are
+    read from the game, so a board that is not eliminated whole never
+    builds them."""
     total = g.shape.total
-    terms = tuple(sorted(g.terms))
-    factors = product_factors(g.shape.dims, terms)
-    if factors is not None:
-        # the sum over E_1 x ... x E_d is one product of per-axis sums
-        products = [[_path_poly(n, f) for n, f in zip(g.shape.dims, factors)]]
-    else:
-        products = [[_path_poly(n, _power_sum(n, [e])) for n, e in zip(g.shape.dims, term)]
-                    for term in terms]
-    m = gf2._kron_sum(products, total, total, symmetric=True)
-    m._game = (g.shape.dims, terms)
-    return m
+    gf2._check_dense(total, total)
+    return BitMatrix._of_game(g.shape.dims, tuple(sorted(g.terms)))
 
 
 def is_sigma_plus(g: GameSpec) -> bool:

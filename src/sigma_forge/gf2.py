@@ -5,8 +5,12 @@ words (coordinate k lives in word k // 64 at bit k % 64); row operations
 are whole-word XORs vectorized with numpy.  All values are immutable
 after construction: the public constructors check and copy the words
 they are given, and the internal ones take ownership of words built
-here.  All operations are pure functions, so everything here can be
-shared freely across threads.
+here.  A game matrix of :func:`.game.adjacency_matrix` is made from its
+game alone: its packed words are built on their first read, and its
+mat-vec and diagonal are read from the game axis by axis
+(:mod:`.chase`) without them.  The words are a function of the game,
+so a matrix's value never changes.  All operations are pure functions,
+so everything here can be shared freely across threads.
 
 Every rank, kernel, solve, certificate and image query reads one
 :class:`Elimination` record, the one place that picks a backend.  Its
@@ -33,10 +37,12 @@ basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
 only, never the reduced rows).  Later rank, kernel and certificate
 queries on the same object read it instead of eliminating again.  The
 basis is a function of the matrix alone, so two threads that race on
-the slot write equal values and either write may stand.
+the slot write equal values and either write may stand; the same holds
+for a game matrix's words.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -210,11 +216,17 @@ class BitMatrix:
 
     The first elimination that extracts the kernel leaves its packed
     basis in ``_kernel``; later rank, kernel and certificate queries on
-    the same object read it.  A game matrix keeps its game in the
-    write-once ``_game`` slot, which only :mod:`.chase` reads.
+    the same object read it.  A game matrix (:meth:`_of_game`) keeps its
+    game in the write-once ``_game`` slot and is made without words:
+    :mod:`.chase` reads the game to eliminate it, and :meth:`mul_vec`
+    and :meth:`diagonal` to apply M axis by axis.  Its packed words are
+    built from the game on their first read (``_words``), by whatever
+    reads them: the dense backend, ``@``, ``==``, ``hash``, ``row_ints``
+    and the like.  They are a function of the game, so the value never
+    changes and two threads that race to build them write equal words.
     """
 
-    __slots__ = ("rows", "cols", "symmetric", "_words", "_kernel", "_game")
+    __slots__ = ("rows", "cols", "symmetric", "_packed", "_kernel", "_game")
 
     def __init__(self, rows: int, cols: int, words: Optional[np.ndarray] = None,
                  symmetric: bool = False):
@@ -230,13 +242,15 @@ class BitMatrix:
         if symmetric and (rows != cols or self != self.transpose()):
             raise ValueError("matrix flagged symmetric is not symmetric")
 
-    def _init(self, rows: int, cols: int, words: np.ndarray, symmetric: bool) -> None:
+    def _init(self, rows: int, cols: int, words: Optional[np.ndarray], symmetric: bool,
+              game: Optional[tuple] = None) -> None:
         self.rows = rows
         self.cols = cols
-        self._words = words
-        self._words.flags.writeable = False
+        if words is not None:
+            words.flags.writeable = False
+        self._packed = words
         self._kernel = None
-        self._game = None
+        self._game = game
         self.symmetric = symmetric
 
     @classmethod
@@ -246,6 +260,24 @@ class BitMatrix:
         m = object.__new__(cls)
         m._init(rows, cols, words, symmetric)
         return m
+
+    @classmethod
+    def _of_game(cls, dims: tuple, terms: tuple) -> "BitMatrix":
+        """Internal constructor of the symmetric game matrix of the grid
+        ``dims`` and the sorted exponent tuples ``terms``
+        (:mod:`.game`), with no words yet."""
+        total = math.prod(dims)
+        m = object.__new__(cls)
+        m._init(total, total, None, True, (dims, terms))
+        return m
+
+    @property
+    def _words(self) -> np.ndarray:
+        """The packed rows, read-only; a game matrix packs them on first
+        read (:func:`.chase.game_words`)."""
+        if self._packed is None:
+            self._packed = _chase.game_words(*self._game)
+        return self._packed
 
     # -- constructors -------------------------------------------------
 
@@ -311,7 +343,10 @@ class BitMatrix:
 
     def diagonal(self) -> BitVector:
         """Entries (i, i) for i < min(rows, cols), read as bit i of each
-        row's words; the matrix is not unpacked."""
+        row's words; the matrix is not unpacked.  A game matrix's is
+        read from its per-axis factors (:func:`.chase.diagonal`)."""
+        if self._game is not None:
+            return BitVector._of(self.rows, _chase.diagonal(*self._game))
         idx = np.arange(min(self.rows, self.cols))
         bits = (self._words[idx, idx >> 6] >> (idx.astype(np.uint64) & np.uint64(63))) & _ONE
         return BitVector._of(idx.size, _pack_rows(bits.astype(np.uint8)))
@@ -343,9 +378,14 @@ class BitMatrix:
     __add__ = __xor__
 
     def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product over GF(2)."""
+        """Matrix-vector product over GF(2).  A game matrix is applied to
+        v on the grid, axis by axis (:func:`.chase.apply`), and never
+        builds its words."""
         if v.n != self.cols:
             raise ValueError(f"vector length {v.n} != cols {self.cols}")
+        if self._game is not None:
+            bits = _chase.apply(*self._game, v.to_array()[None])
+            return BitVector._of(self.rows, _pack_rows(bits[0]))
         folded = np.bitwise_xor.reduce(self._words & v._words[None, :], axis=1)
         bits = np.bitwise_count(folded).astype(np.uint8) & 1
         return BitVector._of(self.rows, _pack_rows(bits))

@@ -66,8 +66,9 @@ def achievable(g: GameSpec, target: BitVector,
     vector not orthogonal to the target, which proves unachievability;
     the orthogonality decision and the solver agree (tested) and share
     one elimination here.  The answer is checked with one mat-vec before
-    it is returned (M x = t, or M k = 0 and k . t = 1); a failed check
-    raises RuntimeError.
+    it is returned (M x = t, or M k = 0 and k . t = 1), M applied to the
+    grid axis by axis without its dense words; a failed check raises
+    RuntimeError.
     """
     m = adjacency_matrix(g)
     if target.n != m.rows:

@@ -9,8 +9,8 @@ import pytest
 
 from sigma_forge import chase, gf2, poly2
 from sigma_forge.algebra import TensorElement
-from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix, make_j,
-                              quotient_shape, u_element)
+from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
+                              is_sigma_plus, make_j, parse_shape, quotient_shape, u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
 
 
@@ -142,13 +142,15 @@ def test_a_short_axis_board_is_chased_in_less_memory_than_its_build(fresh_matric
     """On 2^12 cells sigma-:box has r = 2,048 and nullity 2,048, the
     largest layer and lift per cell; its gathers and tables run in
     several staged blocks.  The chase, C built afresh, peaks below the
-    dense build it follows and gives the dense answers."""
+    dense build of the matrix's words, forced first, and gives the dense
+    answers."""
     g = GameSpec.preset("sigma-:box", GridShape((2,) * 12))
     chase._pick.cache_clear()
     targets = _targets(g.shape, random.Random(6))
     tracemalloc.start()
     try:
         m = adjacency_matrix(g)
+        m._words
         build = tracemalloc.get_traced_memory()[1]
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -261,6 +263,101 @@ def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
     assert _product_answers(g, targets) == _dense_answers(g, targets)
 
 
+def _matrix_free_games(dims):
+    """Every preset, custom games with exponent 2, 5 and 10^7, and a
+    product game with exponents 0, 2 and 3 on dims."""
+    d = len(dims)
+    shape = GridShape(dims)
+    terms = [{(2,) * d, (0,) * d}, {(5,) + (1,) * (d - 1), (1,) * d},
+             {(10 ** 7,) + (0,) * (d - 1), (1,) * d},
+             set(itertools.product((0, 2), *[(0, 3)] * (d - 1)))]
+    return ([GameSpec.preset(name, shape) for name in PRESET_NAMES]
+            + [GameSpec(shape, frozenset(t)) for t in terms])
+
+
+def _plain(m):
+    """A copy of m with its words and no game: the dense mat-vec and
+    diagonal."""
+    return BitMatrix._of(m.rows, m.cols, m._words, symmetric=True)
+
+
+def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrices):
+    """M is applied axis by axis, and its diagonal read from the
+    factors, without building the words; both equal a plain copy's."""
+    shapes = ([(n,) for n in range(1, 41)] + [(1, 1), (1, 9), (7, 1)]
+              + list(itertools.product(range(1, 13, 3), repeat=2))
+              + list(itertools.product((1, 2, 5, 6), repeat=3)))
+    rng = random.Random(10)
+    for dims in shapes:
+        for g in _matrix_free_games(dims):
+            adjacency_matrix.cache_clear()
+            m = adjacency_matrix(g)
+            vs = [BitVector.ones(m.cols)] + [BitVector.from_int(m.cols, rng.getrandbits(m.cols))
+                                             for _ in range(3)]
+            got = [m.mul_vec(v) for v in vs]
+            sigma_plus = is_sigma_plus(g)
+            diagonal = m.diagonal()
+            assert m._packed is None, f"{g.label()} on {g.shape}"
+            plain = _plain(m)
+            assert got == [plain.mul_vec(v) for v in vs], f"{g.label()} on {g.shape}"
+            assert diagonal == plain.diagonal(), f"{g.label()} on {g.shape}"
+            assert sigma_plus == (plain.diagonal() == BitVector.ones(m.cols))
+
+
+_BENCH_BOARDS = [("sigma-:boxtimes", "49x49"), ("sigma+:boxtimes", "50x50"),
+                 ("sigma+:box", "13x13x13"), ("sigma-:box", "13x13x13")]
+
+
+def _forbid_board_builds(monkeypatch, total):
+    """Make a dense build of a total x total matrix raise."""
+    real = gf2._kron_sum
+
+    def guarded(products, rows, cols, symmetric=False):
+        assert (rows, cols) != (total, total), "the board's dense words were built"
+        return real(products, rows, cols, symmetric)
+    monkeypatch.setattr(gf2, "_kron_sum", guarded)
+    monkeypatch.setattr(chase, "_kron_sum", guarded)
+
+
+@pytest.mark.parametrize("name,shape", _BENCH_BOARDS)
+def test_a_bench_board_is_solved_and_checked_without_its_words(monkeypatch, tmp_path, capsys,
+                                                               fresh_matrices, name, shape):
+    """solve all-on, central and a random target, check-symmetric and
+    --verify: the backend, the witness and certificate checks and the
+    verification read the game, never the dense matrix."""
+    from sigma_forge import cli
+    g = GameSpec.preset(name, parse_shape(shape))
+    _forbid_board_builds(monkeypatch, g.shape.total)
+    rng = random.Random(11)
+    target = tmp_path / "target.txt"
+    target.write_text(" ".join(str(rng.getrandbits(1)) for _ in range(g.shape.total)))
+    for spec in ("central", f"file:{target}"):
+        assert cli.main(["solve", "--shape", shape, "--game", name, "--target", spec]) in (0, 1)
+    assert cli.main(["check-symmetric", "--shape", shape, "--game", name]) in (0, 1)
+    capsys.readouterr()
+    if cli.main(["solve", "--shape", shape, "--game", name, "--target", "all-on"]) == 0:
+        witness = tmp_path / "witness.txt"
+        witness.write_text(capsys.readouterr().out)
+        assert cli.main(["solve", "--shape", shape, "--game", name, "--target", "all-on",
+                         "--verify", str(witness)]) == 0
+    assert adjacency_matrix(g)._packed is None
+
+
+@pytest.mark.parametrize("name,dims", [("sigma+:box", (5, 7)), ("sigma-:boxtimes", (50, 50))])
+def test_a_dense_board_builds_its_words_and_gives_the_same_answers(fresh_matrices, name, dims):
+    """Under 64 cells, or when no axis qualifies, the dense backend
+    reads the words; its answers equal those of a plain copy."""
+    g = GameSpec.preset(name, GridShape(dims))
+    targets = _targets(g.shape, random.Random(12))
+    m = adjacency_matrix(g)
+    e = gf2.Elimination(m, targets)
+    assert m._packed is not None
+    want = gf2.Elimination(_plain(m), targets)
+    assert e.rank == want.rank and e.kernel().tobytes() == want.kernel().tobytes()
+    assert [e.solution(j) for j in range(2)] == [want.solution(j) for j in range(2)]
+    assert [e.certificate(j) for j in range(2)] == [want.certificate(j) for j in range(2)]
+
+
 @pytest.fixture
 def fresh_matrices():
     """Empty the adjacency and backend caches around a test, so its
@@ -268,9 +365,11 @@ def fresh_matrices():
     axis factors again."""
     adjacency_matrix.cache_clear()
     chase._pick.cache_clear()
+    chase._axis_echelon.cache_clear()
     yield
     adjacency_matrix.cache_clear()
     chase._pick.cache_clear()
+    chase._axis_echelon.cache_clear()
 
 
 def _rref_calls(monkeypatch):

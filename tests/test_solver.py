@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sigma_forge import chase, game, gf2, solver
+from sigma_forge import chase, game, gf2, poly2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import two_valuation
@@ -36,9 +36,11 @@ def fresh_matrices():
     too, so a product game eliminates its axis factors again."""
     adjacency_matrix.cache_clear()
     chase._pick.cache_clear()
+    chase._axis_echelon.cache_clear()
     yield
     adjacency_matrix.cache_clear()
     chase._pick.cache_clear()
+    chase._axis_echelon.cache_clear()
 
 
 def test_achievable_rejects_a_wrong_witness(monkeypatch, fresh_matrices):
@@ -353,6 +355,19 @@ def test_sweep_small_no_disagreement():
     assert not sweep_disagreements(rows)
     shapes = [r.shape.dims for r in rows]
     assert shapes == sorted(shapes)  # lexicographic order
+
+
+def test_a_1d_sweep_builds_no_path_factor_for_chased_boards(fresh_matrices):
+    """From 64 cells a 1-d sigma+:box board is chased, its certificates
+    are checked by shifts and its diagonal read from the game: rows past
+    n = 63 add no n x n factor to the cache."""
+    sizes = []
+    for max_n in (63, 200):
+        poly2._path_poly.cache_clear()
+        adjacency_matrix.cache_clear()
+        sweep("sigma+:box", 1, max_n)
+        sizes.append(poly2._path_poly.cache_info().currsize)
+    assert sizes[0] == sizes[1]
 
 
 def test_sweep_odd_only():
