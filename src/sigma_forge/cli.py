@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -19,26 +20,33 @@ from .poly2 import chebyshev_q
 
 
 def format_grid(v: BitVector, shape: GridShape) -> str:
-    """Rows of 0/1; axis 1 as rows for d=2, blank-line slices for d>=3."""
-    arr = v.to_array().reshape(shape.dims)
-
-    def fmt(block: np.ndarray) -> str:
-        if block.ndim == 1:
-            return " ".join(str(int(b)) for b in block)
-        if block.ndim == 2:
-            return "\n".join(" ".join(str(int(b)) for b in row) for row in block)
-        return "\n\n".join(fmt(sub) for sub in block)
-
-    return fmt(arr)
+    """Rows of the last axis, one line each, entries separated by a space;
+    for d >= 3, the 2-d slices of the last two axes are separated by one
+    blank line.  The text is laid out as one byte array."""
+    dims = shape.dims
+    n = dims[-1]
+    lines = np.full((shape.total // n, 2 * n), ord(" "), dtype=np.uint8)
+    lines[:, ::2] = v.to_array().reshape(-1, n) + ord("0")
+    lines[:, -1] = ord("\n")
+    if shape.d < 3:
+        return lines.tobytes()[:-1].decode("ascii")
+    slices = np.full((shape.total // (dims[-2] * n), dims[-2] * 2 * n + 1), ord("\n"),
+                     dtype=np.uint8)
+    slices[:, :-1] = lines.reshape(slices.shape[0], -1)
+    return slices.tobytes()[:-2].decode("ascii")
 
 
 def parse_grid(text: str, shape: GridShape) -> BitVector:
-    """Whitespace-separated 0/1 entries (contiguous digit runs allowed)."""
-    digits = "".join(text.split())
-    if len(digits) != shape.total or any(c not in "01" for c in digits):
+    """Whitespace-separated 0/1 entries (contiguous digit runs allowed);
+    any other character, a non-ASCII digit included, is refused."""
+    digits = "".join(text.split()).encode("utf-8", "surrogatepass")
+    # uint8: a byte below "0" wraps above 1, and every byte of a
+    # non-ASCII character is 0x80 or more
+    bits = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+    if bits.size != shape.total or (bits > 1).any():
         raise ValueError(f"grid data does not match shape {shape} "
                          f"(need {shape.total} 0/1 entries)")
-    return BitVector.from_bits(int(c) for c in digits)
+    return BitVector._of(shape.total, gf2._pack_rows(bits))
 
 
 def _load_grid_file(path: str, shape: GridShape) -> BitVector:
@@ -200,10 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and reused."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

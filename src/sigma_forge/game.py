@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 from . import gf2
 from .algebra import QuotientShape, TensorElement, _axis_bits
 from .gf2 import BitMatrix, BitVector
-from .poly2 import X, Poly2, _path_poly, chebyshev_q
+from .poly2 import X, Poly2, _path_poly, _power_sum, chebyshev_q
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -183,8 +183,10 @@ def u_element(g: GameSpec) -> TensorElement:
 
 @lru_cache(maxsize=None)
 def _monomial_bits(n: int, e: int):
-    """Read-only coefficients of x^e mod Q_n."""
-    bits = _axis_bits(Poly2.x_power(e), chebyshev_q(n))
+    """Read-only coefficients of x^e mod Q_n, reduced as the game matrix
+    reduces them (:func:`.poly2._power_sum`), so a huge e costs only its
+    bit length."""
+    bits = _axis_bits(Poly2(_power_sum(n, [e])), chebyshev_q(n))
     bits.flags.writeable = False
     return bits
 

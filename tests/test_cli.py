@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from sigma_forge import solver, symmetry
+from sigma_forge import cli, solver, symmetry
 from sigma_forge.cli import format_grid, main, parse_grid
 from sigma_forge.game import GridShape, adjacency_matrix, parse_game
 from sigma_forge.gf2 import BitVector
@@ -45,6 +46,70 @@ def test_parse_grid_rejects_bad_data():
         parse_grid("1 0 1", GridShape((2, 2)))
     with pytest.raises(ValueError):
         parse_grid("1 0 2 0", GridShape((2, 2)))
+
+
+# the per-cell writer and reader that format_grid and parse_grid replace;
+# the byte-array versions must agree with them on every input
+
+def reference_format(v, shape):
+    def fmt(block):
+        if block.ndim == 1:
+            return " ".join(str(int(b)) for b in block)
+        if block.ndim == 2:
+            return "\n".join(" ".join(str(int(b)) for b in row) for row in block)
+        return "\n\n".join(fmt(sub) for sub in block)
+
+    return fmt(v.to_array().reshape(shape.dims))
+
+
+def reference_parse(text, shape):
+    digits = "".join(text.split())
+    if len(digits) != shape.total or any(c not in "01" for c in digits):
+        raise ValueError(f"grid data does not match shape {shape} "
+                         f"(need {shape.total} 0/1 entries)")
+    return BitVector.from_bits(int(c) for c in digits)
+
+
+GRID_SHAPES = [(1,), (7,), (1, 1), (1, 5), (5, 1), (3, 4), (1, 1, 1), (2, 1, 3),
+               (4, 1, 5), (1, 3, 1), (3, 1, 1), (2, 3, 4), (1, 1, 1, 1), (2, 1, 2, 3),
+               (3, 2, 1, 2), (1, 2, 3, 1), (49, 49)]
+
+
+@pytest.mark.parametrize("dims", GRID_SHAPES, ids=lambda dims: "x".join(map(str, dims)))
+def test_grid_writer_and_reader_match_the_per_cell_reference(dims):
+    shape = GridShape(dims)
+    rng = np.random.default_rng(shape.total)
+    vectors = [BitVector.zeros(shape.total), BitVector.ones(shape.total)]
+    vectors += [BitVector.from_bits(rng.integers(0, 2, shape.total)) for _ in range(3)]
+    for v in vectors:
+        text = format_grid(v, shape)
+        assert text == reference_format(v, shape)
+        assert parse_grid(text, shape) == reference_parse(text, shape) == v
+
+
+@pytest.mark.parametrize("text", [
+    "1 0 1", "1 0 1 0 1", "", "1 0 2 0", "1 0 a 0", "1 0 \u0660 0", "1 0 \uff11 0",
+    "1 0 0 0 \u0660", "1010\x00", "1 0 -1 0", "1 0 1 0.",
+], ids=["short", "long", "empty", "two", "letter", "arabic-indic-zero",
+        "fullwidth-one", "extra-non-ascii", "nul", "minus", "dot"])
+def test_parse_grid_refuses_what_the_reference_refuses(text):
+    shape = GridShape((2, 2))
+    with pytest.raises(ValueError) as want:
+        reference_parse(text, shape)
+    with pytest.raises(ValueError) as got:
+        parse_grid(text, shape)
+    assert str(got.value) == str(want.value) == \
+        "grid data does not match shape 2x2 (need 4 0/1 entries)"
+
+
+@pytest.mark.parametrize("text", [
+    "1\t0\n0\t1\n", "1 0\r\n0 1\r\n", "10\n01", "1001", "\n 1\t\t0 \r\n\n01 \n\n",
+    "1\u00a00\u20030\x0b1\x0c",
+], ids=["tabs", "crlf", "runs", "one-run", "mixed", "unicode-space"])
+def test_parse_grid_accepts_what_the_reference_accepts(text):
+    shape = GridShape((2, 2))
+    assert parse_grid(text, shape) == reference_parse(text, shape) == \
+        BitVector.from_bits([1, 0, 0, 1])
 
 
 # ---------------------------------------------------------------------
@@ -117,6 +182,43 @@ def test_solve_file_target(capsys, tmp_path):
         BitVector.from_bits([0, 1, 0, 1, 0, 1, 0, 1, 0])
 
 
+MAIN_CALLS = [
+    ["solve", "--shape", "4x4", "--game", "sigma+:box"],
+    ["solve", "--shape", "3x3", "--game", "sigma-:boxtimes"],
+    ["check-symmetric", "--shape", "3x3", "--game", "sigma-:box"],
+    ["solve", "--shape", "3x", "--game", "sigma-:box"],
+    ["solve", "--game", "sigma-:box"],
+    ["solve", "--shape", "3x3", "--game", "sigma-:box", "--bogus"],
+    ["sweep", "--game", "sigma+:box", "--max-n", "x"],
+    ["nonsense"],
+    [],
+    ["solve", "--help"],
+    ["cheb", "--n", "5"],
+    ["predicate", "--shape", "3x3", "--game", "sigma-:boxtimes"],
+]
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    # each call alone, on a parser of its own
+    first = []
+    for argv in MAIN_CALLS:
+        cli._parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert {code for code, _, _ in first} == {0, 1, 2}
+    built = []
+
+    def counted(real=cli.build_parser):
+        built.append(1)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    order = list(range(len(MAIN_CALLS)))
+    for i in order + order[::-1] + order[::2] + order[1::2]:
+        assert run(capsys, *MAIN_CALLS[i]) == first[i]
+    assert len(built) == 1
+
+
 def test_byte_identical_runs(capsys):
     first = run(capsys, "solve", "--shape", "5x5", "--game", "sigma-:box")
     second = run(capsys, "solve", "--shape", "5x5", "--game", "sigma-:box")
@@ -148,6 +250,13 @@ def test_predicate_custom_label(capsys):
                        "--game", "custom:1,1")
     assert "(hypothesis unverified)" in out
     assert code in (0, 1)
+
+
+def test_predicate_on_a_huge_exponent_finishes(capsys):
+    code, out, _ = run(capsys, "predicate", "--shape", "5x5",
+                       "--game", "custom:10000000,0;1,1")
+    assert code in (0, 1)
+    assert out.startswith("closed_form: ")
 
 
 def test_cheb_command(capsys):

@@ -7,6 +7,7 @@ from sigma_forge.algebra import QuotientShape, TensorElement
 from sigma_forge.game import (GameSpec, GridShape, adjacency_matrix, check_commutes,
                               is_sigma_plus, make_j, parse_game, parse_shape, u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
+from sigma_forge.poly2 import X, chebyshev_q, pow_mod
 
 
 def preset(name, *dims):
@@ -130,6 +131,18 @@ def test_u_element_reduces_large_exponents():
         assert adjacency_matrix(g) == make_j(4).pow(e)
         conj = qs.phi_inverse_matrix() @ adjacency_matrix(g) @ qs.phi_matrix()
         assert conj == algebra.mult_operator(u_element(g))
+
+
+def test_u_element_reduces_a_huge_exponent_by_pow_mod():
+    # X^(10^7) mod Q_5 by square and multiply, not by a 10^7-bit polynomial
+    e = 10 ** 7
+    g = parse_game(f"custom:{e},0;1,1", GridShape((5, 5)))
+    qs = QuotientShape.chebyshev([5, 5])
+    q = chebyshev_q(5)
+    want = TensorElement.zero(qs)
+    for term in g.terms:
+        want = want + TensorElement.from_axis_polys(qs, [pow_mod(X, k, q) for k in term])
+    assert u_element(g) == want
 
 
 def test_one_axis_game_matrices_are_the_powers_of_j():

@@ -77,9 +77,9 @@ def test_a_wrong_stored_kernel_is_caught(fresh_matrices):
 def test_symmetric_achievability_rejects_a_wrong_certificate(monkeypatch):
     g = preset("sigma-:boxtimes", 3, 3)
     assert not symmetric_achievability(g).achievable
-    kernel = gf2.kernel_basis(adjacency_matrix(g))
-    monkeypatch.setattr(gf2, "kernel_basis",
-                        lambda m: [k ^ BitVector.from_indices(m.cols, [0]) for k in kernel])
+    # bit 0 of every stored kernel vector flipped
+    kernel = gf2._kernel_of(adjacency_matrix(g)) ^ BitVector.from_indices(9, [0])._words
+    monkeypatch.setattr(gf2, "_kernel_of", lambda m: kernel)
     with pytest.raises(RuntimeError, match="M k = 0"):
         symmetric_achievability(g)
 
