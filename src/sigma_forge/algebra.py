@@ -126,9 +126,10 @@ def _column_bits(n: int, columns: Sequence[int]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _companion_power(m: Poly2, e: int) -> np.ndarray:
     """Dense C^e for the companion matrix C of m (multiplication by x on
-    the monomial basis of k[X]/m): column k holds x^(k+e) mod m."""
+    the monomial basis of k[X]/m): column k holds x^(k+e) mod m, the
+    first reduced by squaring, so a huge e costs only its bit length."""
     n = m.degree
-    r = (Poly2.x_power(e) % m).value
+    r = poly2.pow_mod(poly2.X, e, m).value
     columns = []
     for _ in range(n):
         columns.append(r)
@@ -180,10 +181,13 @@ class TensorElement:
 
     @classmethod
     def monomial(cls, shape: QuotientShape, exponents: Sequence[int]) -> "TensorElement":
-        """x_1^{e_1} ... x_d^{e_d}, each factor reduced mod its modulus."""
+        """x_1^{e_1} ... x_d^{e_d}, each factor reduced mod its modulus by
+        squaring (:func:`.poly2.pow_mod`), so a huge e costs only its bit
+        length."""
         if len(exponents) != shape.d:
             raise ValueError(f"expected {shape.d} exponents, got {len(exponents)}")
-        return cls.from_axis_polys(shape, [Poly2.x_power(e) for e in exponents])
+        return cls.from_axis_polys(shape, [poly2.pow_mod(poly2.X, e, m)
+                                           for e, m in zip(exponents, shape.moduli)])
 
     @classmethod
     def from_axis_polys(cls, shape: QuotientShape, polys: Sequence[Poly2]) -> "TensorElement":

@@ -3,23 +3,26 @@ when the game is a Kronecker product, else one layer at a time (light
 chasing).
 
 A game whose term set is a product E_1 x ... x E_d of d >= 2 axes has
-the matrix M = U_1 (x) ... (x) U_d, U_i = f_i(J) with f_i the sum of X^e
-over E_i (reduced mod Q_{n_i}).  One RREF of [U_i | I] per axis gives
-its pivots P_i, the T_i with T_i U_i = R_i in RREF, and the canonical
-kernel of U_i.  As (T_1 (x) ... (x) T_d) M = R_1 (x) ... (x) R_d, M x = t
-holds iff (R_1 (x) ... (x) R_d) x = t' = (T_1 (x) ... (x) T_d) t, applied
-as d mode products on the grid: t is consistent iff t' vanishes outside
-the leading rank_1 x ... x rank_d block, and that block put on
-P_1 x ... x P_d, zero elsewhere, solves it.  Column c of U_i is U_i W_i[c],
-where W_i[c] = e_c for a pivot c and, for a free c, the pivot part of
-its kernel vector, set on pivots below c only.  So v_c = e_c + W_1[c_1]
-(x) ... (x) W_d[c_d] lies in Ker M, and when some c_i is free its other
-bits lie on P_1 x ... x P_d, below c: c is a free column of the dense
-RREF of M and v_c its canonical kernel vector.  These are total -
-prod(rank_i) columns, the nullity, so they are all of them, and the
-solution above is zero on every one.  The answers are the dense RREF's,
-byte for byte, and no RREF spans more than one axis; working memory is
-the kernel's nullity x total bytes and the targets'.
+the matrix M = U_1 (x) ... (x) U_d, U_i = f_i(J) with f_i the sum of
+X^e over E_i (reduced mod Q_{n_i}).  One RREF of [U_i | I] per axis
+gives its pivots P_i, the T_i with T_i U_i = R_i in RREF, and the
+canonical kernel of U_i; an invertible U_i (f_i prime to Q_{n_i}) needs
+none, as its RREF is I: P_i is every column and T_i = U_i^-1 = g_i(J)
+for the inverse g_i of f_i mod Q_{n_i}.  As (T_1 (x) ... (x) T_d) M =
+R_1 (x) ... (x) R_d, M x = t holds iff (R_1 (x) ... (x) R_d) x = t' =
+(T_1 (x) ... (x) T_d) t, applied as d mode products on the grid: t is
+consistent iff t' vanishes outside the leading rank_1 x ... x rank_d
+block, and that block put on P_1 x ... x P_d, zero elsewhere, solves
+it.  Column c of U_i is U_i W_i[c], where W_i[c] = e_c for a pivot c
+and, for a free c, the pivot part of its kernel vector, set on pivots
+below c only.  So v_c = e_c + W_1[c_1] (x) ... (x) W_d[c_d] lies in Ker
+M, and when some c_i is free its other bits lie on P_1 x ... x P_d,
+below c: c is a free column of the dense RREF of M and v_c its canonical
+kernel vector.  These are total - prod(rank_i) columns, the nullity, so
+they are all of them, and the solution above is zero on every one.  The
+answers are the dense RREF's, byte for byte, and no RREF spans more than
+one axis; working memory is the kernel's nullity x total bytes and the
+targets'.
 
 Light chasing: pick an axis p of length n and cut the grid into the n
 layers across it, each of r = total / n cells.  When every term has
@@ -61,8 +64,11 @@ J_{n_i}, and then A^-1 is the product of the inverses mod Q_{n_i}.
 Arithmetic is exact over GF(2), on vectors packed in uint64 words: a
 step by a sparse C XORs the words of the rows each row of C selects,
 and a product by a dense matrix goes through Four Russians tables
-(:func:`.gf2._product`).  Working memory is a few transient arrays of
-r x r bytes (building C and its gather index, the end system), the
+(:func:`.gf2._product`).  A small sparse C, whose gather index has at
+most 64 entries, with chased rows of one word runs the steps on Python
+ints instead, one per chased row: on such layers numpy's per-call cost,
+not the XORs, would set the time.  Working memory is a few transient
+arrays of r x r bytes (building C and its gather index, the end system), the
 n + 2 packed layers over the r + T chased columns (T targets), and the
 lifted vectors, total x (nullity + T) bytes; gathers and tables are
 staged in blocks of at most 1 MB.  On 2^12 cells, sigma-:box (r and
@@ -78,8 +84,9 @@ else the dense RREF, and logs one DEBUG line naming the backend.
 The same matrix is described once, by :func:`kron_factors`, as a sum of
 Kronecker products of per-axis factors f_i(J).  Its dense words
 (:func:`game_words`, built only when read), its mat-vec (:func:`apply`,
-which checks every answer without the dense matrix) and its diagonal
-(:func:`diagonal`) all read that description.
+which checks every answer without the dense matrix, by Horner's rule on
+the grid as one Python int) and its diagonal (:func:`diagonal`) all read
+that description.
 """
 from __future__ import annotations
 
@@ -91,8 +98,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, _Echelon, _kron_sum, _kron_vec, _nwords, _pack_rows,
-                  _product, _rref_any, _unpack_words, _unpack_words_2d)
+from .gf2 import (_STAGE_WORDS, _Echelon, _ints_to_words, _kron_sum, _kron_vec, _nwords,
+                  _pack_rows, _product, _rref_any, _unpack_words, _unpack_words_2d)
 
 _log = logging.getLogger(__name__)
 
@@ -100,6 +107,13 @@ _log = logging.getLogger(__name__)
 # saves on boards of fewer cells; the product backend (about 0.2 ms,
 # even with dense from about 36 cells) takes the same gate
 _MIN_CELLS = 64
+
+# a chase whose gather index has at most this many entries, r (k + 1)
+# for r cells a layer and k entries a row of C, and whose chased rows
+# fit one word runs its steps on Python ints: below this size numpy's
+# per-call cost outweighs the XORs (the crossover measured on boards of
+# 129 to 400 cells)
+_INT_GATHER_MAX = 64
 
 # the Kronecker factor of a layer with no other axes
 _ONE = np.ones((1, 1), dtype=np.uint8)
@@ -190,8 +204,12 @@ class _Chase:
         """Chase the r unit starts of the last layer and one affine column
         per row of the (T, total) target bits: r + T chased columns.
         Returns x_{-1} as (r, r + T) bits, whose columns are [P | s], and
-        the packed layers x_0 .. x_{n-1}, for :meth:`lift`."""
+        the packed layers x_0 .. x_{n-1}, for :meth:`lift`.  A small
+        sparse C with rows of one word runs on ints (:meth:`_run_ints`)."""
         r, n, ntargets = self.r, self.n, tbits.shape[0]
+        if (self.gather is not None and self.gather.size <= _INT_GATHER_MAX
+                and r + ntargets <= 64):
+            return self._run_ints(tbits)
         width = _nwords(r + ntargets)
         # buf[k + 1] holds x_k, with an all-zero row after its r rows
         buf = np.zeros((n + 2, r + 1, width), dtype=np.uint64)
@@ -213,6 +231,32 @@ class _Chase:
             if sources is not None:
                 buf[k, :r, r >> 6:] ^= sources[k]
         return _unpack_words_2d(buf[0, :r], r + ntargets), buf[1:n + 1, :r]
+
+    def _run_ints(self, tbits: np.ndarray):
+        """:meth:`run` with each chased row of a layer one int, bit j its
+        chased column j: row i of x_{k-1} XORs the rows of x_k that row i
+        of C selects, row i of x_{k+1} and that of the source."""
+        r, n, ntargets = self.r, self.n, tbits.shape[0]
+        selects = [[j for j in row if j < r] for row in self.gather[:, :-1].tolist()]
+        if ntargets:
+            sources = self._sources(tbits)[:, :, 0].tolist()
+        else:
+            sources = [[0] * r] * n
+        cur, nxt = [1 << i for i in range(r)], [0] * r
+        layers = [cur]
+        for k in range(n - 1, -1, -1):
+            new = []
+            for cols, nxt_i, source in zip(selects, nxt, sources[k]):
+                v = nxt_i ^ source
+                for j in cols:
+                    v ^= cur[j]
+                new.append(v)
+            cur, nxt = new, cur
+            layers.append(cur)
+        # layers holds x_{n-1} down to x_{-1}, one word a row
+        end = np.array(layers.pop(), dtype=np.uint64).reshape(r, 1)
+        words = np.array(layers[::-1], dtype=np.uint64).reshape(n, r, 1)
+        return _unpack_words_2d(end, r + ntargets), words
 
     def lift(self, layers: np.ndarray, select: np.ndarray) -> np.ndarray:
         """Grid vectors from :meth:`run`'s layers: row q of ``select``
@@ -309,29 +353,41 @@ def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
     return _kron_sum(products, total, total, symmetric=True)._words
 
 
-def apply(dims: Tuple[int, ...], terms: Tuple[tuple, ...], bits: np.ndarray) -> np.ndarray:
-    """M x for each row x of the (q, total) 0/1 array ``bits``, applied on
-    the grid one axis at a time, each product of :func:`kron_factors` in
-    turn, without building M: the factor 1 leaves an axis alone, X (that
-    is J) and 1 + X are two shifted XORs, and any other factor is one
-    :func:`_mode_product` by its n x n matrix."""
-    q = bits.shape[0]
-    out = np.zeros_like(bits)
+@lru_cache(maxsize=64)
+def _shift_masks(dims: Tuple[int, ...]) -> tuple:
+    """Per axis of the row-major grid, (s, not_first, not_last): its
+    stride, and the masks of the cells that are not first and not last
+    along it, each one block of n s bits times the repunit that repeats
+    it over the grid."""
+    total = math.prod(dims)
+    masks = []
+    for i, n in enumerate(dims):
+        s = math.prod(dims[i + 1:])
+        repunit = ((1 << total) - 1) // ((1 << n * s) - 1)
+        not_first = ((1 << n * s) - (1 << s)) * repunit
+        masks.append((s, not_first, ((1 << (n - 1) * s) - 1) * repunit))
+    return tuple(masks)
+
+
+def apply(dims: Tuple[int, ...], terms: Tuple[tuple, ...], x: int) -> int:
+    """M x for the grid vector x (an int, bit k cell k), applied one axis
+    at a time, each product of :func:`kron_factors` in turn, without
+    building M: the factor 1 leaves an axis alone, and any other factor
+    f runs Horner's rule on the whole grid, J along the axis being one
+    shift each way, (J y)_k = y_{k-1} + y_{k+1}."""
+    masks = _shift_masks(dims)
+    out = 0
     for factors in kron_factors(dims, terms):
-        y = bits
-        for axis, (n, f) in enumerate(zip(dims, factors)):
-            if f > 3:
-                y = _mode_product(y.reshape((q,) + dims), axis,
-                                  _pack_rows(poly2._path_poly(n, f))).reshape(q, -1)
-            elif f != 1:
-                # the axis in the middle: (cells before, n, cells after)
-                src = y.reshape(-1, n, math.prod(dims[axis + 1:]))
-                y = src.copy() if f & 1 else np.zeros_like(src)
-                if f & 2:
-                    # (J y)_k = y_{k-1} + y_{k+1}
-                    y[:, 1:] ^= src[:, :-1]
-                    y[:, :-1] ^= src[:, 1:]
-        out ^= y.reshape(q, -1)
+        y = x
+        for f, (s, not_first, not_last) in zip(factors, masks):
+            if f != 1:
+                acc = 0
+                for k in range(f.bit_length() - 1, -1, -1):
+                    acc = (acc << s) & not_first ^ (acc >> s) & not_last
+                    if f >> k & 1:
+                        acc ^= y
+                y = acc
+        out ^= y
     return out
 
 
@@ -360,21 +416,30 @@ def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _axis_echelon(n: int, f: int):
-    """(pivots, T, W) of U = f(J_n), from one RREF of [U | I]; T and W
-    are packed n x n, and all three are read-only, as boards that share
-    an axis share them.  T U is the RREF of U, row c of W is the pivot
-    part of the canonical kernel vector of free column c, and W[p] = e_p
-    for a pivot p."""
-    e = _Echelon(_pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
-    pivots = np.asarray(e.pivots, dtype=np.intp)
+    """(pivots, T, W) of U = f(J_n); T and W are packed n x n, and all
+    three are read-only, as boards that share an axis share them.  T U is
+    the RREF of U, row c of W is the pivot part of the canonical kernel
+    vector of free column c, and W[p] = e_p for a pivot p.  When f has an
+    inverse g mod Q_n, U is invertible and needs no RREF: its pivots are
+    0 .. n - 1, T = U^-1 = g(J_n) and W = I.  Else one RREF of [U | I]
+    gives them."""
+    g = _inverse_mod(f, poly2.chebyshev_q(n).value)
+    if g is not None:
+        pivots = np.arange(n)
+        t = _ints_to_words(poly2._path_poly_rows(n, g), n)
+        kernel = np.zeros((0, _nwords(n)), dtype=np.uint64)
+    else:
+        e = _Echelon(_pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
+        pivots = np.asarray(e.pivots, dtype=np.intp)
+        t = np.ascontiguousarray(e.rhs)
+        kernel = e.kernel()
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
     w = np.zeros((n, _nwords(n)), dtype=np.uint64)
     w[pivots, pivots >> 6] = np.uint64(1) << (pivots & 63).astype(np.uint64)
-    w[free] = e.kernel()
+    w[free] = kernel
     w[free, free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
-    t = np.ascontiguousarray(e.rhs)
     for a in (pivots, t, w):
         a.flags.writeable = False
     return pivots, t, w

@@ -80,6 +80,14 @@ def _int_to_words(value: int, n: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint64).copy()
 
 
+def _ints_to_words(ints: Sequence[int], n: int) -> np.ndarray:
+    """Rows given as ints below 2^n, packed as read-only (rows, words)
+    uint64 words."""
+    nb = _nwords(n) * 8
+    raw = b"".join(v.to_bytes(nb, "little") for v in ints)
+    return np.frombuffer(raw, dtype=np.uint64).reshape(len(ints), _nwords(n))
+
+
 def _checked_words(words, shape: tuple, nbits: int) -> np.ndarray:
     """A private copy of words passed to a public constructor, after
     checking the dtype, the shape, and that no bit past nbits is set
@@ -311,11 +319,8 @@ class BitMatrix:
                       symmetric: bool = False) -> "BitMatrix":
         if len(ints) != rows:
             raise ValueError(f"expected {rows} row ints, got {len(ints)}")
-        nb = _nwords(cols) * 8
         mask = (1 << cols) - 1
-        buf = b"".join((v & mask).to_bytes(nb, "little") for v in ints)
-        w = np.frombuffer(buf, dtype=np.uint64).reshape(rows, _nwords(cols))
-        return cls(rows, cols, w, symmetric)
+        return cls(rows, cols, _ints_to_words([v & mask for v in ints], cols), symmetric)
 
     @classmethod
     def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False) -> "BitMatrix":
@@ -384,8 +389,7 @@ class BitMatrix:
         if v.n != self.cols:
             raise ValueError(f"vector length {v.n} != cols {self.cols}")
         if self._game is not None:
-            bits = _chase.apply(*self._game, v.to_array()[None])
-            return BitVector._of(self.rows, _pack_rows(bits[0]))
+            return BitVector.from_int(self.rows, _chase.apply(*self._game, v.to_int()))
         folded = np.bitwise_xor.reduce(self._words & v._words[None, :], axis=1)
         bits = np.bitwise_count(folded).astype(np.uint8) & 1
         return BitVector._of(self.rows, _pack_rows(bits))

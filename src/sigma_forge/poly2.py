@@ -227,19 +227,30 @@ def _power_sum(n: int, exps: Iterable[int]) -> int:
     return f
 
 
+def _path_poly_rows(n: int, f: int) -> list:
+    """The n columns of f(J_n) as n-bit ints, which are also its rows as
+    f(J_n) is symmetric.  Column 0 is f(J) e_0, by Horner's rule on one
+    int (J v adds each bit's two neighbours); then, as e_{c+1} = J e_c +
+    e_{c-1} and f(J) commutes with J, column c + 1 is J col_c + col_{c-1}.
+    Reduce f mod Q_n first, as Q_n(J_n) = 0, to keep the rule short."""
+    mask = (1 << n) - 1
+    col = 0
+    for k in range(f.bit_length() - 1, -1, -1):
+        col = (col << 1 ^ col >> 1) & mask ^ (f >> k & 1)
+    prev, cols = 0, []
+    for _ in range(n):
+        cols.append(col)
+        prev, col = col, (col << 1 ^ col >> 1) & mask ^ prev
+    return cols
+
+
 @lru_cache(maxsize=None)
 def _path_poly(n: int, f: int) -> np.ndarray:
     """Dense read-only f(J_n) for f as an int (bit k the coefficient of
-    X^k), by Horner's rule (J y adds each row's two neighbours); reduce
-    f mod Q_n first, as Q_n(J_n) = 0, to keep the rule short."""
-    y = np.zeros((n, n), dtype=np.uint8)
-    diag = np.arange(n)
-    for k in range(f.bit_length() - 1, -1, -1):
-        jy = np.zeros_like(y)
-        jy[1:] = y[:-1]
-        jy[:-1] ^= y[1:]
-        y = jy
-        if f >> k & 1:
-            y[diag, diag] ^= 1
+    X^k): the rows of :func:`_path_poly_rows`, unpacked."""
+    nbytes = (n + 7) >> 3
+    raw = b"".join(c.to_bytes(nbytes, "little") for c in _path_poly_rows(n, f))
+    y = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), axis=1,
+                      count=n, bitorder="little")
     y.flags.writeable = False
     return y

@@ -7,6 +7,7 @@ or packed-vector code paths it is checking.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sigma_forge import algebra, gf2, poly2
@@ -364,3 +365,23 @@ def test_cayley_hamilton_witness():
             flat_rows.append(BitVector.from_bits(power.to_bit_array().ravel()))
             power = power @ c
         assert gf2.rank(BitMatrix.from_rows(flat_rows, cols=n * n)) == n
+
+
+def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch):
+    """X^e with e = 10^7 is reduced by pow_mod, never written out as a
+    10^7-bit polynomial first: the monomial and the companion power
+    equal the values built from pow_mod(X, e + k, m)."""
+    real = poly2._mod_int
+
+    def bounded(a, b):
+        assert a.bit_length() < 1000, "a huge power reduced bit by bit"
+        return real(a, b)
+    monkeypatch.setattr(poly2, "_mod_int", bounded)
+    e = 10 ** 7
+    qs = QuotientShape.chebyshev([5, 5])
+    m = chebyshev_q(5)
+    want = TensorElement.from_axis_polys(qs, [poly2.pow_mod(poly2.X, e, m), poly2.ONE])
+    assert TensorElement.monomial(qs, [e, 0]) == want
+    algebra._companion_power.cache_clear()
+    columns = [poly2.pow_mod(poly2.X, e + k, m).value for k in range(m.degree)]
+    assert np.array_equal(algebra._companion_power(m, e), algebra._column_bits(m.degree, columns))

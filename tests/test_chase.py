@@ -10,7 +10,8 @@ import pytest
 from sigma_forge import chase, gf2, poly2
 from sigma_forge.algebra import TensorElement
 from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
-                              is_sigma_plus, make_j, parse_shape, quotient_shape, u_element)
+                              is_sigma_plus, make_j, parse_game, parse_shape, quotient_shape,
+                              u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
 
 
@@ -264,13 +265,17 @@ def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
 
 
 def _matrix_free_games(dims):
-    """Every preset, custom games with exponent 2, 5 and 10^7, and a
-    product game with exponents 0, 2 and 3 on dims."""
+    """Every preset, custom games with exponent 2, 5, n_0 + 1 and 10^7,
+    a product game with exponents 0, 2 and 3 on dims, and one with
+    exponents 0 and 2 on every axis, whose factor 1 + X^2 reduces to 0
+    on an axis of length 2."""
     d = len(dims)
     shape = GridShape(dims)
     terms = [{(2,) * d, (0,) * d}, {(5,) + (1,) * (d - 1), (1,) * d},
+             {(dims[0] + 1,) + (2,) * (d - 1), (0,) * d},
              {(10 ** 7,) + (0,) * (d - 1), (1,) * d},
-             set(itertools.product((0, 2), *[(0, 3)] * (d - 1)))]
+             set(itertools.product((0, 2), *[(0, 3)] * (d - 1))),
+             set(itertools.product(*[(0, 2)] * d))]
     return ([GameSpec.preset(name, shape) for name in PRESET_NAMES]
             + [GameSpec(shape, frozenset(t)) for t in terms])
 
@@ -286,7 +291,8 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
     factors, without building the words; both equal a plain copy's."""
     shapes = ([(n,) for n in range(1, 41)] + [(1, 1), (1, 9), (7, 1)]
               + list(itertools.product(range(1, 13, 3), repeat=2))
-              + list(itertools.product((1, 2, 5, 6), repeat=3)))
+              + list(itertools.product((1, 2, 5, 6), repeat=3))
+              + [(2, 2, 2, 2, 2), (1, 3, 2, 1, 2), (3, 2, 1, 2, 3)])
     rng = random.Random(10)
     for dims in shapes:
         for g in _matrix_free_games(dims):
@@ -302,6 +308,69 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
             assert got == [plain.mul_vec(v) for v in vs], f"{g.label()} on {g.shape}"
             assert diagonal == plain.diagonal(), f"{g.label()} on {g.shape}"
             assert sigma_plus == (plain.diagonal() == BitVector.ones(m.cols))
+
+
+def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
+    """For f prime to Q_n, _axis_echelon gives the (pivots, T, W) of one
+    RREF of [U | I] without running it; a singular factor still runs
+    it."""
+    rng = random.Random(14)
+    cases = [(n, f) for n in range(1, 41) for f in (1, 2, 3)]
+    cases += [(n, poly2._mod_int(rng.getrandbits(2 * n), poly2.chebyshev_q(n).value))
+              for n in list(range(1, 70)) + [129, 130, 200] for _ in range(3)]
+    calls = _rref_calls(monkeypatch)
+    invertible = 0
+    for n, f in cases:
+        chase._axis_echelon.cache_clear()
+        calls.clear()
+        pivots, t, w = chase._axis_echelon(n, f)
+        if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is None:
+            assert len(calls) == 1
+            continue
+        invertible += 1
+        assert calls == []
+        e = gf2._Echelon(gf2._pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
+        assert pivots.tolist() == e.pivots == list(range(n))
+        assert t.dtype == np.uint64 and t.tobytes() == np.ascontiguousarray(e.rhs).tobytes()
+        assert np.array_equal(w, BitMatrix.identity(n)._words)
+        assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
+    assert invertible > 200
+
+
+@pytest.mark.parametrize("name,dims,axis,ntargets,ints", [
+    ("sigma+:box", (2, 159), 1, 2, True),      # a 2 x 3 gather index
+    ("sigma+:box", (16, 16), 0, 2, True),      # a 16 x 4 one
+    ("sigma+:box", (17, 17), 0, 2, False),     # a 17 x 4 one
+    ("sigma-:box", (4, 2, 9), 2, 2, True),     # an 8 x 4 one
+    ("sigma-:box", (4, 4, 9), 2, 2, False),    # a 16 x 5 one
+    ("sigma+:box", (5, 5, 12), 2, 2, False),   # a 25 x 6 one
+    ("sigma+:boxtimes", (9, 30), 1, 1, True),  # A = B = I + J_9, so C = I
+    # C = 0: a 60 x 1 gather index; rows of r + T bits
+    ("custom:1,0", (3, 60), 0, 4, True),
+    ("custom:1,0", (3, 60), 0, 5, False),
+])
+def test_a_chase_on_either_side_of_the_int_loop_gives_the_dense_answers(monkeypatch, name, dims,
+                                                                       axis, ntargets, ints):
+    """Small layers run on ints, larger ones on numpy; both give the
+    dense RREF's answers, and the int loop, wherever its rows fit one
+    word, the numpy loop's end bits and layers."""
+    shape = GridShape(dims)
+    g = parse_game(name, shape)
+    rng = random.Random(15)
+    targets = [BitVector.ones(shape.total)] + [
+        BitVector.from_int(shape.total, rng.getrandbits(shape.total)) for _ in range(ntargets - 1)]
+    c, _ = chase._chase_on(dims, tuple(sorted(g.terms)), axis)
+    assert (c.gather is not None and c.gather.size <= chase._INT_GATHER_MAX
+            and c.r + ntargets <= 64) == ints
+    assert _chased_answers(g, targets, axis) == _dense_answers(g, targets)
+    tbits = np.stack([t.to_array() for t in targets])
+    runs = [c.run(tbits)]
+    if c.gather is not None and c.r + ntargets <= 64:
+        runs.append(c._run_ints(tbits))
+    monkeypatch.setattr(chase, "_INT_GATHER_MAX", 0)
+    end, layers = c.run(tbits)
+    for got in runs:
+        assert np.array_equal(got[0], end) and got[1].tobytes() == layers.tobytes()
 
 
 _BENCH_BOARDS = [("sigma-:boxtimes", "49x49"), ("sigma+:boxtimes", "50x50"),

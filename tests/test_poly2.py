@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,3 +176,31 @@ def test_bad_string_rejected():
 def test_pow_mod():
     assert poly2.pow_mod(X, 5, chebyshev_q(3)) == Poly2(0)  # X^5 mod X^3
     assert poly2.pow_mod(X, 3, P("X^2+1")) == X
+
+
+def _dense_path_poly(n, f):
+    """f(J_n) by Horner's rule on dense n x n arrays: J y adds each row's
+    two neighbours."""
+    y = np.zeros((n, n), dtype=np.uint8)
+    for k in range(f.bit_length() - 1, -1, -1):
+        jy = np.zeros_like(y)
+        jy[1:] = y[:-1]
+        jy[:-1] ^= y[1:]
+        y = jy
+        if f >> k & 1:
+            y[np.arange(n), np.arange(n)] ^= 1
+    return y
+
+
+def test_path_poly_equals_dense_horner():
+    """Unreduced f of degree up to 2n as well as reduced ones; the result
+    is a read-only, C-contiguous uint8 array."""
+    rng = random.Random(13)
+    for n in list(range(1, 70)) + [129, 200, 257]:
+        fs = [0, 1, X.value, (ONE + X).value] + [rng.getrandbits(rng.randint(1, 2 * n + 1))
+                                               for _ in range(3)]
+        for f in fs:
+            got = poly2._path_poly.__wrapped__(n, f)
+            assert got.dtype == np.uint8 and got.shape == (n, n)
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert np.array_equal(got, _dense_path_poly(n, f)), (n, f)

@@ -94,19 +94,23 @@ def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
             return real(words, ncols)
         monkeypatch.setattr(gf2, path, counted)
     # the routine follows the system eliminated: 4x6 whole, the chased
-    # boards' end systems of 12 and 169 cells, and sigma+:boxtimes's
-    # one axis factor (I + J, 12 or 13 columns, shared by every axis)
-    for name in game.PRESET_NAMES:
-        for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref_ints"),
-                           ((13, 13, 13), "_rref")):
-            g = preset(name, *dims)
-            if name == "sigma+:boxtimes" and g.shape.total >= 64:
-                path = "_rref_ints"
-            calls.clear()
-            achievable(g, all_on(g.shape), "all-on")
-            gf2.kernel_basis(adjacency_matrix(g))
-            symmetric_achievability(g)
-            assert calls == [path]
+    # boards' end systems of 12 and 169 cells; sigma+:boxtimes's one axis
+    # factor I + J, shared by every axis, is invertible on 12 and 13
+    # columns and needs no RREF, and singular on 11 (11 = 2 mod 3), where
+    # it is eliminated on int rows
+    boards = [(name, dims, [path]) for name in game.PRESET_NAMES
+              for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref_ints"),
+                                 ((13, 13, 13), "_rref"))]
+    boards.append(("sigma+:boxtimes", (11, 11), ["_rref_ints"]))
+    for name, dims, want in boards:
+        g = preset(name, *dims)
+        if name == "sigma+:boxtimes" and dims in ((12, 12), (13, 13, 13)):
+            want = []
+        calls.clear()
+        achievable(g, all_on(g.shape), "all-on")
+        gf2.kernel_basis(adjacency_matrix(g))
+        symmetric_achievability(g)
+        assert calls == want, (name, dims)
 
 
 def test_vaillant_3x3_unachievable():
