@@ -4,11 +4,14 @@ chasing).
 
 A game whose term set is a product E_1 x ... x E_d of d >= 2 axes has
 the matrix M = U_1 (x) ... (x) U_d, U_i = f_i(J) with f_i the sum of
-X^e over E_i (reduced mod Q_{n_i}).  One RREF of [U_i | I] per axis
-gives its pivots P_i, the T_i with T_i U_i = R_i in RREF, and the
-canonical kernel of U_i; an invertible U_i (f_i prime to Q_{n_i}) needs
-none, as its RREF is I: P_i is every column and T_i = U_i^-1 = g_i(J)
-for the inverse g_i of f_i mod Q_{n_i}.  As (T_1 (x) ... (x) T_d) M =
+X^e over E_i (reduced mod Q_{n_i}).  Per axis, its pivots P_i, an
+invertible T_i with T_i U_i = R_i in RREF, and the canonical kernel of
+U_i: an invertible U_i (f_i prime to Q_{n_i}) needs no elimination, as
+its RREF is I: P_i is every column and T_i = U_i^-1 = g_i(J) for the
+inverse g_i of f_i mod Q_{n_i}; a singular one is eliminated on int
+rows, each row reduced by its lowest set bit, which costs a few XORs a
+row on a banded U_i such as I + J.  T_i is then not unique, but any
+invertible T_i with T_i U_i = R_i gives the same answers.  As (T_1 (x) ... (x) T_d) M =
 R_1 (x) ... (x) R_d, M x = t holds iff (R_1 (x) ... (x) R_d) x = t' =
 (T_1 (x) ... (x) T_d) t, applied as d mode products on the grid: t is
 consistent iff t' vanishes outside the leading rank_1 x ... x rank_d
@@ -414,35 +417,68 @@ def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
     return np.moveaxis(_unpack_words_2d(product, cols).reshape(moved.shape), 0, axis + 1)
 
 
+def _echelon_ints(rows: Sequence[int], n: int):
+    """(pivots, T, W) of the n x n matrix U whose rows are the n-bit
+    ints ``rows``, as lists of ints (see :func:`_axis_echelon`).  Row i
+    carries the tag bit n + i, so the tags the rows end with are the rows
+    of T.  Each row is reduced by its lowest set bit against the
+    rows kept so far, and kept when it stays nonzero, else it is a row
+    of the left kernel; then, from the top pivot down, each kept row is
+    cleared on the pivots above its own.  Every step is a row operation,
+    so T is invertible, T U is the RREF of U with its zero rows last, and
+    on a banded U such as I + J each row takes a few XORs, where a
+    column-by-column RREF tests all n rows per column."""
+    low = (1 << n) - 1
+    kept, left = {}, []
+    for i, u in enumerate(rows):
+        v = u | 1 << (n + i)
+        while v & low:
+            c = (v & -v).bit_length() - 1
+            p = kept.get(c)
+            if p is None:
+                kept[c] = v
+                break
+            v ^= p
+        else:
+            left.append(v >> n)
+    pivots = sorted(kept)
+    pivot_bits = sum(1 << p for p in pivots)
+    free_bits = low ^ pivot_bits
+    w = [0] * n
+    for p in reversed(pivots):
+        # a kept row has no bit below its pivot
+        v = kept[p]
+        above = v & pivot_bits ^ 1 << p
+        while above:
+            v ^= kept[(above & -above).bit_length() - 1]
+            above &= above - 1
+        kept[p] = v
+        # W[c] of a free c: the pivots p whose reduced row has bit c
+        w[p] = 1 << p
+        fb = v & free_bits
+        while fb:
+            w[(fb & -fb).bit_length() - 1] |= 1 << p
+            fb &= fb - 1
+    return pivots, [kept[p] >> n for p in pivots] + left, w
+
+
 @lru_cache(maxsize=64)
 def _axis_echelon(n: int, f: int):
     """(pivots, T, W) of U = f(J_n); T and W are packed n x n, and all
-    three are read-only, as boards that share an axis share them.  T U is
-    the RREF of U, row c of W is the pivot part of the canonical kernel
-    vector of free column c, and W[p] = e_p for a pivot p.  When f has an
-    inverse g mod Q_n, U is invertible and needs no RREF: its pivots are
-    0 .. n - 1, T = U^-1 = g(J_n) and W = I.  Else one RREF of [U | I]
-    gives them."""
+    three are read-only, as boards that share an axis share them.  T is
+    invertible and T U is the RREF of U, row c of W is the pivot part of
+    the canonical kernel vector of free column c, and W[p] = e_p for a
+    pivot p.  When f has an inverse g mod Q_n, U is invertible and needs
+    no elimination: its pivots are 0 .. n - 1, T = U^-1 = g(J_n) and
+    W = I.  Else :func:`_echelon_ints` eliminates U on int rows."""
     g = _inverse_mod(f, poly2.chebyshev_q(n).value)
     if g is not None:
-        pivots = np.arange(n)
-        t = _ints_to_words(poly2._path_poly_rows(n, g), n)
-        kernel = np.zeros((0, _nwords(n)), dtype=np.uint64)
+        pivots, t, w = range(n), poly2._path_poly_rows(n, g), [1 << c for c in range(n)]
     else:
-        e = _Echelon(_pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
-        pivots = np.asarray(e.pivots, dtype=np.intp)
-        t = np.ascontiguousarray(e.rhs)
-        kernel = e.kernel()
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    w = np.zeros((n, _nwords(n)), dtype=np.uint64)
-    w[pivots, pivots >> 6] = np.uint64(1) << (pivots & 63).astype(np.uint64)
-    w[free] = kernel
-    w[free, free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
-    for a in (pivots, t, w):
-        a.flags.writeable = False
-    return pivots, t, w
+        pivots, t, w = _echelon_ints(poly2._path_poly_rows(n, f), n)
+    pivots = np.asarray(pivots, dtype=np.intp)
+    pivots.flags.writeable = False
+    return pivots, _ints_to_words(t, n), _ints_to_words(w, n)
 
 
 class _Product:

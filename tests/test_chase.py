@@ -312,8 +312,7 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
 
 def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
     """For f prime to Q_n, _axis_echelon gives the (pivots, T, W) of one
-    RREF of [U | I] without running it; a singular factor still runs
-    it."""
+    RREF of [U | I] without running it; no factor runs an RREF."""
     rng = random.Random(14)
     cases = [(n, f) for n in range(1, 41) for f in (1, 2, 3)]
     cases += [(n, poly2._mod_int(rng.getrandbits(2 * n), poly2.chebyshev_q(n).value))
@@ -324,17 +323,51 @@ def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
         chase._axis_echelon.cache_clear()
         calls.clear()
         pivots, t, w = chase._axis_echelon(n, f)
+        assert calls == []
         if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is None:
-            assert len(calls) == 1
             continue
         invertible += 1
-        assert calls == []
         e = gf2._Echelon(gf2._pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
         assert pivots.tolist() == e.pivots == list(range(n))
         assert t.dtype == np.uint64 and t.tobytes() == np.ascontiguousarray(e.rhs).tobytes()
         assert np.array_equal(w, BitMatrix.identity(n)._words)
         assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
     assert invertible > 200
+
+
+def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_matrices):
+    """For f not prime to Q_n, _axis_echelon runs no RREF and agrees with
+    one RREF of [U | I]: the same pivots, the pivot parts of the same
+    canonical kernel vectors, and an invertible T (not unique when U is
+    singular) with T U equal to the reduced rows."""
+    rng = random.Random(15)
+    cases = [(n, f) for n in range(1, 90) for f in (0, 2, 3, 5, 7)]
+    cases += [(n, poly2._mod_int(rng.getrandbits(2 * n), poly2.chebyshev_q(n).value))
+              for n in list(range(1, 70)) + [113, 128, 129, 137, 200] for _ in range(4)]
+    calls = _rref_calls(monkeypatch)
+    singular = 0
+    for n, f in cases:
+        if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is not None:
+            continue
+        singular += 1
+        chase._axis_echelon.cache_clear()
+        calls.clear()
+        pivots, t, w = chase._axis_echelon(n, f)
+        assert calls == []
+        u = poly2._path_poly(n, f)
+        e = gf2._Echelon(gf2._pack_rows(u), n, np.eye(n, dtype=np.uint8))
+        assert pivots.tolist() == e.pivots, (n, f)
+        free = np.setdiff1d(np.arange(n), pivots)
+        kernel = gf2._unpack_words_2d(e.kernel(), n)
+        kernel[np.arange(free.size), free] = 0
+        wbits = gf2._unpack_words_2d(w, n)
+        assert np.array_equal(wbits[free], kernel), (n, f)
+        assert np.array_equal(wbits[pivots], np.eye(n, dtype=np.uint8)[pivots])
+        tbits = gf2._unpack_words_2d(t, n)
+        assert np.array_equal(tbits.astype(np.int64) @ u & 1, gf2._unpack_words_2d(e.rows, n))
+        assert gf2.rank(BitMatrix.from_rows(tbits)) == n
+        assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
+    assert singular > 150
 
 
 @pytest.mark.parametrize("name,dims,axis,ntargets,ints", [
@@ -467,12 +500,16 @@ def test_a_chased_board_runs_no_rref_as_wide_as_the_board(monkeypatch, fresh_mat
 
 
 def test_a_product_board_eliminates_only_its_axis_factor(monkeypatch, fresh_matrices):
-    """50x50 sigma+:boxtimes: both axes share I + J_50, eliminated once
-    on int rows; no RREF spans the board."""
+    """50x50 sigma+:boxtimes: both axes share the singular I + J_50,
+    eliminated once on int rows by _axis_echelon; no RREF runs."""
     g = GameSpec.preset("sigma+:boxtimes", GridShape((50, 50)))
     calls = _rref_calls(monkeypatch)
+    eliminated = []
+    real = chase._echelon_ints
+    monkeypatch.setattr(chase, "_echelon_ints",
+                        lambda rows, n: eliminated.append(n) or real(rows, n))
     assert _solve_all(g)[0] is not None
-    assert calls == [("_rref_ints", 50)]
+    assert calls == [] and eliminated == [50]
 
 
 def test_a_small_end_system_runs_on_int_rows(monkeypatch, fresh_matrices):

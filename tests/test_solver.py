@@ -95,13 +95,13 @@ def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
         monkeypatch.setattr(gf2, path, counted)
     # the routine follows the system eliminated: 4x6 whole, the chased
     # boards' end systems of 12 and 169 cells; sigma+:boxtimes's one axis
-    # factor I + J, shared by every axis, is invertible on 12 and 13
-    # columns and needs no RREF, and singular on 11 (11 = 2 mod 3), where
-    # it is eliminated on int rows
+    # factor I + J, shared by every axis, runs no RREF: it is invertible
+    # on 12 and 13 columns, and singular on 11 (11 = 2 mod 3), where
+    # _axis_echelon eliminates it on int rows itself
     boards = [(name, dims, [path]) for name in game.PRESET_NAMES
               for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref_ints"),
                                  ((13, 13, 13), "_rref"))]
-    boards.append(("sigma+:boxtimes", (11, 11), ["_rref_ints"]))
+    boards.append(("sigma+:boxtimes", (11, 11), []))
     for name, dims, want in boards:
         g = preset(name, *dims)
         if name == "sigma+:boxtimes" and dims in ((12, 12), (13, 13, 13)):
