@@ -7,24 +7,23 @@ symmetry (symmetric subspaces, central configuration, fold maps),
 solver (achievability, predicates, oracles, sweeps), cli.
 """
 from .algebra import QuotientShape, TensorElement, divides, mult_operator, phi, phi_inverse, tensor_mul
-from .game import GameSpec, GridShape, adjacency_matrix, check_commutes, is_sigma_plus, make_j, parse_game, parse_shape, u_element
-from .gf2 import BitMatrix, BitVector, kernel_basis, kronecker, rank, solve
+from .game import GameSpec, GridShape, adjacency_matrix, is_sigma_plus, parse_game, parse_shape, u_element
+from .gf2 import BitMatrix, BitVector, kernel_basis, rank, solve
 from .poly2 import Poly2, chebyshev_q, two_valuation, val_x
 from .solver import (AchievabilityReport, PredicateVerdict, achievable, all_on,
-                     brute_force_oracle, principal_predicate, sutner_check,
-                     sweep, symmetric_achievability)
-from .symmetry import SymmetricSubspace, c_map, central_configuration, s_map, symmetric_basis, tensor_fold
+                     brute_force_oracle, principal_predicate, sweep,
+                     symmetric_achievability)
+from .symmetry import SymmetricSubspace, central_configuration, symmetric_basis
 
 __all__ = [
     "BitMatrix", "BitVector", "GameSpec", "GridShape", "Poly2",
     "QuotientShape", "SymmetricSubspace", "TensorElement",
     "AchievabilityReport", "PredicateVerdict",
-    "achievable", "adjacency_matrix", "all_on", "brute_force_oracle", "c_map",
-    "central_configuration", "chebyshev_q", "check_commutes", "divides",
-    "is_sigma_plus", "kernel_basis", "kronecker", "make_j",
-    "mult_operator", "parse_game", "parse_shape", "phi", "phi_inverse",
-    "principal_predicate", "rank", "s_map", "solve", "sutner_check",
-    "sweep", "symmetric_achievability", "symmetric_basis", "tensor_fold",
+    "achievable", "adjacency_matrix", "all_on", "brute_force_oracle",
+    "central_configuration", "chebyshev_q", "divides",
+    "is_sigma_plus", "kernel_basis", "mult_operator", "parse_game",
+    "parse_shape", "phi", "phi_inverse", "principal_predicate", "rank",
+    "solve", "sweep", "symmetric_achievability", "symmetric_basis",
     "tensor_mul", "two_valuation", "u_element", "val_x",
 ]
 

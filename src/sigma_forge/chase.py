@@ -9,9 +9,10 @@ invertible T_i with T_i U_i = R_i in RREF, and the canonical kernel of
 U_i: an invertible U_i (f_i prime to Q_{n_i}) needs no elimination, as
 its RREF is I: P_i is every column and T_i = U_i^-1 = g_i(J) for the
 inverse g_i of f_i mod Q_{n_i}; a singular one is eliminated on int
-rows, each row reduced by its lowest set bit, which costs a few XORs a
-row on a banded U_i such as I + J.  T_i is then not unique, but any
-invertible T_i with T_i U_i = R_i gives the same answers.  As (T_1 (x) ... (x) T_d) M =
+rows (:func:`.gf2._echelon_rows`), each row reduced by its lowest set
+bit, which costs a few XORs a row on a banded U_i such as I + J.  T_i
+is then not unique, but any invertible T_i with T_i U_i = R_i gives the
+same answers.  As (T_1 (x) ... (x) T_d) M =
 R_1 (x) ... (x) R_d, M x = t holds iff (R_1 (x) ... (x) R_d) x = t' =
 (T_1 (x) ... (x) T_d) t, applied as d mode products on the grid: t is
 consistent iff t' vanishes outside the leading rank_1 x ... x rank_d
@@ -57,7 +58,8 @@ kernel basis and solution byte for byte.  On any other axis the lifted
 kernel is put in the same canonical form by one RREF with its columns
 reversed (free columns are the highest set bits), and the solution's
 free coordinates are cleared with it.  Each RREF picks its routine by
-its own size (:func:`.gf2._rref_any`), the end system's by r.
+its own size (:func:`.gf2._rref_any`), the end system's by r; both
+routines give the same pivots and reduced matrix columns.
 
 A and C are Kronecker sums of polynomials in the path matrices J.  The
 chase needs A to be a product of per-axis factors a_i(J); it is
@@ -101,8 +103,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, _Echelon, _ints_to_words, _kron_sum, _kron_vec, _nwords,
-                  _pack_rows, _product, _rref_any, _unpack_words, _unpack_words_2d)
+from .gf2 import (_STAGE_WORDS, _Echelon, _echelon_rows, _ints_to_words, _kron_sum, _kron_vec,
+                  _nwords, _pack_rows, _product, _rref_any, _unpack_words, _unpack_words_2d)
 
 _log = logging.getLogger(__name__)
 
@@ -398,13 +400,21 @@ def diagonal(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
     """The packed diagonal of the game matrix, from :func:`kron_factors`:
     that of a Kronecker product is the Kronecker product of the factors'
     diagonals, and f(J) has the constant diagonal f(0) when f has degree
-    1 or less, as J has a zero one."""
+    1 or less, as J has a zero one; else it is read off f(J)'s rows."""
     out = np.zeros(_nwords(math.prod(dims)), dtype=np.uint64)
     for factors in kron_factors(dims, terms):
         out ^= _kron_vec([np.full(n, f & 1, dtype=np.uint8) if f < 4
-                          else np.diagonal(poly2._path_poly(n, f))
+                          else _poly_diagonal(n, f)
                           for n, f in zip(dims, factors)])._words
     return out
+
+
+def _poly_diagonal(n: int, f: int) -> np.ndarray:
+    """The diagonal of f(J_n) as 0/1 bytes: bit c of row c of
+    :func:`.poly2._path_poly_rows`, with no dense f(J_n) built or
+    cached."""
+    return np.fromiter((row >> c & 1 for c, row in enumerate(poly2._path_poly_rows(n, f))),
+                       dtype=np.uint8, count=n)
 
 
 def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
@@ -417,51 +427,6 @@ def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
     return np.moveaxis(_unpack_words_2d(product, cols).reshape(moved.shape), 0, axis + 1)
 
 
-def _echelon_ints(rows: Sequence[int], n: int):
-    """(pivots, T, W) of the n x n matrix U whose rows are the n-bit
-    ints ``rows``, as lists of ints (see :func:`_axis_echelon`).  Row i
-    carries the tag bit n + i, so the tags the rows end with are the rows
-    of T.  Each row is reduced by its lowest set bit against the
-    rows kept so far, and kept when it stays nonzero, else it is a row
-    of the left kernel; then, from the top pivot down, each kept row is
-    cleared on the pivots above its own.  Every step is a row operation,
-    so T is invertible, T U is the RREF of U with its zero rows last, and
-    on a banded U such as I + J each row takes a few XORs, where a
-    column-by-column RREF tests all n rows per column."""
-    low = (1 << n) - 1
-    kept, left = {}, []
-    for i, u in enumerate(rows):
-        v = u | 1 << (n + i)
-        while v & low:
-            c = (v & -v).bit_length() - 1
-            p = kept.get(c)
-            if p is None:
-                kept[c] = v
-                break
-            v ^= p
-        else:
-            left.append(v >> n)
-    pivots = sorted(kept)
-    pivot_bits = sum(1 << p for p in pivots)
-    free_bits = low ^ pivot_bits
-    w = [0] * n
-    for p in reversed(pivots):
-        # a kept row has no bit below its pivot
-        v = kept[p]
-        above = v & pivot_bits ^ 1 << p
-        while above:
-            v ^= kept[(above & -above).bit_length() - 1]
-            above &= above - 1
-        kept[p] = v
-        # W[c] of a free c: the pivots p whose reduced row has bit c
-        w[p] = 1 << p
-        fb = v & free_bits
-        while fb:
-            w[(fb & -fb).bit_length() - 1] |= 1 << p
-            fb &= fb - 1
-    return pivots, [kept[p] >> n for p in pivots] + left, w
-
-
 @lru_cache(maxsize=64)
 def _axis_echelon(n: int, f: int):
     """(pivots, T, W) of U = f(J_n); T and W are packed n x n, and all
@@ -470,12 +435,24 @@ def _axis_echelon(n: int, f: int):
     the canonical kernel vector of free column c, and W[p] = e_p for a
     pivot p.  When f has an inverse g mod Q_n, U is invertible and needs
     no elimination: its pivots are 0 .. n - 1, T = U^-1 = g(J_n) and
-    W = I.  Else :func:`_echelon_ints` eliminates U on int rows."""
+    W = I.  Else :func:`.gf2._echelon_rows` eliminates U on int rows,
+    row i tagged with bit n + i, so the tags the rows end with are the
+    rows of T; every step is a row operation, so T is invertible."""
     g = _inverse_mod(f, poly2.chebyshev_q(n).value)
     if g is not None:
         pivots, t, w = range(n), poly2._path_poly_rows(n, g), [1 << c for c in range(n)]
     else:
-        pivots, t, w = _echelon_ints(poly2._path_poly_rows(n, f), n)
+        rows = poly2._path_poly_rows(n, f)
+        pivots, rows = _echelon_rows((u | 1 << (n + i) for i, u in enumerate(rows)), n)
+        t = [v >> n for v in rows]
+        # W[c] of a free c: the pivots p whose reduced row has bit c
+        w = [0] * n
+        for p, v in zip(pivots, rows):
+            w[p] = 1 << p
+            free = v & ((1 << n) - 1) ^ 1 << p
+            while free:
+                w[(free & -free).bit_length() - 1] |= 1 << p
+                free &= free - 1
     pivots = np.asarray(pivots, dtype=np.intp)
     pivots.flags.writeable = False
     return pivots, _ints_to_words(t, n), _ints_to_words(w, n)

@@ -19,12 +19,12 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple
 
 from . import gf2
 from .algebra import QuotientShape, TensorElement, _axis_bits
 from .gf2 import BitMatrix, BitVector
-from .poly2 import X, Poly2, _path_poly, _power_sum, chebyshev_q
+from .poly2 import Poly2, _power_sum, chebyshev_q
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -135,13 +135,6 @@ def parse_game(text: str, shape: GridShape) -> GameSpec:
     raise ValueError(f"bad game {text!r}; expected a preset or 'custom:...'")
 
 
-def make_j(n: int) -> BitMatrix:
-    """Path adjacency matrix: ones directly above and below the diagonal."""
-    if n < 1:
-        raise ValueError(f"make_j needs n >= 1, got {n}")
-    return BitMatrix._from_bit_array(_path_poly(n, X.value), symmetric=True)
-
-
 @lru_cache(maxsize=512)
 def adjacency_matrix(g: GameSpec) -> BitMatrix:
     """Sum over terms of Kronecker products of path-matrix powers
@@ -189,24 +182,3 @@ def _monomial_bits(n: int, e: int):
     bits = _axis_bits(Poly2(_power_sum(n, [e])), chebyshev_q(n))
     bits.flags.writeable = False
     return bits
-
-
-def check_commutes(target: Union[GameSpec, BitMatrix],
-                   shape: Optional[GridShape] = None) -> bool:
-    """Whether the matrix commutes with every elementary axis game.
-
-    Structurally true for GameSpec-built matrices; the matrix form exists
-    for externally loaded matrices.
-    """
-    if isinstance(target, GameSpec):
-        m = adjacency_matrix(target)
-        shape = target.shape
-    else:
-        m = target
-        if shape is None:
-            raise ValueError("a raw matrix needs an explicit grid shape")
-        if m.rows != shape.total or m.cols != shape.total:
-            raise ValueError(f"matrix is {m.rows}x{m.cols}, shape wants {shape.total}")
-    units = preset_terms("sigma-:box", shape.d)
-    return all(m @ e == e @ m
-               for e in (adjacency_matrix(GameSpec(shape, frozenset([t]))) for t in units))

@@ -28,9 +28,8 @@ Every other matrix is eliminated whole.  Each system, whole, an axis
 factor or a chase's end system, is eliminated 8 columns at a time by
 the Method of Four Russians above 128 rows or columns and on Python-int
 rows below, by its own size (:func:`_rref_any`); both give the same
-RREF.  Matrix products go
-through Four Russians tables as well (:func:`_product`, shared with the
-chase).
+pivots and reduced matrix columns.  Matrix products go through Four
+Russians tables as well (:func:`_product`, shared with the chase).
 
 The first elimination that extracts a matrix's kernel stores the packed
 basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
@@ -86,6 +85,13 @@ def _ints_to_words(ints: Sequence[int], n: int) -> np.ndarray:
     nb = _nwords(n) * 8
     raw = b"".join(v.to_bytes(nb, "little") for v in ints)
     return np.frombuffer(raw, dtype=np.uint64).reshape(len(ints), _nwords(n))
+
+
+def _words_to_ints(words: np.ndarray) -> list:
+    """Packed (rows, words) uint64 rows, one int per row."""
+    nb = words.shape[1] * 8
+    raw = words.tobytes()
+    return [int.from_bytes(raw[i * nb: (i + 1) * nb], "little") for i in range(words.shape[0])]
 
 
 def _checked_words(words, shape: tuple, nbits: int) -> np.ndarray:
@@ -338,9 +344,7 @@ class BitMatrix:
         return BitVector._of(self.cols, self._words[i].copy())
 
     def row_ints(self) -> list:
-        nb = self._words.shape[1] * 8
-        raw = self._words.tobytes()
-        return [int.from_bytes(raw[i * nb: (i + 1) * nb], "little") for i in range(self.rows)]
+        return _words_to_ints(self._words)
 
     def to_bit_array(self) -> np.ndarray:
         """Dense uint8 0/1 matrix (a copy)."""
@@ -399,23 +403,6 @@ class BitMatrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return BitMatrix._of(self.rows, other.cols, _product(self._words, self.cols, other._words))
 
-    def pow(self, e: int) -> "BitMatrix":
-        if self.rows != self.cols:
-            raise ValueError("matrix power needs a square matrix")
-        if e < 0:
-            raise ValueError("negative matrix power")
-        result = BitMatrix.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base if e > 1 else base
-            e >>= 1
-        # powers of a symmetric matrix stay symmetric
-        if self.symmetric:
-            result = BitMatrix._of(result.rows, result.cols, result._words, symmetric=True)
-        return result
-
 
 # ----------------------------------------------------------------------
 # Elimination core
@@ -460,7 +447,7 @@ class Elimination:
     eliminated, m, an axis factor or the end system (:func:`_rref_any`):
     Python-int rows up to ``_INT_PATH_MAX`` rows and columns, the
     blocked Four Russians path (:func:`_rref`, 8 columns per table XOR)
-    above; both give bit-identical RREFs.
+    above; both give the same pivots and reduced matrix columns.
     """
 
     __slots__ = ("m", "targets", "rank", "_solutions", "_echelon")
@@ -732,36 +719,51 @@ def _rref(words: np.ndarray, ncols: int) -> list:
 
 
 def _rref_ints(words: np.ndarray, ncols: int) -> list:
-    """The same elimination as :func:`_rref` with each row as one int."""
-    nrows = words.shape[0]
-    nbytes = words.shape[1] * 8
-    raw = words.tobytes()
-    rows = [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        mask = 1 << col
-        p = -1
-        for r in range(row, nrows):
-            if rows[r] & mask:
-                p = r
-                break
-        if p < 0:
-            continue
-        if p != row:
-            rows[row], rows[p] = rows[p], rows[row]
-        pr = rows[row]
-        for r in range(nrows):
-            if rows[r] & mask and r != row:
-                rows[r] ^= pr
-        pivots.append(col)
-        row += 1
-    raw = b"".join(v.to_bytes(nbytes, "little") for v in rows)
-    words[:] = np.frombuffer(raw, dtype=np.uint64).reshape(words.shape)
+    """:func:`_echelon_rows` on packed rows, in place; returns the pivot
+    columns."""
+    pivots, rows = _echelon_rows(_words_to_ints(words), ncols)
+    words[:] = _ints_to_words(rows, words.shape[1] * _WORD)
     return pivots
+
+
+def _echelon_rows(rows: Iterable[int], ncols: int):
+    """(pivots, rows): the RREF of the first ``ncols`` bits of int rows.
+    The reduced pivot rows come in pivot order, then the rows that vanish
+    on the first ``ncols`` bits; bits past ``ncols`` get the same row
+    operations, so a row tagged there records its combination.
+
+    Each row is reduced by its lowest set bit against the rows kept so
+    far, and kept when it stays nonzero; then, from the top pivot down,
+    each kept row is cleared on the pivots above its own.  On a banded
+    system such as I + J each row takes a few XORs, where a column by
+    column RREF tests every row per column.  The pivots and the reduced
+    first ``ncols`` bits are the RREF's, which is unique; the bits past
+    ``ncols`` may differ from a column by column RREF's by rows of the
+    left kernel, which changes no consistency test and no solution with
+    free variables zero."""
+    low = (1 << ncols) - 1
+    kept, left = {}, []
+    for v in rows:
+        while v & low:
+            c = (v & -v).bit_length() - 1
+            p = kept.get(c)
+            if p is None:
+                kept[c] = v
+                break
+            v ^= p
+        else:
+            left.append(v)
+    pivots = sorted(kept)
+    pivot_bits = sum(1 << p for p in pivots)
+    for p in reversed(pivots):
+        # a kept row has no bit below its pivot
+        v = kept[p]
+        above = v & pivot_bits ^ 1 << p
+        while above:
+            v ^= kept[(above & -above).bit_length() - 1]
+            above &= above - 1
+        kept[p] = v
+    return pivots, [kept[p] for p in pivots] + left
 
 
 def _kernel_of(m: BitMatrix) -> np.ndarray:
@@ -816,12 +818,6 @@ def in_image_many(m: BitMatrix, targets: Sequence[BitVector]) -> list:
     """Whether each target lies in the column space of m, with a single
     elimination."""
     return Elimination(m, targets).consistent()
-
-
-def kronecker(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Kronecker product: (a (x) b)[i*br+k][j*bc+l] = a[i][j] b[k][l]."""
-    return _kron_sum([(a.to_bit_array(), b.to_bit_array())], a.rows * b.rows,
-                     a.cols * b.cols, symmetric=a.symmetric and b.symmetric)
 
 
 # bytes of one dense 0/1 build: boards of up to 32,768 cells

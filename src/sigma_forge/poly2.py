@@ -65,15 +65,6 @@ class Poly2:
         self._v = value
 
     @classmethod
-    def from_coeffs(cls, coeffs) -> "Poly2":
-        """Coefficient sequence, index k = coefficient of X^k."""
-        v = 0
-        for k, c in enumerate(coeffs):
-            if c & 1:
-                v |= 1 << k
-        return cls(v)
-
-    @classmethod
     def x_power(cls, k: int) -> "Poly2":
         if k < 0:
             raise ValueError("negative exponent")

@@ -182,16 +182,7 @@ def closed_form_value(g: GameSpec) -> Optional[bool]:
     return None
 
 
-def sutner_check(g: GameSpec) -> bool:
-    """All-on achievability for a sigma-plus game (always true)."""
-    if not is_sigma_plus(g):
-        raise ValueError("sutner_check needs a sigma-plus game (all-ones diagonal)")
-    return achievable(g, all_on(g.shape), "all-on").achievable
-
-
-def _oracle_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
+def _oracle_cap() -> int:
     env = os.environ.get(ORACLE_CAP_ENV)
     if not env:
         return DEFAULT_ORACLE_CAP
@@ -201,10 +192,10 @@ def _oracle_cap(cap: Optional[int]) -> int:
     return int(env)
 
 
-def _check_oracle_size(shape: GridShape, cap: Optional[int] = None) -> None:
+def _check_oracle_size(shape: GridShape) -> None:
     """ValueError when a board has more cells than the brute-force cap
-    (``cap``, else :data:`ORACLE_CAP_ENV`, else the default)."""
-    limit = _oracle_cap(cap)
+    (:data:`ORACLE_CAP_ENV`, else the default)."""
+    limit = _oracle_cap()
     if shape.total > limit:
         raise ValueError(f"shape {shape} too large for brute force "
                          f"(total {shape.total} > cap {limit})")
@@ -216,11 +207,10 @@ def _push_columns(g: GameSpec) -> list:
     return cols.row_ints()
 
 
-def brute_force_oracle(g: GameSpec, target: BitVector,
-                       cap: Optional[int] = None) -> bool:
+def brute_force_oracle(g: GameSpec, target: BitVector) -> bool:
     """Exhaustive search over all push subsets, Gray-code order."""
     total = g.shape.total
-    _check_oracle_size(g.shape, cap)
+    _check_oracle_size(g.shape)
     if target.n != total:
         raise ValueError(f"target length {target.n} != grid size {total}")
     t = target.to_int()
@@ -235,10 +225,10 @@ def brute_force_oracle(g: GameSpec, target: BitVector,
     return False
 
 
-def brute_force_image(g: GameSpec, cap: Optional[int] = None) -> frozenset:
+def brute_force_image(g: GameSpec) -> frozenset:
     """All reachable configurations (as ints), by the same enumeration."""
     total = g.shape.total
-    _check_oracle_size(g.shape, cap)
+    _check_oracle_size(g.shape)
     cols = _push_columns(g)
     seen = {0}
     cur = 0

@@ -7,20 +7,18 @@ configuration is the indicator of the 1 / 2 / 4 / ... central cells,
 defined algebraically from per-axis Chebyshev elements and mapped to
 the grid by phi.
 
-The fold maps: S halves an axis by adding coordinate i to coordinate
-n+1-i (for odd n the middle coordinate rides along as the last entry),
-and c collapses an axis to the parity of its entries.  The rows of
-F = S (x) ... (x) S are exactly the orbit indicators, so F v lists the
-parities of v on the orbits.  The game matrix M is symmetric, so
-Im M = (Ker M)^perp, and every symmetric configuration is reachable iff
-F k = 0 for every kernel vector k.
+The fold map S halves an axis by adding coordinate i to coordinate
+n+1-i (for odd n the middle coordinate rides along as the last entry).
+The rows of F = S (x) ... (x) S are exactly the orbit indicators, so
+F v lists the parities of v on the orbits.  The game matrix M is
+symmetric, so Im M = (Ker M)^perp, and every symmetric configuration is
+reachable iff F k = 0 for every kernel vector k.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -65,26 +63,15 @@ def orbit_indicator(shape: GridShape, i: int) -> BitVector:
 def orbit_parities(bits: np.ndarray, shape: GridShape) -> np.ndarray:
     """F applied to every row of a (k, total) uint8 0/1 array: entry
     (j, i) is the parity of row j on orbit i, in basis order.  The axes
-    are folded one by one (:func:`_fold`), so no orbit vector is built.
+    are folded one by one by S, which XORs an axis's mirrored halves, an
+    odd axis keeping its middle slice last, so no orbit vector is built.
     """
-    return _fold(bits, shape.dims, "S" * shape.d)
-
-
-def _fold(bits: np.ndarray, dims: tuple, ops: Sequence[str]) -> np.ndarray:
-    """Each row of a (k, prod(dims)) uint8 0/1 array folded axis by axis:
-    S XORs an axis's mirrored halves, an odd axis keeping its middle
-    slice last, and c XORs the whole axis into one slice."""
-    arr = bits.reshape((bits.shape[0],) + dims)
-    for axis, (n, op) in enumerate(zip(dims, ops), start=1):
+    arr = bits.reshape((bits.shape[0],) + shape.dims)
+    for axis, n in enumerate(shape.dims, start=1):
         a = np.moveaxis(arr, axis, 0)
-        if op == "S":
-            folded = a[: n // 2] ^ a[::-1][: n // 2]
-            if n % 2:
-                folded = np.concatenate([folded, a[n // 2: n // 2 + 1]])
-        elif op == "c":
-            folded = np.bitwise_xor.reduce(a, axis=0, keepdims=True)
-        else:
-            raise ValueError(f"axis map must be 'S' or 'c', got {op!r}")
+        folded = a[: n // 2] ^ a[::-1][: n // 2]
+        if n % 2:
+            folded = np.concatenate([folded, a[n // 2: n // 2 + 1]])
         arr = np.moveaxis(folded, 0, axis)
     return arr.reshape(bits.shape[0], -1)
 
@@ -112,18 +99,6 @@ def central_configuration(shape: GridShape) -> BitVector:
     return algebra.phi([central_axis_poly(n) for n in shape.dims], quotient_shape(shape))
 
 
-def s_map(v: BitVector, n: int) -> BitVector:
-    """Fold coordinate i with n+1-i; odd n keeps the middle entry last."""
-    if v.n != n:
-        raise ValueError(f"vector length {v.n} != n = {n}")
-    return tensor_fold(v, GridShape((n,)), "S")
-
-
-def c_map(v: BitVector) -> int:
-    """Parity of the number of nonzero entries."""
-    return v.weight() & 1
-
-
 @lru_cache(maxsize=None)
 def _s_matrix(n: int) -> np.ndarray:
     """Dense read-only S on one axis: row i is the indicator of
@@ -134,19 +109,3 @@ def _s_matrix(n: int) -> np.ndarray:
     bits[i, n - 1 - i] = 1
     bits.flags.writeable = False
     return bits
-
-
-def tensor_fold(v: BitVector, shape: GridShape, ops: Sequence[str]) -> BitVector:
-    """Apply a per-axis choice of S or c as a tensor product of maps.
-
-    The maps act on disjoint tensor factors, so the result does not
-    depend on application order; output length is the product of the
-    per-axis output lengths.  The axes are folded one by one, as in
-    :func:`orbit_parities`; no matrix is built.
-    """
-    if v.n != shape.total:
-        raise ValueError(f"vector length {v.n} != grid size {shape.total}")
-    if len(ops) != shape.d:
-        raise ValueError(f"expected {shape.d} axis maps, got {len(ops)}")
-    folded = _fold(v.to_array()[None], shape.dims, ops)[0]
-    return BitVector._of(folded.size, gf2._pack_rows(folded))

@@ -8,13 +8,15 @@ import itertools
 import random
 import time
 
+import numpy as np
+
 from sigma_forge import algebra, game, gf2, solver
 from sigma_forge.algebra import QuotientShape, TensorElement
-from sigma_forge.game import GameSpec, GridShape, adjacency_matrix, make_j
+from sigma_forge.game import GameSpec, GridShape, adjacency_matrix, is_sigma_plus
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import X, chebyshev_q, two_valuation, val_x
 from sigma_forge.solver import (achievable, all_on, brute_force_image,
-                                brute_force_oracle, sutner_check, sweep,
+                                brute_force_oracle, sweep,
                                 sweep_disagreements, symmetric_achievability)
 from sigma_forge.symmetry import central_configuration, central_element, symmetric_basis
 
@@ -84,7 +86,7 @@ def test_criterion_3_sutner_property():
         for dims in shapes_with_total_at_most(343):
             g = GameSpec.preset(preset, GridShape(dims))
             count += 1
-            if not sutner_check(g):
+            if not (is_sigma_plus(g) and achievable(g, all_on(g.shape)).achievable):
                 failures += 1
     elapsed = time.perf_counter() - start
     report(3, "Sutner all-on", failures, f" ({count} games, {elapsed:.2f}s)")
@@ -117,7 +119,8 @@ def test_criterion_5_corollary_even_first_axis():
                     failures += 1
     # J_n invertible exactly for even n (the corollary's key step)
     for n in range(1, 21):
-        if (gf2.rank(make_j(n)) == n) != (n % 2 == 0):
+        j = np.eye(n, k=1, dtype=np.uint8) | np.eye(n, k=-1, dtype=np.uint8)
+        if (gf2.rank(BitMatrix._from_bit_array(j)) == n) != (n % 2 == 0):
             failures += 1
     report(5, "even-axis corollary", failures, f" ({count} games + 20 ranks)")
 

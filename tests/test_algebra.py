@@ -12,7 +12,7 @@ import pytest
 
 from sigma_forge import algebra, gf2, poly2
 from sigma_forge.algebra import QuotientShape, TensorElement
-from sigma_forge.game import PRESET_NAMES, GameSpec, GridShape, make_j, u_element
+from sigma_forge.game import PRESET_NAMES, GameSpec, GridShape, u_element
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import Poly2, chebyshev_q
 from sigma_forge.symmetry import central_element
@@ -198,8 +198,9 @@ def test_operator_of_x_is_kron_of_companions():
     cy = algebra.mult_operator(TensorElement.variable(qs, 1))
     comp3 = algebra.mult_operator(TensorElement.variable(QuotientShape.chebyshev([3]), 0))
     comp4 = algebra.mult_operator(TensorElement.variable(QuotientShape.chebyshev([4]), 0))
-    assert cx == gf2.kronecker(comp3, BitMatrix.identity(4))
-    assert cy == gf2.kronecker(BitMatrix.identity(3), comp4)
+    i3, i4 = np.eye(3, dtype=np.uint8), np.eye(4, dtype=np.uint8)
+    assert np.array_equal(cx.to_bit_array(), np.kron(comp3.to_bit_array(), i4))
+    assert np.array_equal(cy.to_bit_array(), np.kron(i3, comp4.to_bit_array()))
 
 
 # ---------------------------------------------------------------------
@@ -339,7 +340,8 @@ def test_phi_intertwines_x_with_path_matrix():
     rng = random.Random(123)
     for n in range(1, 17):
         qs = QuotientShape.chebyshev([n])
-        j = make_j(n)
+        j = BitMatrix._from_bit_array(np.eye(n, k=1, dtype=np.uint8)
+                                      | np.eye(n, k=-1, dtype=np.uint8))
         x = TensorElement.variable(qs, 0)
         for _ in range(8):
             p = random_element(rng, qs)

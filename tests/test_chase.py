@@ -10,9 +10,22 @@ import pytest
 from sigma_forge import chase, gf2, poly2
 from sigma_forge.algebra import TensorElement
 from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
-                              is_sigma_plus, make_j, parse_game, parse_shape, quotient_shape,
+                              is_sigma_plus, parse_game, parse_shape, quotient_shape,
                               u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
+
+
+def _j_power(n, e):
+    """J_n^e as a dense 0/1 array, J_n from numpy's off-diagonals and the
+    power taken mod 2 by squaring."""
+    j = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    out = np.eye(n, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ j % 2
+        j = j @ j % 2
+        e >>= 1
+    return out.astype(np.uint8)
 
 
 def _custom(d):
@@ -237,13 +250,13 @@ def test_a_product_game_is_built_as_the_sum_of_its_terms():
     for dims in ((1, 9), (6, 7), (50, 50), (2, 3, 4), (5, 8, 8)):
         for g in _product_games(dims):
             assert chase.product_factors(dims, tuple(sorted(g.terms))) is not None
-            per_term = BitMatrix.zeros(g.shape.total, g.shape.total)
+            per_term = np.zeros((g.shape.total, g.shape.total), dtype=np.uint8)
             for t in g.terms:
-                term = make_j(dims[0]).pow(t[0])
+                term = _j_power(dims[0], t[0])
                 for n, e in zip(dims[1:], t[1:]):
-                    term = gf2.kronecker(term, make_j(n).pow(e))
-                per_term = per_term ^ term
-            assert adjacency_matrix(g) == per_term
+                    term = np.kron(term, _j_power(n, e))
+                per_term ^= term
+            assert np.array_equal(adjacency_matrix(g).to_bit_array(), per_term)
 
 
 def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
@@ -257,8 +270,8 @@ def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
     monkeypatch.setattr(poly2, "_mod_int", bounded)
     g = GameSpec(GridShape((9, 8)), frozenset(itertools.product((0, 10 ** 7), (0, 1))))
     m = adjacency_matrix(g)
-    assert m == gf2.kronecker(make_j(9).pow(10 ** 7) + BitMatrix.identity(9),
-                              make_j(8) + BitMatrix.identity(8))
+    want = np.kron(_j_power(9, 10 ** 7) ^ _j_power(9, 0), _j_power(8, 1) ^ _j_power(8, 0))
+    assert np.array_equal(m.to_bit_array(), want)
     assert isinstance(chase.pick(m), chase._Product)
     targets = _targets(g.shape, random.Random(9))
     assert _product_answers(g, targets) == _dense_answers(g, targets)
@@ -288,8 +301,11 @@ def _plain(m):
 
 def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrices):
     """M is applied axis by axis, and its diagonal read from the
-    factors, without building the words; both equal a plain copy's."""
-    shapes = ([(n,) for n in range(1, 41)] + [(1, 1), (1, 9), (7, 1)]
+    factors, without building the words or caching a dense factor f(J);
+    both equal a plain copy's.  The long 1-d boards hold the factor
+    1 + X^2 of degree 2, whose diagonal is read off the rows of f(J)."""
+    shapes = ([(n,) for n in range(1, 41)] + [(64,), (257,), (600,)]
+              + [(1, 1), (1, 9), (7, 1)]
               + list(itertools.product(range(1, 13, 3), repeat=2))
               + list(itertools.product((1, 2, 5, 6), repeat=3))
               + [(2, 2, 2, 2, 2), (1, 3, 2, 1, 2), (3, 2, 1, 2, 3)])
@@ -297,6 +313,7 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
     for dims in shapes:
         for g in _matrix_free_games(dims):
             adjacency_matrix.cache_clear()
+            poly2._path_poly.cache_clear()
             m = adjacency_matrix(g)
             vs = [BitVector.ones(m.cols)] + [BitVector.from_int(m.cols, rng.getrandbits(m.cols))
                                              for _ in range(3)]
@@ -304,6 +321,7 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
             sigma_plus = is_sigma_plus(g)
             diagonal = m.diagonal()
             assert m._packed is None, f"{g.label()} on {g.shape}"
+            assert poly2._path_poly.cache_info().currsize == 0, f"{g.label()} on {g.shape}"
             plain = _plain(m)
             assert got == [plain.mul_vec(v) for v in vs], f"{g.label()} on {g.shape}"
             assert diagonal == plain.diagonal(), f"{g.label()} on {g.shape}"
@@ -505,8 +523,8 @@ def test_a_product_board_eliminates_only_its_axis_factor(monkeypatch, fresh_matr
     g = GameSpec.preset("sigma+:boxtimes", GridShape((50, 50)))
     calls = _rref_calls(monkeypatch)
     eliminated = []
-    real = chase._echelon_ints
-    monkeypatch.setattr(chase, "_echelon_ints",
+    real = chase._echelon_rows
+    monkeypatch.setattr(chase, "_echelon_rows",
                         lambda rows, n: eliminated.append(n) or real(rows, n))
     assert _solve_all(g)[0] is not None
     assert calls == [] and eliminated == [50]

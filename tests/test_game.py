@@ -1,37 +1,64 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from sigma_forge import algebra, game, gf2
+from sigma_forge import algebra, game
 from sigma_forge.algebra import QuotientShape, TensorElement
-from sigma_forge.game import (GameSpec, GridShape, adjacency_matrix, check_commutes,
-                              is_sigma_plus, make_j, parse_game, parse_shape, u_element)
+from sigma_forge.game import (GameSpec, GridShape, adjacency_matrix, is_sigma_plus,
+                              parse_game, parse_shape, preset_terms, u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
-from sigma_forge.poly2 import X, chebyshev_q, pow_mod
+from sigma_forge.poly2 import X, _path_poly, chebyshev_q, pow_mod
 
 
 def preset(name, *dims):
     return GameSpec.preset(name, GridShape(dims))
 
 
+def j_power(n, e=1):
+    """J_n^e as a dense 0/1 array, J_n from numpy's off-diagonals and the
+    power taken mod 2 by squaring."""
+    j = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
+    out = np.eye(n, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ j % 2
+        j = j @ j % 2
+        e >>= 1
+    return out.astype(np.uint8)
+
+
+def commutes_with_axis_games(m, shape):
+    """Whether m commutes with the game matrix of every one-term axis
+    game (a unit exponent tuple) on shape."""
+    axis_games = [adjacency_matrix(GameSpec(shape, frozenset([t])))
+                  for t in preset_terms("sigma-:box", shape.d)]
+    return all(m @ e == e @ m for e in axis_games)
+
+
 # ---------------------------------------------------------------------
 # path matrices
 # ---------------------------------------------------------------------
 
+def path_matrix(n):
+    """J_n from the one builder of polynomials in J, f = X."""
+    return BitMatrix._from_bit_array(_path_poly(n, X.value), symmetric=True)
+
+
 def test_make_j_degenerate():
-    assert make_j(1) == BitMatrix.from_rows([[0]])
+    assert path_matrix(1) == BitMatrix.from_rows([[0]])
 
 
 def test_make_j_2():
-    assert make_j(2) == BitMatrix.from_rows([[0, 1], [1, 0]])
+    assert path_matrix(2) == BitMatrix.from_rows([[0, 1], [1, 0]])
 
 
 def test_make_j_3_is_path_adjacency():
-    assert make_j(3) == BitMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert path_matrix(3) == BitMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def test_make_j_band_structure():
-    j = make_j(6)
+    j = path_matrix(6)
     for a, b in itertools.product(range(6), repeat=2):
         assert j.get(a, b) == (1 if abs(a - b) == 1 else 0)
 
@@ -42,27 +69,25 @@ def test_make_j_band_structure():
 
 def test_adjacency_single_axis_sigma_minus_box():
     g = preset("sigma-:box", 7)
-    assert adjacency_matrix(g) == make_j(7)
+    assert np.array_equal(adjacency_matrix(g).to_bit_array(), j_power(7))
 
 
 def test_adjacency_boxtimes_formula():
     # M = Jn (x) Jm + Jn (x) Im + In (x) Jm
     n, m = 3, 4
     g = preset("sigma-:boxtimes", n, m)
-    jn, jm = make_j(n), make_j(m)
-    i_n, i_m = BitMatrix.identity(n), BitMatrix.identity(m)
-    expect = gf2.kronecker(jn, jm) ^ gf2.kronecker(jn, i_m) ^ gf2.kronecker(i_n, jm)
-    assert adjacency_matrix(g) == expect
+    jn, jm, i_n, i_m = j_power(n), j_power(m), j_power(n, 0), j_power(m, 0)
+    expect = np.kron(jn, jm) ^ np.kron(jn, i_m) ^ np.kron(i_n, jm)
+    assert np.array_equal(adjacency_matrix(g).to_bit_array(), expect)
 
 
 def test_adjacency_sigma_plus_box_formula():
     # M = In (x) Im + Jn (x) Im + In (x) Jm
     n, m = 4, 3
     g = preset("sigma+:box", n, m)
-    jn, jm = make_j(n), make_j(m)
-    i_n, i_m = BitMatrix.identity(n), BitMatrix.identity(m)
-    expect = gf2.kronecker(i_n, i_m) ^ gf2.kronecker(jn, i_m) ^ gf2.kronecker(i_n, jm)
-    assert adjacency_matrix(g) == expect
+    jn, jm, i_n, i_m = j_power(n), j_power(m), j_power(n, 0), j_power(m, 0)
+    expect = np.kron(i_n, i_m) ^ np.kron(jn, i_m) ^ np.kron(i_n, jm)
+    assert np.array_equal(adjacency_matrix(g).to_bit_array(), expect)
 
 
 def test_adjacency_always_symmetric():
@@ -99,7 +124,8 @@ def test_presets_sigma_plus_flag():
 
 def test_squared_term_is_not_sigma_plus():
     # J3^2 has diagonal (1,0,1), so terms {(2,)} on a 3-path is not sigma+
-    j3sq = make_j(3) @ make_j(3)
+    j3 = BitMatrix._from_bit_array(j_power(3))
+    j3sq = j3 @ j3
     assert j3sq.diagonal() == BitVector.from_bits([1, 0, 1])
     g = GameSpec(GridShape((3,)), frozenset({(2,)}))
     assert adjacency_matrix(g) == j3sq
@@ -128,7 +154,7 @@ def test_u_element_reduces_large_exponents():
     qs = QuotientShape.chebyshev([4])
     for e in range(8):
         g = GameSpec(shape, frozenset({(e,)}))
-        assert adjacency_matrix(g) == make_j(4).pow(e)
+        assert np.array_equal(adjacency_matrix(g).to_bit_array(), j_power(4, e))
         conj = qs.phi_inverse_matrix() @ adjacency_matrix(g) @ qs.phi_matrix()
         assert conj == algebra.mult_operator(u_element(g))
 
@@ -146,12 +172,12 @@ def test_u_element_reduces_a_huge_exponent_by_pow_mod():
 
 
 def test_one_axis_game_matrices_are_the_powers_of_j():
-    # the factors J^e are built as (X^e mod Q_n)(J); pow multiplies J out
+    # the factors J^e are built as (X^e mod Q_n)(J); the reference
+    # multiplies J out
     for n in range(1, 41):
-        j = make_j(n)
         for e in range(45):
             g = GameSpec(GridShape((n,)), frozenset({(e,)}))
-            assert adjacency_matrix(g) == j.pow(e), (n, e)
+            assert np.array_equal(adjacency_matrix(g).to_bit_array(), j_power(n, e)), (n, e)
 
 
 def test_conjugacy_invariant_presets():
@@ -175,8 +201,9 @@ def test_conjugacy_invariant_presets():
 
 def test_presets_commute():
     for name in game.PRESET_NAMES:
-        assert check_commutes(preset(name, 3, 4))
-        assert check_commutes(preset(name, 2, 2, 3))
+        for dims in ((3, 4), (2, 2, 3)):
+            g = preset(name, *dims)
+            assert commutes_with_axis_games(adjacency_matrix(g), g.shape)
 
 
 def test_noncommuting_loaded_matrix():
@@ -185,20 +212,18 @@ def test_noncommuting_loaded_matrix():
     bits = m.to_bit_array()
     bits[0][3] ^= 1  # one off-band toggle breaks commutation
     broken = BitMatrix.from_rows(bits.tolist())
-    j_axis = gf2.kronecker(make_j(2), BitMatrix.identity(2))
+    j_axis = BitMatrix._from_bit_array(np.kron(j_power(2), j_power(2, 0)))
     assert broken @ j_axis != j_axis @ broken
-    assert not check_commutes(broken, shape)
+    assert not commutes_with_axis_games(broken, shape)
 
 
 def test_commutes_on_single_cell():
+    # the sigma- and sigma+ games of one cell are [0] and [1]
     shape = GridShape((1, 1))
-    for bits in ([[0]], [[1]]):
-        assert check_commutes(BitMatrix.from_rows(bits), shape)
-
-
-def test_check_commutes_raw_matrix_needs_shape():
-    with pytest.raises(ValueError):
-        check_commutes(BitMatrix.identity(4))
+    for name, bits in (("sigma-:box", [[0]]), ("sigma+:box", [[1]])):
+        m = adjacency_matrix(GameSpec.preset(name, shape))
+        assert m == BitMatrix.from_rows(bits)
+        assert commutes_with_axis_games(m, shape)
 
 
 # ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import two_valuation
 from sigma_forge.solver import (achievable, all_on, brute_force_image,
                                 brute_force_oracle, closed_form_value,
-                                principal_predicate, sutner_check, sweep,
+                                principal_predicate, sweep,
                                 sweep_csv, sweep_disagreements,
                                 symmetric_achievability)
 
@@ -219,14 +219,11 @@ def test_predicate_needs_2d():
 # ---------------------------------------------------------------------
 
 def test_sutner_examples():
-    assert sutner_check(preset("sigma+:box", 1, 1))
-    assert sutner_check(preset("sigma+:boxtimes", 5, 7))
-    assert sutner_check(preset("sigma+:box", 3, 3, 3))
-
-
-def test_sutner_rejects_sigma_minus():
-    with pytest.raises(ValueError):
-        sutner_check(preset("sigma-:box", 3, 3))
+    # every sigma+ game reaches the all-on configuration
+    for g in (preset("sigma+:box", 1, 1), preset("sigma+:boxtimes", 5, 7),
+              preset("sigma+:box", 3, 3, 3)):
+        assert game.is_sigma_plus(g)
+        assert achievable(g, all_on(g.shape)).achievable
 
 
 # ---------------------------------------------------------------------
@@ -260,12 +257,14 @@ def test_oracle_zero_target():
     assert brute_force_oracle(g, BitVector.zeros(4)) is True
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
+    monkeypatch.delenv(solver.ORACLE_CAP_ENV, raising=False)
     g = preset("sigma+:box", 5, 5)
     with pytest.raises(ValueError):
         brute_force_oracle(g, all_on(g.shape))
-    # explicit cap argument overrides the default
-    assert brute_force_oracle(preset("sigma+:box", 3), BitVector.ones(3), cap=3)
+    # the environment variable overrides the default
+    monkeypatch.setenv(solver.ORACLE_CAP_ENV, "3")
+    assert brute_force_oracle(preset("sigma+:box", 3), BitVector.ones(3))
 
 
 def test_oracle_cap_env_is_bounded(monkeypatch):

@@ -7,11 +7,11 @@ import pytest
 from sigma_forge import algebra, gf2
 from sigma_forge.algebra import QuotientShape
 from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
-                              make_j, parse_game, quotient_shape)
+                              parse_game, quotient_shape)
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.solver import symmetric_achievability
-from sigma_forge.symmetry import (c_map, central_configuration, central_element,
-                                  s_map, symmetric_basis, tensor_fold)
+from sigma_forge.symmetry import (central_configuration, central_element, orbit_parities,
+                                  symmetric_basis)
 
 # every preset game of the sweeps: d = 1 up to 30, d = 2 up to 13, d = 3 up to 7
 SWEEP_SHAPES = ([(n,) for n in range(1, 31)]
@@ -183,21 +183,26 @@ def test_central_configuration_builds_no_phi_matrix(monkeypatch):
 # fold maps
 # ---------------------------------------------------------------------
 
+def s_fold(v, n):
+    """S on one axis of length n, as :func:`orbit_parities` folds it."""
+    return tuple(orbit_parities(v.to_array()[None], GridShape((n,)))[0].tolist())
+
+
 def test_s_map_palindrome_folds_to_zero():
-    assert s_map(BitVector.from_bits([1, 0, 0, 1]), 4).to_bits() == (0, 0)
+    assert s_fold(BitVector.from_bits([1, 0, 0, 1]), 4) == (0, 0)
 
 
 def test_s_map_odd_keeps_middle_last():
-    assert s_map(BitVector.from_bits([1, 1, 0]), 3).to_bits() == (1, 1)
+    assert s_fold(BitVector.from_bits([1, 1, 0]), 3) == (1, 1)
 
 
 def test_s_map_direct_fold():
-    assert s_map(BitVector.from_bits([1, 0, 1, 0]), 4).to_bits() == (1, 1)
+    assert s_fold(BitVector.from_bits([1, 0, 1, 0]), 4) == (1, 1)
 
 
 def test_s_map_length_mismatch():
     with pytest.raises(ValueError):
-        s_map(BitVector.from_bits([1, 0]), 3)
+        s_fold(BitVector.from_bits([1, 0]), 3)
 
 
 def test_s_map_kills_symmetric_folded_positions():
@@ -205,65 +210,43 @@ def test_s_map_kills_symmetric_folded_positions():
     for n in range(1, 12):
         half = np.array([rng.randrange(2) for _ in range((n + 1) // 2)], dtype=np.uint8)
         full = np.concatenate([half, half[: n // 2][::-1]])
-        out = s_map(BitVector.from_bits(full), n)
-        folded = out.to_bits()[: n // 2]
+        out = s_fold(BitVector.from_bits(full), n)
+        folded = out[: n // 2]
         assert all(b == 0 for b in folded)
         if n % 2:
-            assert out.to_bits()[-1] == half[-1]  # middle survives
-
-
-def test_c_map():
-    assert c_map(BitVector.zeros(5)) == 0
-    assert c_map(BitVector.from_bits([1, 1, 0])) == 0
-    assert c_map(BitVector.from_bits([1, 1, 1])) == 1
+            assert out[-1] == half[-1]  # middle survives
 
 
 # ---------------------------------------------------------------------
-# tensor_fold
+# orbit parities: S on every axis
 # ---------------------------------------------------------------------
 
-def test_fold_all_c_single_cell():
-    shape = GridShape((2, 3))
-    v = BitVector.from_indices(6, [4])
-    assert tensor_fold(v, shape, ["c", "c"]).to_bits() == (1,)
-
-
-def test_fold_2x2_s_then_c():
-    shape = GridShape((2, 2))
-    v = BitVector.from_bits([1, 0, 0, 1])
-    assert tensor_fold(v, shape, ["S", "c"]).to_bits() == (0,)
-
-
-def apply_axis(arr, axis, op):
+def apply_axis(arr, axis):
+    """S along one axis of a dense array."""
     a = np.moveaxis(arr, axis, 0)
-    n = a.shape[0]
-    if op == "c":
-        out = a.sum(axis=0)[None, ...] % 2
-    else:
-        half = n // 2
-        out = a[:half] ^ a[::-1][:half]
-        if n % 2:
-            out = np.concatenate([out, a[half: half + 1]])
+    half = a.shape[0] // 2
+    out = a[:half] ^ a[::-1][:half]
+    if a.shape[0] % 2:
+        out = np.concatenate([out, a[half: half + 1]])
     return np.moveaxis(out, 0, axis).astype(np.uint8)
 
 
 def test_fold_is_order_independent():
     rng = random.Random(99)
-    for dims, ops in [((2, 3), ("S", "c")), ((3, 4), ("c", "S")),
-                      ((2, 3, 4), ("S", "c", "S")), ((3, 3, 3), ("c", "S", "c"))]:
+    for dims in [(2, 3), (3, 4), (2, 3, 4), (3, 3, 3)]:
         shape = GridShape(dims)
         for _ in range(5):
             v = BitVector.from_int(shape.total, rng.getrandbits(shape.total))
             arr = v.to_array().reshape(dims)
             fwd = arr
             for ax in range(len(dims)):
-                fwd = apply_axis(fwd, ax, ops[ax])
+                fwd = apply_axis(fwd, ax)
             bwd = arr
             for ax in reversed(range(len(dims))):
-                bwd = apply_axis(bwd, ax, ops[ax])
+                bwd = apply_axis(bwd, ax)
             assert np.array_equal(fwd, bwd)
-            got = tensor_fold(v, shape, list(ops))
-            assert got.to_bits() == tuple(fwd.ravel())
+            got = orbit_parities(v.to_array()[None], shape)[0]
+            assert np.array_equal(got, fwd.ravel())
 
 
 def test_fold_all_s_reproduces_quadrant():
@@ -276,22 +259,12 @@ def test_fold_all_s_reproduces_quadrant():
     picks = [b for b in basis if rng.random() < 0.5]
     for b in picks:
         v ^= b
-    folded = tensor_fold(v, shape, ["S", "S"]).to_array().reshape(2, 3)
+    folded = orbit_parities(v.to_array()[None], shape).reshape(2, 3)
     arr = v.to_array().reshape(3, 5)
-    manual = apply_axis(apply_axis(arr, 0, "S"), 1, "S")
+    manual = apply_axis(apply_axis(arr, 0), 1)
     assert np.array_equal(folded, manual)
     # doubled orbit cells cancel: folded quadrant has weight parity of picks
     assert folded.sum() % 2 == (sum(b.weight() for b in picks) % 2)
-
-
-def test_fold_validates_arguments():
-    shape = GridShape((2, 2))
-    with pytest.raises(ValueError):
-        tensor_fold(BitVector.zeros(3), shape, ["S", "c"])
-    with pytest.raises(ValueError):
-        tensor_fold(BitVector.zeros(4), shape, ["S"])
-    with pytest.raises(ValueError):
-        tensor_fold(BitVector.zeros(4), shape, ["S", "q"])
 
 
 # ---------------------------------------------------------------------
@@ -319,10 +292,21 @@ def test_central_divisible_by_all_on_odd_axes_small():
 # the J-stable even-subspace lemma
 # ---------------------------------------------------------------------
 
+def path_matrix(n):
+    """J_n from numpy's off-diagonals."""
+    return BitMatrix._from_bit_array(np.eye(n, k=1, dtype=np.uint8)
+                                     | np.eye(n, k=-1, dtype=np.uint8))
+
+
+def parity(v):
+    """c: the parity of the number of nonzero entries."""
+    return v.weight() & 1
+
+
 def max_j_stable_kernel_of_c(n):
     """The largest J-stable subspace inside Ker c: vectors killed by
     the parity form composed with every power of J."""
-    j = make_j(n)
+    j = path_matrix(n)
     rows = []
     power = BitMatrix.identity(n)
     for _ in range(n):
@@ -335,14 +319,16 @@ def test_symlin_maximal_subspace():
     s_found = 0
     for n in range(1, 13):
         basis = max_j_stable_kernel_of_c(n)
-        j = make_j(n)
+        j = path_matrix(n)
         for v in basis:
-            assert c_map(v) == 0
-            jv = j.mul_vec(v)
+            assert parity(v) == 0
             # stability: J maps the subspace into itself
-            assert all(c_map(make_j(n).pow(k).mul_vec(jv)) == 0 for k in range(n))
+            jv = j.mul_vec(v)
+            for _ in range(n):
+                assert parity(jv) == 0
+                jv = j.mul_vec(jv)
             # the lemma: the subspace is annihilated by the fold map
-            assert s_map(v, n).is_zero()
+            assert not any(s_fold(v, n))
         s_found += len(basis)
     assert s_found > 0  # the test is not vacuous
 
@@ -353,7 +339,7 @@ def test_symlin_cyclic_spans():
         basis = max_j_stable_kernel_of_c(n)
         if not basis:
             continue
-        j = make_j(n)
+        j = path_matrix(n)
         for _ in range(5):
             w = BitVector.zeros(n)
             for b in basis:
@@ -362,6 +348,6 @@ def test_symlin_cyclic_spans():
             # the J-orbit span of w is J-stable and inside Ker c
             vec = w
             for _ in range(n):
-                assert c_map(vec) == 0
-                assert s_map(vec, n).is_zero()
+                assert parity(vec) == 0
+                assert not any(s_fold(vec, n))
                 vec = j.mul_vec(vec)
