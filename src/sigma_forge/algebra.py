@@ -88,14 +88,14 @@ class QuotientShape:
     def phi_matrix(self) -> BitMatrix:
         self._require_chebyshev()
         if self._phi is None:
-            self._phi = gf2._kron_sum([[_phi_axis(n) for n in self.dims]],
+            self._phi = gf2._kron_sum([[(n, _phi_axis(n)) for n in self.dims]],
                                       self.total, self.total)
         return self._phi
 
     def phi_inverse_matrix(self) -> BitMatrix:
         self._require_chebyshev()
         if self._phi_inv is None:
-            self._phi_inv = gf2._kron_sum([[_phi_inv_axis(n) for n in self.dims]],
+            self._phi_inv = gf2._kron_sum([[(n, _phi_inv_axis(n)) for n in self.dims]],
                                           self.total, self.total)
         return self._phi_inv
 
@@ -115,44 +115,56 @@ class QuotientShape:
         return f"QuotientShape({', '.join(map(str, self.moduli))})"
 
 
-def _column_bits(n: int, columns: Sequence[int]) -> np.ndarray:
-    """Read-only dense 0/1 matrix with n rows whose column j holds the
-    low n bits of columns[j]."""
-    bits = BitMatrix.from_row_ints(len(columns), n, columns).to_bit_array().T.copy()
-    bits.flags.writeable = False
-    return bits
+def _column_rows(n: int, columns: Sequence[int]) -> tuple:
+    """The n row ints of the matrix whose column j holds the low n bits
+    of columns[j]."""
+    return tuple(BitMatrix.from_row_ints(len(columns), n, columns).transpose().row_ints())
 
 
 @lru_cache(maxsize=None)
-def _companion_power(m: Poly2, e: int) -> np.ndarray:
-    """Dense C^e for the companion matrix C of m (multiplication by x on
-    the monomial basis of k[X]/m): column k holds x^(k+e) mod m, the
-    first reduced by squaring, so a huge e costs only its bit length."""
-    n = m.degree
+def _companion_power(m: Poly2, e: int) -> tuple:
+    """The row ints of C^e for the companion matrix C of m
+    (multiplication by x on the monomial basis of k[X]/m), without a
+    transpose.  Column k holds x^(k+e) mod m, the first reduced by
+    squaring, so a huge e costs only its bit length; row n - 1 holds
+    their top bits.  Bit k of any row is a sequence s_k that m recurs
+    (s_{k+n} is the parity of s_k .. s_{k+n-1} masked by m's low bits),
+    so step(v), v shifted down one with that parity on top, maps row j
+    of C^e to row j of C^(e+1) = C C^e, which is row j - 1 + m_j row
+    n - 1 of C^e.  So row j - 1 is step(row j) + m_j row n - 1."""
+    n, mv = m.degree, m.value
+    low = mv ^ 1 << n
     r = poly2.pow_mod(poly2.X, e, m).value
-    columns = []
-    for _ in range(n):
-        columns.append(r)
+    top = 0
+    for k in range(n):
+        top |= (r >> (n - 1) & 1) << k
         r <<= 1
         if r >> n:
-            r ^= m.value
-    return _column_bits(n, columns)
+            r ^= mv
+    rows = [top]
+    for j in range(n - 1, 0, -1):
+        v = rows[-1]
+        v = v >> 1 ^ ((v & low).bit_count() & 1) << (n - 1)
+        rows.append(v ^ top if mv >> j & 1 else v)
+    return tuple(rows[::-1])
 
 
 @lru_cache(maxsize=None)
-def _phi_axis(n: int) -> np.ndarray:
-    """Dense matrix of phi on one axis: column i is J_n^i applied to e_0."""
+def _phi_axis(n: int) -> tuple:
+    """The row ints of phi on one axis: column i is J_n^i applied to
+    e_0."""
     columns = [1]
     for _ in range(n - 1):
         v = columns[-1]
         columns.append((v << 1 ^ v >> 1) & ((1 << n) - 1))
-    return _column_bits(n, columns)
+    return _column_rows(n, columns)
 
 
 @lru_cache(maxsize=None)
-def _phi_inv_axis(n: int) -> np.ndarray:
-    """Dense inverse axis matrix: column i holds the coefficients of Q_i."""
-    return _column_bits(n, [chebyshev_q(i).value for i in range(n)])
+def _phi_inv_axis(n: int) -> tuple:
+    """The row ints of the inverse axis matrix: column i holds the
+    coefficients of Q_i."""
+    return _column_rows(n, [chebyshev_q(i).value for i in range(n)])
 
 
 class TensorElement:
@@ -194,7 +206,8 @@ class TensorElement:
         """The separable element p_1(x_1) ... p_d(x_d)."""
         if len(polys) != shape.d:
             raise ValueError(f"expected {shape.d} polynomials, got {len(polys)}")
-        return cls(shape, gf2._kron_vec([_axis_bits(p, m) for p, m in zip(polys, shape.moduli)]))
+        return cls(shape, BitVector.from_int(shape.total, gf2._kron_vec(
+            [(m.degree, (p % m).value) for p, m in zip(polys, shape.moduli)])))
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()
@@ -233,15 +246,6 @@ class TensorElement:
             raise ValueError("tensor elements live in different algebras")
 
 
-def _axis_bits(p: Poly2, m: Poly2) -> np.ndarray:
-    """The coefficients of p mod m as a uint8 0/1 vector of length deg m."""
-    r = (p % m).value
-    bits = np.zeros(m.degree, dtype=np.uint8)
-    for k in range(r.bit_length()):
-        bits[k] = (r >> k) & 1
-    return bits
-
-
 def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Product in the quotient algebra (each axis reduced mod its modulus)."""
     a._check_shape(b)
@@ -252,7 +256,8 @@ def mult_operator(u: TensorElement) -> BitMatrix:
     """Matrix of multiplication by u in the monomial basis: the sum, over
     the monomials x^e of u, of C_1^{e_1} (x) ... (x) C_d^{e_d}."""
     shape = u.shape
-    products = [[_companion_power(m, e) for m, e in zip(shape.moduli, shape.exponents_of(j))]
+    products = [[(m.degree, _companion_power(m, e))
+                 for m, e in zip(shape.moduli, shape.exponents_of(j))]
                 for j in np.flatnonzero(u.coeffs.to_array()).tolist()]
     return gf2._kron_sum(products, shape.total, shape.total)
 
@@ -276,7 +281,9 @@ def phi(element, shape: Optional[QuotientShape] = None) -> BitVector:
     Accepts a TensorElement, or a list of per-axis Poly2 (the separable
     element) together with an explicit shape.  Requires Chebyshev moduli.
     phi is the Kronecker product of the per-axis maps, so a separable
-    element is mapped axis by axis, without the total x total matrix.
+    element is mapped axis by axis, without the total x total matrix:
+    phi of p on one axis is p(J) e_0, column 0 of
+    :func:`.poly2._path_poly_rows`.
     """
     if isinstance(element, TensorElement):
         if shape is not None and shape != element.shape:
@@ -288,9 +295,9 @@ def phi(element, shape: Optional[QuotientShape] = None) -> BitVector:
     if len(polys) != shape.d:
         raise ValueError(f"expected {shape.d} polynomials, got {len(polys)}")
     shape._require_chebyshev()
-    # uint8 sums wrap mod 256, which keeps their parity
-    return gf2._kron_vec([(_phi_axis(n) @ _axis_bits(p, m)) & 1
-                          for p, m, n in zip(polys, shape.moduli, shape.dims)])
+    return BitVector.from_int(shape.total, gf2._kron_vec(
+        [(n, poly2._path_poly_rows(n, (p % m).value)[0])
+         for p, m, n in zip(polys, shape.moduli, shape.dims)]))
 
 
 def phi_inverse(v: BitVector, shape: QuotientShape) -> TensorElement:

@@ -72,13 +72,13 @@ and a product by a dense matrix goes through Four Russians tables
 (:func:`.gf2._product`).  A small sparse C, whose gather index has at
 most 64 entries, with chased rows of one word runs the steps on Python
 ints instead, one per chased row: on such layers numpy's per-call cost,
-not the XORs, would set the time.  Working memory is a few transient
-arrays of r x r bytes (building C and its gather index, the end system), the
-n + 2 packed layers over the r + T chased columns (T targets), and the
-lifted vectors, total x (nullity + T) bytes; gathers and tables are
-staged in blocks of at most 1 MB.  On 2^12 cells, sigma-:box (r and
-the nullity both 2,048) peaks at 25 MB under tracemalloc, against
-36 MB for the dense build before it.
+not the XORs, would set the time.  Working memory is C and A^-1, built
+on int rows and packed, a few transient arrays of r x r bytes (C's
+gather index, the end system), the n + 2 packed layers over the r + T
+chased columns (T targets), and the lifted vectors, total x (nullity +
+T) bytes; gathers and tables are staged in blocks of at most 1 MB.  On
+2^12 cells, sigma-:box (r and the nullity both 2,048) peaks at 26 MB
+under tracemalloc, below two bytes per entry of the matrix.
 
 :func:`pick` is called by :class:`.gf2.Elimination` for a matrix of
 :func:`.game.adjacency_matrix`, which keeps the game's dims and terms in
@@ -103,8 +103,9 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, _Echelon, _echelon_rows, _ints_to_words, _kron_sum, _kron_vec,
-                  _nwords, _pack_rows, _product, _rref_any, _unpack_words, _unpack_words_2d)
+from .gf2 import (_STAGE_WORDS, BitVector, _Echelon, _echelon_rows, _ints_to_words, _kron_sum,
+                  _kron_vec, _nwords, _pack_rows, _product, _rref_any, _unpack_words,
+                  _unpack_words_2d)
 
 _log = logging.getLogger(__name__)
 
@@ -119,11 +120,6 @@ _MIN_CELLS = 64
 # per-call cost outweighs the XORs (the crossover measured on boards of
 # 129 to 400 cells)
 _INT_GATHER_MAX = 64
-
-# the Kronecker factor of a layer with no other axes
-_ONE = np.ones((1, 1), dtype=np.uint8)
-_ONE.flags.writeable = False
-
 
 def _inverse_mod(a: int, m: int) -> Optional[int]:
     """The inverse of polynomial a modulo m (bit k = coefficient of X^k),
@@ -351,9 +347,9 @@ def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
 
 def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
     """The packed rows of the dense game matrix, read-only: one
-    :func:`.gf2._kron_sum` of the n_i x n_i factors f_i(J)."""
+    :func:`.gf2._kron_sum` of the int rows of the factors f_i(J)."""
     total = math.prod(dims)
-    products = [[poly2._path_poly(n, f) for n, f in zip(dims, factors)]
+    products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(dims, factors)]
                 for factors in kron_factors(dims, terms)]
     return _kron_sum(products, total, total, symmetric=True)._words
 
@@ -396,25 +392,26 @@ def apply(dims: Tuple[int, ...], terms: Tuple[tuple, ...], x: int) -> int:
     return out
 
 
-def diagonal(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
-    """The packed diagonal of the game matrix, from :func:`kron_factors`:
-    that of a Kronecker product is the Kronecker product of the factors'
-    diagonals, and f(J) has the constant diagonal f(0) when f has degree
-    1 or less, as J has a zero one; else it is read off f(J)'s rows."""
-    out = np.zeros(_nwords(math.prod(dims)), dtype=np.uint64)
+def diagonal(dims: Tuple[int, ...], terms: Sequence[tuple]) -> BitVector:
+    """The diagonal of the game matrix, from :func:`kron_factors`: that
+    of a Kronecker product is the Kronecker product of the factors'
+    diagonals (:func:`_poly_diagonal`)."""
+    out = 0
     for factors in kron_factors(dims, terms):
-        out ^= _kron_vec([np.full(n, f & 1, dtype=np.uint8) if f < 4
-                          else _poly_diagonal(n, f)
-                          for n, f in zip(dims, factors)])._words
+        out ^= _kron_vec([(n, _poly_diagonal(n, f)) for n, f in zip(dims, factors)])
+    return BitVector.from_int(math.prod(dims), out)
+
+
+def _poly_diagonal(n: int, f: int) -> int:
+    """The diagonal of f(J_n) as an int: the constant f(0) when f has
+    degree 1 or less, as J has a zero one; else bit c of row c of
+    :func:`.poly2._path_poly_rows`."""
+    if f < 4:
+        return (1 << n) - 1 if f & 1 else 0
+    out = 0
+    for c, row in enumerate(poly2._path_poly_rows(n, f)):
+        out |= row & 1 << c
     return out
-
-
-def _poly_diagonal(n: int, f: int) -> np.ndarray:
-    """The diagonal of f(J_n) as 0/1 bytes: bit c of row c of
-    :func:`.poly2._path_poly_rows`, with no dense f(J_n) built or
-    cached."""
-    return np.fromiter((row >> c & 1 for c, row in enumerate(poly2._path_poly_rows(n, f))),
-                       dtype=np.uint8, count=n)
 
 
 def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
@@ -528,14 +525,14 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
         inverses.append(g)
     r = math.prod(dims) // n
     # C = A^-1 B: over the exponent-0 terms, the products of g_i X^e_i
-    # (a one-cell layer has the empty product 1)
-    c_products = [[poly2._path_poly(dims[i], _axis_factor([e], dims[i], g))
-                   for i, g, e in zip(others, inverses, s)] or [_ONE]
+    # (a one-cell layer has the empty product, the 1 x 1 identity)
+    c_products = [[(dims[i], poly2._path_poly_rows(dims[i], _axis_factor([e], dims[i], g)))
+                   for i, g, e in zip(others, inverses, s)]
                   for s in zeros]
     c = _kron_sum(c_products, r, r)._words
     a_inv = None
     if any(g != 1 for g in inverses):
-        factors = [poly2._path_poly(dims[i], g) for i, g in zip(others, inverses)]
+        factors = [(dims[i], poly2._path_poly_rows(dims[i], g)) for i, g in zip(others, inverses)]
         a_inv = _kron_sum([factors], r, r)._words
     return _Chase(dims, axis, c, a_inv), None
 

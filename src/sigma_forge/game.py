@@ -22,9 +22,9 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 from . import gf2
-from .algebra import QuotientShape, TensorElement, _axis_bits
+from .algebra import QuotientShape, TensorElement
 from .gf2 import BitMatrix, BitVector
-from .poly2 import Poly2, _power_sum, chebyshev_q
+from .poly2 import _power_sum
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -166,19 +166,10 @@ def quotient_shape(shape: GridShape) -> QuotientShape:
 def u_element(g: GameSpec) -> TensorElement:
     """The algebra element whose multiplication operator is the game:
     the sum over terms of the monomials x^e, each axis reduced mod its
-    modulus."""
+    modulus as the game matrix reduces it (:func:`.poly2._power_sum`),
+    so a huge e costs only its bit length."""
     qs = quotient_shape(g.shape)
-    coeffs = BitVector.zeros(qs.total)
+    coeffs = 0
     for term in g.terms:
-        coeffs ^= gf2._kron_vec([_monomial_bits(n, e) for n, e in zip(g.shape.dims, term)])
-    return TensorElement(qs, coeffs)
-
-
-@lru_cache(maxsize=None)
-def _monomial_bits(n: int, e: int):
-    """Read-only coefficients of x^e mod Q_n, reduced as the game matrix
-    reduces them (:func:`.poly2._power_sum`), so a huge e costs only its
-    bit length."""
-    bits = _axis_bits(Poly2(_power_sum(n, [e])), chebyshev_q(n))
-    bits.flags.writeable = False
-    return bits
+        coeffs ^= gf2._kron_vec([(n, _power_sum(n, [e])) for n, e in zip(g.shape.dims, term)])
+    return TensorElement(qs, BitVector.from_int(qs.total, coeffs))

@@ -355,7 +355,7 @@ class BitMatrix:
         row's words; the matrix is not unpacked.  A game matrix's is
         read from its per-axis factors (:func:`.chase.diagonal`)."""
         if self._game is not None:
-            return BitVector._of(self.rows, _chase.diagonal(*self._game))
+            return _chase.diagonal(*self._game)
         idx = np.arange(min(self.rows, self.cols))
         bits = (self._words[idx, idx >> 6] >> (idx.astype(np.uint64) & np.uint64(63))) & _ONE
         return BitVector._of(idx.size, _pack_rows(bits.astype(np.uint8)))
@@ -820,49 +820,63 @@ def in_image_many(m: BitMatrix, targets: Sequence[BitVector]) -> list:
     return Elimination(m, targets).consistent()
 
 
-# bytes of one dense 0/1 build: boards of up to 32,768 cells
+# the largest rows x cols of one dense build, counted in the bytes of the
+# refusal message: boards of up to 32,768 cells
 DENSE_MAX_BYTES = 1 << 30
 
 
 def _check_dense(rows: int, cols: int) -> None:
-    """ValueError when a dense rows x cols 0/1 build would take more
-    than :data:`DENSE_MAX_BYTES`."""
+    """ValueError when a dense rows x cols build is over
+    :data:`DENSE_MAX_BYTES`."""
     if rows * cols > DENSE_MAX_BYTES:
         raise ValueError(f"a dense {rows}x{cols} matrix needs {rows * cols:,} bytes, "
                          f"over the limit of {DENSE_MAX_BYTES:,}")
 
 
-def _kron_sum(products: Iterable[Sequence[np.ndarray]], rows: int, cols: int,
+def _spread(v: int, w: int) -> int:
+    """v with bit j moved to bit j * w, one set bit at a time (the rows
+    of a banded factor such as J have at most two)."""
+    out = 0
+    while v:
+        low = v & -v
+        out |= 1 << (low.bit_length() - 1) * w
+        v ^= low
+    return out
+
+
+def _kron_rows(factors: Sequence[tuple]) -> tuple:
+    """(width, row ints) of the Kronecker product of factors given as
+    (width, row ints); the empty product is the 1 x 1 identity.  Row
+    (a, b) of A (x) B is spread(A[a], width_B) * B[b]: the shifted copies
+    of B[b] do not overlap, so the integer product is their XOR.  The
+    axes go last to first, so each factor row is spread once."""
+    width, rows = 1, [1]
+    for w, frows in reversed(factors):
+        if width > 1:
+            frows = [_spread(v, width) for v in frows]
+        rows = [v * u for v in frows for u in rows]
+        width *= w
+    return width, rows
+
+
+def _kron_sum(products: Iterable[Sequence[tuple]], rows: int, cols: int,
               symmetric: bool = False) -> BitMatrix:
-    """XOR of the Kronecker products of each sequence of dense 0/1
-    factors (never written, so they may be cached), packed once into a
-    rows x cols matrix; ``symmetric`` is trusted.  The size is checked
-    before anything is allocated."""
+    """XOR of the Kronecker products of each sequence of factors, each
+    (width, row ints) (:func:`_kron_rows`), packed once into a rows x
+    cols matrix; ``symmetric`` is trusted.  The size is checked before
+    anything is built."""
     _check_dense(rows, cols)
     acc = None
     for factors in products:
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.einsum("ij,kl->ikjl", term, f).reshape(
-                term.shape[0] * f.shape[0], term.shape[1] * f.shape[1])
-        if acc is None:
-            # a product of two or more factors is a new array; a lone factor may be cached
-            acc = term if len(factors) > 1 else term.copy()
-        else:
-            acc ^= term
-        del term  # at most two dense arrays are alive, and one while packing
-    if acc is None:
-        acc = np.zeros((rows, cols), dtype=np.uint8)
-    return BitMatrix._from_bit_array(acc, symmetric)
+        term = _kron_rows(factors)[1]
+        acc = term if acc is None else [a ^ b for a, b in zip(acc, term)]
+    return BitMatrix._of(rows, cols, _ints_to_words(acc or [0] * rows, cols), symmetric)
 
 
-def _kron_vec(factors: Sequence[np.ndarray]) -> BitVector:
-    """The Kronecker product of one or more dense 0/1 vectors, packed
-    once."""
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = np.multiply.outer(acc, f).ravel()
-    return BitVector._of(acc.size, _pack_rows(acc))
+def _kron_vec(factors: Sequence[tuple]) -> int:
+    """The Kronecker product of vectors given as (length, bits int), as
+    an int: the one-row case of :func:`_kron_rows`."""
+    return _kron_rows([(w, [v]) for w, v in factors])[1][0]
 
 
 # the product backend and the chase build on the helpers above, and

@@ -15,8 +15,6 @@ import re
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 
 def _mul_int(a: int, b: int) -> int:
     if a < b:
@@ -234,14 +232,3 @@ def _path_poly_rows(n: int, f: int) -> list:
         prev, col = col, (col << 1 ^ col >> 1) & mask ^ prev
     return cols
 
-
-@lru_cache(maxsize=None)
-def _path_poly(n: int, f: int) -> np.ndarray:
-    """Dense read-only f(J_n) for f as an int (bit k the coefficient of
-    X^k): the rows of :func:`_path_poly_rows`, unpacked."""
-    nbytes = (n + 7) >> 3
-    raw = b"".join(c.to_bytes(nbytes, "little") for c in _path_poly_rows(n, f))
-    y = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), axis=1,
-                      count=n, bitorder="little")
-    y.flags.writeable = False
-    return y

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,8 +46,8 @@ def symmetric_basis(shape: GridShape) -> SymmetricSubspace:
     of ceil(n_i / 2).  The vectors are the rows of F = S (x) ... (x) S,
     built as one Kronecker product.
     """
-    factors = [_s_matrix(n) for n in shape.dims]
-    f = gf2._kron_sum([factors], math.prod(s.shape[0] for s in factors), shape.total)
+    f = gf2._kron_sum([[(n, _s_matrix(n)) for n in shape.dims]],
+                      math.prod((n + 1) // 2 for n in shape.dims), shape.total)
     return SymmetricSubspace(shape, tuple(f.row(i) for i in range(f.rows)))
 
 
@@ -57,7 +56,8 @@ def orbit_indicator(shape: GridShape, i: int) -> BitVector:
     Kronecker product of one row of S per axis."""
     halves = tuple((n + 1) // 2 for n in shape.dims)
     rep = np.unravel_index(i, halves)
-    return gf2._kron_vec([_s_matrix(n)[r] for r, n in zip(rep, shape.dims)])
+    return BitVector.from_int(shape.total, gf2._kron_vec(
+        [(n, _s_row(n, int(r))) for r, n in zip(rep, shape.dims)]))
 
 
 def orbit_parities(bits: np.ndarray, shape: GridShape) -> np.ndarray:
@@ -99,13 +99,12 @@ def central_configuration(shape: GridShape) -> BitVector:
     return algebra.phi([central_axis_poly(n) for n in shape.dims], quotient_shape(shape))
 
 
-@lru_cache(maxsize=None)
-def _s_matrix(n: int) -> np.ndarray:
-    """Dense read-only S on one axis: row i is the indicator of
-    {i, n-1-i}, and for odd n the last row is the middle cell."""
-    bits = np.zeros(((n + 1) // 2, n), dtype=np.uint8)
-    i = np.arange((n + 1) // 2)
-    bits[i, i] = 1
-    bits[i, n - 1 - i] = 1
-    bits.flags.writeable = False
-    return bits
+def _s_row(n: int, i: int) -> int:
+    """Row i of S on one axis, as an int: the indicator of {i, n-1-i},
+    the middle cell alone in the last row of an odd n."""
+    return 1 << i | 1 << (n - 1 - i)
+
+
+def _s_matrix(n: int) -> list:
+    """The (n + 1) // 2 row ints of S on one axis (:func:`_s_row`)."""
+    return [_s_row(n, i) for i in range((n + 1) // 2)]

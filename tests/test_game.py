@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sigma_forge.algebra import QuotientShape, TensorElement
 from sigma_forge.game import (GameSpec, GridShape, adjacency_matrix, is_sigma_plus,
                               parse_game, parse_shape, preset_terms, u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
-from sigma_forge.poly2 import X, _path_poly, chebyshev_q, pow_mod
+from sigma_forge.poly2 import X, chebyshev_q, pow_mod
 
 
 def preset(name, *dims):
@@ -41,8 +42,9 @@ def commutes_with_axis_games(m, shape):
 # ---------------------------------------------------------------------
 
 def path_matrix(n):
-    """J_n from the one builder of polynomials in J, f = X."""
-    return BitMatrix._from_bit_array(_path_poly(n, X.value), symmetric=True)
+    """J_n from numpy's off-diagonals."""
+    return BitMatrix._from_bit_array((np.eye(n, k=1) + np.eye(n, k=-1)).astype(np.uint8),
+                                     symmetric=True)
 
 
 def test_make_j_degenerate():
@@ -280,3 +282,20 @@ def test_grid_shape_indexing():
         shape.flat_index((0, 1))
     with pytest.raises(ValueError):
         GridShape((0, 2))
+
+
+@pytest.mark.parametrize("dims", [(50, 50), (11, 11, 11)])
+def test_a_dense_build_takes_less_than_a_byte_per_entry(dims):
+    """sigma-:boxtimes on these boards is eliminated whole, as I + J is
+    singular on their axes, so its words are built: from int rows, the
+    build peaks below total**2 bytes under tracemalloc."""
+    g = GameSpec.preset("sigma-:boxtimes", GridShape(dims))
+    adjacency_matrix.cache_clear()
+    m = adjacency_matrix(g)
+    tracemalloc.start()
+    try:
+        m._words
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.shape.total ** 2

@@ -4,12 +4,14 @@ Expected values for the nontrivial cases were regenerated from the
 independent oracles below (dense arithmetic on plain int lists and
 exhaustive enumeration), which never touch the packed representation.
 """
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigma_forge import gf2
@@ -315,7 +317,7 @@ def test_in_image_path3_all_on():
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """a (x) b from the one Kronecker builder, :func:`gf2._kron_sum`."""
-    return gf2._kron_sum([(a.to_bit_array(), b.to_bit_array())],
+    return gf2._kron_sum([((a.cols, a.row_ints()), (b.cols, b.row_ints()))],
                          a.rows * b.rows, a.cols * b.cols)
 
 
@@ -367,17 +369,48 @@ def test_kron_associative():
 def test_kron_sum_is_xor_of_kronecker_products():
     rng = random.Random(13)
     a, b, c, e = (random_bit_matrix(rng, r, k) for r, k in ((2, 3), (3, 2), (2, 3), (3, 2)))
-    got = gf2._kron_sum([(a.to_bit_array(), b.to_bit_array()),
-                         (c.to_bit_array(), e.to_bit_array())], 6, 6)
+    got = gf2._kron_sum([((3, a.row_ints()), (2, b.row_ints())),
+                         ((3, c.row_ints()), (2, e.row_ints()))], 6, 6)
     want = (np.kron(a.to_bit_array(), b.to_bit_array())
             ^ np.kron(c.to_bit_array(), e.to_bit_array()))
     assert np.array_equal(got.to_bit_array(), want)
     assert gf2._kron_sum([], 6, 4) == BitMatrix.zeros(6, 4)
-    assert gf2._kron_sum([(a.to_bit_array(),)], 2, 3) == a
-    cached = a.to_bit_array()
-    cached.flags.writeable = False  # a lone cached factor must not become the accumulator
-    assert gf2._kron_sum([(cached,), (c.to_bit_array(),)], 2, 3) == a ^ c
-    assert gf2._kron_sum([(cached,)], 2, 3) == a
+    assert gf2._kron_sum([((3, a.row_ints()),)], 2, 3) == a
+    assert gf2._kron_sum([((3, a.row_ints()),), ((3, c.row_ints()),)], 2, 3) == a ^ c
+
+
+@st.composite
+def kron_sums(draw):
+    """Axis shapes (rows, width), 1 to 4 axes of width 1 to 9, each
+    square or shaped like the fold map S ((width + 1) // 2 rows), and 0
+    to 3 products of random factors (row ints) of those shapes."""
+    widths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    shapes = [(draw(st.sampled_from((n, (n + 1) // 2))), n) for n in widths]
+    factor = [st.lists(st.integers(0, (1 << n) - 1), min_size=r, max_size=r) for r, n in shapes]
+    return shapes, draw(st.lists(st.tuples(*factor), max_size=3))
+
+
+def dense_factor(width, rows):
+    return np.array([[v >> j & 1 for j in range(width)] for v in rows], dtype=np.uint8)
+
+
+@settings(deadline=None)
+@given(kron_sums())
+def test_kron_sum_and_kron_vec_equal_numpy_kron(case):
+    shapes, products = case
+    rows, cols = math.prod(r for r, _ in shapes), math.prod(n for _, n in shapes)
+    want = np.zeros((rows, cols), dtype=np.uint8)
+    for factors in products:
+        dense = [dense_factor(n, f) for (_, n), f in zip(shapes, factors)]
+        want ^= functools.reduce(np.kron, dense)
+    got = gf2._kron_sum([[(n, f) for (_, n), f in zip(shapes, factors)] for factors in products],
+                        rows, cols)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert np.array_equal(got.to_bit_array(), want)
+    for factors in products:
+        vec = [(n, f[-1]) for (_, n), f in zip(shapes, factors)]
+        want_vec = functools.reduce(np.kron, [dense_factor(n, [v])[0] for n, v in vec])
+        assert np.array_equal(BitVector.from_int(cols, gf2._kron_vec(vec)).to_array(), want_vec)
 
 
 def test_dense_build_over_the_limit_fails_before_allocating(monkeypatch):

@@ -193,14 +193,13 @@ def _dense_path_poly(n, f):
 
 
 def test_path_poly_equals_dense_horner():
-    """Unreduced f of degree up to 2n as well as reduced ones; the result
-    is a read-only, C-contiguous uint8 array."""
+    """Unreduced f of degree up to 2n as well as reduced ones: the n row
+    ints, unpacked, are f(J_n)."""
     rng = random.Random(13)
     for n in list(range(1, 70)) + [129, 200, 257]:
         fs = [0, 1, X.value, (ONE + X).value] + [rng.getrandbits(rng.randint(1, 2 * n + 1))
                                                for _ in range(3)]
         for f in fs:
-            got = poly2._path_poly.__wrapped__(n, f)
-            assert got.dtype == np.uint8 and got.shape == (n, n)
-            assert got.flags.c_contiguous and not got.flags.writeable
+            rows = poly2._path_poly_rows(n, f)
+            got = np.array([[row >> c & 1 for c in range(n)] for row in rows], dtype=np.uint8)
             assert np.array_equal(got, _dense_path_poly(n, f)), (n, f)

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from sigma_forge import chase, game, gf2, poly2, solver
+from sigma_forge import chase, game, gf2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import two_valuation
@@ -331,6 +332,39 @@ def test_closed_form_1d_lift_matches_ground_truth():
         assert closed_form_value(g) == symmetric_achievability(g).achievable
 
 
+def _closed_form_by_u_element(g):
+    """The 2-d criterion with u(0, 0) read from :func:`.game.u_element`."""
+    n, m = g.shape.dims
+    u00 = game.u_element(g).constant_coefficient()
+    return not (n % 2 and m % 2 and u00 == 0 and two_valuation(n + 1) == two_valuation(m + 1))
+
+
+def test_the_closed_form_reads_u00_from_the_terms():
+    """u(0, 0) comes from the terms, not from u_element, and agrees with
+    it: on every preset and on custom games, some with exponent 10^7, in
+    2-d and in 1-d lifted to 1 x n; the odd shapes with equal
+    2-valuations (1x1, 3x3, 1x5, 3x11, 7x7, ...) are the ones where the
+    verdict turns on u(0, 0)."""
+    assert not hasattr(solver, "u_element")
+    big = 10 ** 7
+    customs = {1: [{(big,)}, {(0,), (big,)}, {(1,), (3,)}, {(2,), (big,), (5,)}],
+               2: [{(big, 0)}, {(0, big), (1, 1)}, {(big, big), (0, 0), (2, 0)},
+                   {(0, 0), (2, 2), (3, 1)}, {(4, 0), (0, 4)}]}
+    blocked = 0
+    for d in (1, 2):
+        for dims in itertools.product(range(1, 16), repeat=d):
+            shape = GridShape(dims)
+            games = [GameSpec.preset(name, shape) for name in game.PRESET_NAMES]
+            games += [GameSpec(shape, frozenset(t)) for t in customs[d]]
+            for g in games:
+                if d == 1:
+                    g = GameSpec(GridShape((1,) + dims), frozenset((0,) + t for t in g.terms))
+                want = _closed_form_by_u_element(g)
+                assert solver._principal_closed_form(g) == want, (g.label(), dims)
+                blocked += not want
+    assert blocked > 20
+
+
 def test_closed_form_corollary_even_axis_any_position():
     # the even axis may sit anywhere; permutation symmetry applies
     assert closed_form_value(preset("sigma-:boxtimes", 3, 4, 5)) is True
@@ -358,19 +392,6 @@ def test_sweep_small_no_disagreement():
     assert not sweep_disagreements(rows)
     shapes = [r.shape.dims for r in rows]
     assert shapes == sorted(shapes)  # lexicographic order
-
-
-def test_a_1d_sweep_builds_no_path_factor_for_chased_boards(fresh_matrices):
-    """From 64 cells a 1-d sigma+:box board is chased, its certificates
-    are checked by shifts and its diagonal read from the game: rows past
-    n = 63 add no n x n factor to the cache."""
-    sizes = []
-    for max_n in (63, 200):
-        poly2._path_poly.cache_clear()
-        adjacency_matrix.cache_clear()
-        sweep("sigma+:box", 1, max_n)
-        sizes.append(poly2._path_poly.cache_info().currsize)
-    assert sizes[0] == sizes[1]
 
 
 def test_sweep_odd_only():
