@@ -14,7 +14,9 @@ bit, which costs a few XORs a row on a banded U_i such as I + J.  T_i
 is then not unique, but any invertible T_i with T_i U_i = R_i gives the
 same answers.  As (T_1 (x) ... (x) T_d) M =
 R_1 (x) ... (x) R_d, M x = t holds iff (R_1 (x) ... (x) R_d) x = t' =
-(T_1 (x) ... (x) T_d) t, applied as d mode products on the grid: t is
+(T_1 (x) ... (x) T_d) t: on an invertible axis T_i = g_i(J) is applied
+by Horner's rule on the grid as one Python int (:func:`apply`), and on a
+singular one as a mode product of the packed T_i; t is
 consistent iff t' vanishes outside the leading rank_1 x ... x rank_d
 block, and that block put on P_1 x ... x P_d, zero elsewhere, solves
 it.  Column c of U_i is U_i W_i[c], where W_i[c] = e_c for a pivot c
@@ -26,7 +28,9 @@ kernel vector.  These are total - prod(rank_i) columns, the nullity, so
 they are all of them, and the solution above is zero on every one.  The
 answers are the dense RREF's, byte for byte, and no RREF spans more than
 one axis; working memory is the kernel's nullity x total bytes and the
-targets'.
+targets'.  When every U_i is invertible M is, so the kernel is empty
+and x = (g_1 (x) ... (x) g_d)(J) t, with no mode product, pack or
+elimination.
 
 Light chasing: pick an axis p of length n and cut the grid into the n
 layers across it, each of r = total / n cells.  When every term has
@@ -57,26 +61,34 @@ and the free-variables-zero solution of P gives the dense RREF's
 kernel basis and solution byte for byte.  On any other axis the lifted
 kernel is put in the same canonical form by one RREF with its columns
 reversed (free columns are the highest set bits), and the solution's
-free coordinates are cleared with it.  Each RREF picks its routine by
-its own size (:func:`.gf2._rref_any`), the end system's by r; both
-routines give the same pivots and reduced matrix columns.
+free coordinates are cleared with it.  Every routine that eliminates
+gives the same pivots and reduced matrix columns.
 
 A and C are Kronecker sums of polynomials in the path matrices J.  The
 chase needs A to be a product of per-axis factors a_i(J); it is
 invertible iff each a_i is prime to Q_{n_i}, the minimal polynomial of
 J_{n_i}, and then A^-1 is the product of the inverses mod Q_{n_i}.
 
-Arithmetic is exact over GF(2), on vectors packed in uint64 words: a
-step by a sparse C XORs the words of the rows each row of C selects,
-and a product by a dense matrix goes through Four Russians tables
-(:func:`.gf2._product`).  A small sparse C, whose gather index has at
-most 64 entries, with chased rows of one word runs the steps on Python
-ints instead, one per chased row: on such layers numpy's per-call cost,
-not the XORs, would set the time.  Working memory is C and A^-1, built
-on int rows and packed, a few transient arrays of r x r bytes (C's
-gather index, the end system), the n + 2 packed layers over the r + T
-chased columns (T targets), and the lifted vectors, total x (nullity +
-T) bytes; gathers and tables are staged in blocks of at most 1 MB.  On
+Arithmetic is exact over GF(2).  A^-1 t is applied to the targets on
+the grid by Horner's rule (:func:`apply`).  When the r unit starts and
+the T targets fit one 64-bit word (r + T <= 64) the chase stays on
+Python ints from start to finish: a layer is one int whose 64-bit chunk
+i holds the chased row of its cell i, C acts on a whole layer by
+Horner's rule on 64-bit cells (C is a sum of Kronecker products of
+polynomials in J, like M), the end system is eliminated on its int rows
+by :func:`.gf2._echelon_rows`, and a selection of chased columns is
+lifted to every cell at once, as the parities of the masked chunks; the
+kernel and solutions are packed once, at the end.  On such layers
+numpy's per-call cost, not the XORs, would set the time.  A chase of
+wider rows runs on vectors packed in uint64 words: a step by a sparse C
+XORs the words of the rows each row of C selects, and a product by a
+dense matrix goes through Four Russians tables (:func:`.gf2._product`);
+its end system and canonical form pick their RREF routine by their own
+size (:func:`.gf2._rref_any`).  Its working memory is C, built on int
+rows and packed on its first run, a few transient arrays of r x r bytes
+(C's gather index, the end system), the n + 2 packed layers over the
+r + T chased columns, and the lifted vectors, total x (nullity + T)
+bytes; gathers and tables are staged in blocks of at most 1 MB.  On
 2^12 cells, sigma-:box (r and the nullity both 2,048) peaks at 26 MB
 under tracemalloc, below two bytes per entry of the matrix.
 
@@ -87,39 +99,39 @@ for a product game, else the chase on the longest axis that qualifies,
 else the dense RREF, and logs one DEBUG line naming the backend.
 
 The same matrix is described once, by :func:`kron_factors`, as a sum of
-Kronecker products of per-axis factors f_i(J).  Its dense words
-(:func:`game_words`, built only when read), its mat-vec (:func:`apply`,
-which checks every answer without the dense matrix, by Horner's rule on
-the grid as one Python int) and its diagonal (:func:`diagonal`) all read
-that description.
+Kronecker products of per-axis factors f_i(J): the terms' bounding box
+plus the terms it has too many, or one product per term, whichever is
+fewer.  Its dense words (:func:`game_words`, built only when read), its
+mat-vec (:func:`apply`, which checks every answer without the dense
+matrix, by Horner's rule on the grid as one Python int) and its
+diagonal (:func:`diagonal`) all read that description.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import sys
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, BitVector, _Echelon, _echelon_rows, _ints_to_words, _kron_sum,
-                  _kron_vec, _nwords, _pack_rows, _product, _rref_any, _unpack_words,
-                  _unpack_words_2d)
+from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _Echelon, _echelon_rows, _ints_to_words,
+                  _kron_row_sum, _kron_sum, _kron_vec, _nwords, _pack_rows, _product, _rref_any,
+                  _unpack_words, _unpack_words_2d)
 
 _log = logging.getLogger(__name__)
 
-# the chase's fixed cost, about 0.3 ms, beats the dense elimination it
-# saves on boards of fewer cells; the product backend (about 0.2 ms,
-# even with dense from about 36 cells) takes the same gate
+# a backend's fixed cost is paid on every board it takes; below this
+# many cells the dense RREF runs on int rows and is cheap, and a backend
+# built afresh is no sure win: at 36-64 cells (timeit, one target) a
+# one-word chase costs 0.07-0.09 ms against 0.1-0.18 ms dense, a
+# product of invertible axes 0.02 ms against 0.07 ms, and one of
+# singular axes 0.18 ms against 0.11 ms (8x8 sigma+:boxtimes)
 _MIN_CELLS = 64
 
-# a chase whose gather index has at most this many entries, r (k + 1)
-# for r cells a layer and k entries a row of C, and whose chased rows
-# fit one word runs its steps on Python ints: below this size numpy's
-# per-call cost outweighs the XORs (the crossover measured on boards of
-# 129 to 400 cells)
-_INT_GATHER_MAX = 64
 
 def _inverse_mod(a: int, m: int) -> Optional[int]:
     """The inverse of polynomial a modulo m (bit k = coefficient of X^k),
@@ -152,27 +164,164 @@ def _gather_index(c: np.ndarray, r: int) -> Optional[np.ndarray]:
     return index
 
 
+def _reversed_bits(v: int, n: int) -> int:
+    """v < 2^n with bit j moved to bit n - 1 - j."""
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
+# bytes.translate tables: b"0"/b"1" to bytes 0/1, and any byte to b"0" or
+# b"1" by its bit 0
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_BIT0_ASCII = bytes.maketrans(bytes(range(256)), bytes(48 + (b & 1) for b in range(256)))
+
+
+def _chunks(cells: bytes) -> int:
+    """The int whose 64-bit chunk i holds byte i of ``cells``."""
+    buf = bytearray(8 * len(cells))
+    buf[::8] = cells
+    return int.from_bytes(buf, "little")
+
+
 class _Chase:
     """A game on ``dims`` chased along ``axis``; see the module notes.
 
-    ``c`` is C packed, ``gather`` its :func:`_gather_index` (None for a
-    dense C, whose steps go through Four Russians tables) and ``a_inv``
-    A^-1 packed, or None when A = I.
+    ``c_polys`` is C as a sum of Kronecker products over the other axes,
+    per product its per-axis polynomials (as in :func:`apply`), and
+    ``a_inv`` holds the per-axis factors g_i of A^-1 (1 on ``axis``), or
+    is None when A = I.  A solve on packed words builds C packed, and
+    its gather index, on its first run (``_words``).
     """
 
-    __slots__ = ("dims", "axis", "n", "r", "c", "gather", "a_inv")
+    __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv", "_words")
 
-    def __init__(self, dims: Tuple[int, ...], axis: int, c: np.ndarray,
-                 a_inv: Optional[np.ndarray]):
+    def __init__(self, dims: Tuple[int, ...], axis: int, c_polys: list, a_inv: Optional[tuple]):
         self.dims = dims
         self.axis = axis
         self.n = dims[axis]
-        self.r = math.prod(dims) // self.n
-        self.c = c
-        self.gather = _gather_index(c, self.r)
+        self.others = dims[:axis] + dims[axis + 1:]
+        self.r = math.prod(self.others)
+        # the cells of a layer come in runs of ``inner`` consecutive grid cells
+        self.inner = math.prod(dims[axis + 1:])
+        self.c_polys = c_polys
         self.a_inv = a_inv
+        self._words = None
 
-    # -- layers --------------------------------------------------------
+    # -- answers -------------------------------------------------------
+
+    def solve(self, ts: Sequence[int]):
+        """(packed canonical kernel, packed solution or None per target)
+        of the game matrix for the targets ``ts`` (grid ints), in the
+        dense RREF's canonical form (see :class:`.gf2.Elimination`).
+        A^-1 t is applied on the whole grid by Horner's rule
+        (:func:`apply`).  When the r unit starts and T targets fit one
+        64-bit word the chase runs on ints (:meth:`_solve_ints`), else on
+        packed words (:meth:`_solve_words`)."""
+        if self.a_inv is not None:
+            ts = [apply(self.dims, (self.a_inv,), t) for t in ts]
+        if self.r + len(ts) <= _WORD:
+            return self._solve_ints(ts)
+        return self._solve_words(ts)
+
+    def _solve_ints(self, ts: Sequence[int]):
+        """:meth:`solve` on Python ints.  A layer x_k is one int whose
+        64-bit chunk i is the chased row of its cell i: bit j of the row
+        is its coefficient of chased column j (unit start j, or target
+        j - r).  C acts on a whole layer by Horner's rule on 64-bit cells
+        (:func:`apply`), so a step x_{k-1} = C x_k + x_{k+1} + (A^-1 t)_k
+        is a few big-int operations.  The end system [P | s] is the rows
+        of x_{-1}, eliminated by :func:`.gf2._echelon_rows`; the kernel
+        and the solutions are read off its reduced rows as selections of
+        chased columns, and lifted to every cell at once: bit 0 of a
+        chunk of the layers masked by a selection, folded onto itself, is
+        the parity of the selection over that cell's row.  One pack at
+        the end."""
+        r, n, total, ntargets = self.r, self.n, self.n * self.r, len(ts)
+        sources = [0] * n
+        for j, t in enumerate(ts):
+            cells = self._to_layers(format(t, f"0{total}b")[::-1].encode()).translate(_FROM_ASCII)
+            for k in range(n):
+                sources[k] ^= _chunks(cells[k * r:k * r + r]) << (r + j)
+        # x_{n-1}: chunk i is unit start i; x_n = 0
+        x, nxt = ((1 << 65 * r) - 1) // ((1 << 65) - 1), 0
+        layers = [x]
+        for source in reversed(sources):
+            x, nxt = apply(self.others, self.c_polys, x, _WORD) ^ nxt ^ source, x
+            layers.append(x)
+        end = memoryview(layers.pop().to_bytes(8 * r, sys.byteorder)).cast("Q").tolist()
+        pivots, rows = _echelon_rows(end, r)
+        rank = len(pivots)
+        bad = 0
+        for v in rows[rank:]:
+            bad |= v
+
+        def selection(c):
+            # the pivot part of column c of the reduced rows
+            return sum(1 << p for p, v in zip(pivots, rows) if v >> c & 1)
+        free = sorted(set(range(r)).difference(pivots))
+        solved = [j for j in range(ntargets) if not bad >> (r + j) & 1]
+        # every layer, x_0 lowest, and the parities of a selection over
+        # its cells, in grid order from cell 0, one b"0" or b"1" a cell
+        flat = int.from_bytes(b"".join(x.to_bytes(8 * r, "little") for x in reversed(layers)),
+                              "little")
+        repunit = ((1 << 64 * total) - 1) // ((1 << 64) - 1)
+        folds = [1 << h for h in range((r + ntargets - 1).bit_length() - 1, -1, -1)]
+
+        def lifted(sel):
+            p = flat & sel * repunit
+            for h in folds:
+                p ^= p >> h
+            return self._to_grid(p.to_bytes(8 * total, "little")[::8].translate(_BIT0_ASCII))
+        xs = [int(lifted(1 << (r + j) | selection(r + j))[::-1], 2) for j in solved]
+        kernel = [lifted(1 << f | selection(f)) for f in free]
+        if self.axis and free:
+            # the canonical kernel: the RREF of the kernel with its columns
+            # reversed pivots on the highest set bits, the free columns
+            rpivots, rrows = _echelon_rows([int(v, 2) for v in kernel], total)
+            kernel = [_reversed_bits(v, total) for v in reversed(rrows)]
+            for f, k in zip(reversed(rpivots), kernel):
+                xs = [x ^ k if x >> (total - 1 - f) & 1 else x for x in xs]
+        else:
+            kernel = [int(v[::-1], 2) for v in kernel]
+        words = _ints_to_words(kernel + xs, total)
+        solutions = [None] * ntargets
+        for j, x in zip(solved, words[len(kernel):]):
+            solutions[j] = x
+        return words[:len(kernel)], solutions
+
+    def _to_layers(self, cells: bytes) -> bytes:
+        """One byte a cell, grid order -> layer order (byte k r + i is
+        cell i of layer k)."""
+        n, inner = self.n, self.inner
+        if inner == self.r:
+            return cells
+        if inner == 1:
+            return b"".join(cells[k::n] for k in range(n))
+        step = n * inner
+        return b"".join(cells[b:b + inner] for k in range(n)
+                        for b in range(k * inner, len(cells), step))
+
+    def _to_grid(self, cells: bytes) -> bytes:
+        """One byte a cell, layer order -> grid order."""
+        n, r, inner = self.n, self.r, self.inner
+        if inner == r:
+            return cells
+        if inner == 1:
+            return b"".join(cells[i::r] for i in range(r))
+        return b"".join(cells[k * r + b:k * r + b + inner] for b in range(0, r, inner)
+                        for k in range(n))
+
+    # -- packed words --------------------------------------------------
+
+    def _packed(self):
+        """(C packed, its :func:`_gather_index` or None for a dense C,
+        whose steps go through Four Russians tables), built on the first
+        run on words."""
+        if self._words is None:
+            products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(self.others, factors)]
+                        for factors in self.c_polys]
+            c = _ints_to_words(_kron_row_sum(products, self.r), self.r)
+            self._words = c, _gather_index(c, self.r)
+        return self._words
 
     def _layers(self, bits: np.ndarray) -> np.ndarray:
         """(q, total) grid bits -> (q, n, r): axis moved first."""
@@ -187,30 +336,24 @@ class _Chase:
         return np.moveaxis(layers.reshape((q, self.n) + others), 1, 1 + self.axis).reshape(q, -1)
 
     def _sources(self, tbits: np.ndarray) -> np.ndarray:
-        """A^-1 t_k for every layer k and each of the T targets, packed
-        as (n, r, w) words that line up with the words of a chased row
-        from word r // 64 on, so that target j lands in column r + j."""
+        """t_k for every layer k and each of the T targets (A^-1 already
+        applied), packed as (n, r, w) words that line up with the words
+        of a chased row from word r // 64 on, so that target j lands in
+        column r + j."""
         ntargets, n, r = tbits.shape[0], self.n, self.r
-        t = self._layers(tbits)  # (T, n, r)
-        if self.a_inv is not None:
-            cols = _pack_rows(np.ascontiguousarray(t.transpose(2, 1, 0)).reshape(r, n * ntargets))
-            t = _unpack_words_2d(_product(self.a_inv, r, cols), n * ntargets).reshape(
-                r, n, ntargets).transpose(2, 1, 0)
         pad = r & 63
         bits = np.zeros((n, r, pad + ntargets), dtype=np.uint8)
-        bits[:, :, pad:] = t.transpose(1, 2, 0)
+        bits[:, :, pad:] = self._layers(tbits).transpose(1, 2, 0)
         return _pack_rows(bits)
 
     def run(self, tbits: np.ndarray):
         """Chase the r unit starts of the last layer and one affine column
-        per row of the (T, total) target bits: r + T chased columns.
-        Returns x_{-1} as (r, r + T) bits, whose columns are [P | s], and
-        the packed layers x_0 .. x_{n-1}, for :meth:`lift`.  A small
-        sparse C with rows of one word runs on ints (:meth:`_run_ints`)."""
+        per row of the (T, total) target bits on packed words: r + T
+        chased columns.  Returns x_{-1} as (r, r + T) bits, whose columns
+        are [P | s], and the packed layers x_0 .. x_{n-1}, for
+        :meth:`lift`."""
         r, n, ntargets = self.r, self.n, tbits.shape[0]
-        if (self.gather is not None and self.gather.size <= _INT_GATHER_MAX
-                and r + ntargets <= 64):
-            return self._run_ints(tbits)
+        c, gather = self._packed()
         width = _nwords(r + ntargets)
         # buf[k + 1] holds x_k, with an all-zero row after its r rows
         buf = np.zeros((n + 2, r + 1, width), dtype=np.uint64)
@@ -218,46 +361,20 @@ class _Chase:
         buf[n, idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
         sources = self._sources(tbits) if ntargets else None
         flat = buf.reshape((n + 2) * (r + 1), width)
-        if self.gather is not None:
-            step = max(1, _STAGE_WORDS // (self.gather.shape[1] * width))
+        if gather is not None:
+            step = max(1, _STAGE_WORDS // (gather.shape[1] * width))
         for k in range(n - 1, -1, -1):
             # x_{k-1} = C x_k + x_{k+1}
-            if self.gather is None:
-                np.bitwise_xor(_product(self.c, r, buf[k + 1, :r]), buf[k + 2, :r], out=buf[k, :r])
+            if gather is None:
+                np.bitwise_xor(_product(c, r, buf[k + 1, :r]), buf[k + 2, :r], out=buf[k, :r])
             else:
                 block, out = flat[(k + 1) * (r + 1):(k + 3) * (r + 1)], buf[k, :r]
                 for i in range(0, r, step):
-                    np.bitwise_xor.reduce(np.take(block, self.gather[i:i + step], axis=0), axis=1,
+                    np.bitwise_xor.reduce(np.take(block, gather[i:i + step], axis=0), axis=1,
                                           out=out[i:i + step])
             if sources is not None:
                 buf[k, :r, r >> 6:] ^= sources[k]
         return _unpack_words_2d(buf[0, :r], r + ntargets), buf[1:n + 1, :r]
-
-    def _run_ints(self, tbits: np.ndarray):
-        """:meth:`run` with each chased row of a layer one int, bit j its
-        chased column j: row i of x_{k-1} XORs the rows of x_k that row i
-        of C selects, row i of x_{k+1} and that of the source."""
-        r, n, ntargets = self.r, self.n, tbits.shape[0]
-        selects = [[j for j in row if j < r] for row in self.gather[:, :-1].tolist()]
-        if ntargets:
-            sources = self._sources(tbits)[:, :, 0].tolist()
-        else:
-            sources = [[0] * r] * n
-        cur, nxt = [1 << i for i in range(r)], [0] * r
-        layers = [cur]
-        for k in range(n - 1, -1, -1):
-            new = []
-            for cols, nxt_i, source in zip(selects, nxt, sources[k]):
-                v = nxt_i ^ source
-                for j in cols:
-                    v ^= cur[j]
-                new.append(v)
-            cur, nxt = new, cur
-            layers.append(cur)
-        # layers holds x_{n-1} down to x_{-1}, one word a row
-        end = np.array(layers.pop(), dtype=np.uint64).reshape(r, 1)
-        words = np.array(layers[::-1], dtype=np.uint64).reshape(n, r, 1)
-        return _unpack_words_2d(end, r + ntargets), words
 
     def lift(self, layers: np.ndarray, select: np.ndarray) -> np.ndarray:
         """Grid vectors from :meth:`run`'s layers: row q of ``select``
@@ -272,14 +389,10 @@ class _Chase:
         bits = _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
         return self._grid(bits)
 
-    # -- answers -------------------------------------------------------
-
-    def solve(self, tbits: np.ndarray):
-        """(packed canonical kernel, packed solution or None per target)
-        of the game matrix, in the dense RREF's canonical form (see
-        :class:`.gf2.Elimination`)."""
-        r, ntargets = self.r, tbits.shape[0]
-        end, layers = self.run(tbits)
+    def _solve_words(self, ts: Sequence[int]):
+        """:meth:`solve` on packed words (:meth:`run`, :meth:`lift`)."""
+        r, ntargets = self.r, len(ts)
+        end, layers = self.run(_grid_bits(ts, self.n * r))
         e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T))
         last = [e.solution(j) for j in range(ntargets)]
         solved = [j for j in range(ntargets) if last[j] is not None]
@@ -300,6 +413,11 @@ class _Chase:
         for j, x in zip(solved, _pack_rows(xs)):
             solutions[j] = x
         return _pack_rows(kernel), solutions
+
+
+def _grid_bits(ts: Sequence[int], total: int) -> np.ndarray:
+    """(T, total) 0/1 bits of grid ints."""
+    return _unpack_words_2d(_ints_to_words(ts, total), total)
 
 
 def _canonical_kernel(bits: np.ndarray):
@@ -335,14 +453,21 @@ def product_factors(dims: Tuple[int, ...], terms: Sequence[tuple]) -> Optional[l
 def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
     """The game matrix as a sum of Kronecker products f_1(J) (x) ... (x)
     f_d(J): per product, its per-axis factors f_i (ints, reduced mod
-    Q_{n_i}).  A product game is one product of its per-axis exponent
-    sets (:func:`product_factors`); any other game has one product per
-    term, f_i = X^{e_i}.  The dense words, the mat-vec and the diagonal
-    of a game matrix all read this description."""
-    factors = product_factors(dims, terms)
-    if factors is not None:
-        return (tuple(factors),)
-    return tuple(tuple(poly2._power_sum(n, [e]) for n, e in zip(dims, t)) for t in terms)
+    Q_{n_i}).  Over GF(2) the sum over the terms equals the product of
+    their bounding box E_1 x ... x E_d (E_i the exponents on axis i,
+    f_i their sum) plus one product X^{e_1} ... X^{e_d} per term of the
+    box that is not a term.  That description is taken when it has
+    fewer products than one per term: a product game is one product,
+    sigma-:boxtimes two.  The dense words, the mat-vec and the diagonal
+    of a game matrix all read it."""
+    sets = [sorted({t[i] for t in terms}) for i in range(len(dims))]
+    products, rest = [], terms
+    if 1 + math.prod(map(len, sets)) - len(terms) < len(terms):
+        present = set(terms)
+        products = [tuple(poly2._power_sum(n, e_set) for n, e_set in zip(dims, sets))]
+        rest = [t for t in itertools.product(*sets) if t not in present]
+    return tuple(products) + tuple(tuple(poly2._power_sum(n, [e]) for n, e in zip(dims, t))
+                                   for t in rest)
 
 
 def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
@@ -355,30 +480,33 @@ def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _shift_masks(dims: Tuple[int, ...]) -> tuple:
-    """Per axis of the row-major grid, (s, not_first, not_last): its
-    stride, and the masks of the cells that are not first and not last
-    along it, each one block of n s bits times the repunit that repeats
-    it over the grid."""
-    total = math.prod(dims)
+def _shift_masks(dims: Tuple[int, ...], width: int) -> tuple:
+    """Per axis of the row-major grid of ``width``-bit cells, (s,
+    not_first, not_last): its stride in bits, and the masks of the cells
+    that are not first and not last along it, each one block of n s bits
+    times the repunit that repeats it over the grid."""
+    total = math.prod(dims) * width
     masks = []
     for i, n in enumerate(dims):
-        s = math.prod(dims[i + 1:])
+        s = math.prod(dims[i + 1:]) * width
         repunit = ((1 << total) - 1) // ((1 << n * s) - 1)
         not_first = ((1 << n * s) - (1 << s)) * repunit
         masks.append((s, not_first, ((1 << (n - 1) * s) - 1) * repunit))
     return tuple(masks)
 
 
-def apply(dims: Tuple[int, ...], terms: Tuple[tuple, ...], x: int) -> int:
-    """M x for the grid vector x (an int, bit k cell k), applied one axis
-    at a time, each product of :func:`kron_factors` in turn, without
-    building M: the factor 1 leaves an axis alone, and any other factor
-    f runs Horner's rule on the whole grid, J along the axis being one
-    shift each way, (J y)_k = y_{k-1} + y_{k+1}."""
-    masks = _shift_masks(dims)
+def apply(dims: Tuple[int, ...], products: Sequence[tuple], x: int, width: int = 1) -> int:
+    """(sum of f_1(J) (x) ... (x) f_d(J) over ``products``) x for the grid
+    vector x, an int whose bits k w .. k w + w - 1 are cell k for w =
+    ``width`` (a mat-vec when w = 1; for w > 1 the same operator on w
+    columns at once), each product given by its per-axis factors f_i
+    (ints, as in :func:`kron_factors`), applied one axis at a time
+    without building a matrix: the factor 1 leaves an axis alone, and
+    any other factor f runs Horner's rule on the whole grid, J along the
+    axis being one shift each way, (J y)_k = y_{k-1} + y_{k+1}."""
+    masks = _shift_masks(dims, width)
     out = 0
-    for factors in kron_factors(dims, terms):
+    for factors in products:
         y = x
         for f, (s, not_first, not_last) in zip(factors, masks):
             if f != 1:
@@ -426,30 +554,25 @@ def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _axis_echelon(n: int, f: int):
-    """(pivots, T, W) of U = f(J_n); T and W are packed n x n, and all
-    three are read-only, as boards that share an axis share them.  T is
-    invertible and T U is the RREF of U, row c of W is the pivot part of
-    the canonical kernel vector of free column c, and W[p] = e_p for a
-    pivot p.  When f has an inverse g mod Q_n, U is invertible and needs
-    no elimination: its pivots are 0 .. n - 1, T = U^-1 = g(J_n) and
-    W = I.  Else :func:`.gf2._echelon_rows` eliminates U on int rows,
-    row i tagged with bit n + i, so the tags the rows end with are the
-    rows of T; every step is a row operation, so T is invertible."""
-    g = _inverse_mod(f, poly2.chebyshev_q(n).value)
-    if g is not None:
-        pivots, t, w = range(n), poly2._path_poly_rows(n, g), [1 << c for c in range(n)]
-    else:
-        rows = poly2._path_poly_rows(n, f)
-        pivots, rows = _echelon_rows((u | 1 << (n + i) for i, u in enumerate(rows)), n)
-        t = [v >> n for v in rows]
-        # W[c] of a free c: the pivots p whose reduced row has bit c
-        w = [0] * n
-        for p, v in zip(pivots, rows):
-            w[p] = 1 << p
-            free = v & ((1 << n) - 1) ^ 1 << p
-            while free:
-                w[(free & -free).bit_length() - 1] |= 1 << p
-                free &= free - 1
+    """(pivots, T, W) of a singular U = f(J_n) (f not prime to Q_n); T
+    and W are packed n x n, and all three are read-only, as boards that
+    share an axis share them.  T is invertible and T U is the RREF of U,
+    row c of W is the pivot part of the canonical kernel vector of free
+    column c, and W[p] = e_p for a pivot p.  :func:`.gf2._echelon_rows`
+    eliminates U on int rows, row i tagged with bit n + i, so the tags
+    the rows end with are the rows of T; every step is a row operation,
+    so T is invertible."""
+    rows = poly2._path_poly_rows(n, f)
+    pivots, rows = _echelon_rows((u | 1 << (n + i) for i, u in enumerate(rows)), n)
+    t = [v >> n for v in rows]
+    # W[c] of a free c: the pivots p whose reduced row has bit c
+    w = [0] * n
+    for p, v in zip(pivots, rows):
+        w[p] = 1 << p
+        free = v & ((1 << n) - 1) ^ 1 << p
+        while free:
+            w[(free & -free).bit_length() - 1] |= 1 << p
+            free &= free - 1
     pivots = np.asarray(pivots, dtype=np.intp)
     pivots.flags.writeable = False
     return pivots, _ints_to_words(t, n), _ints_to_words(w, n)
@@ -459,26 +582,45 @@ class _Product:
     """A game of two or more axes whose term set is a product E_1 x ...
     x E_d, eliminated one axis at a time; see the module notes.
 
-    Per axis i, ``pivots[i]`` are the pivot columns of U_i = f_i(J),
-    ``transforms[i]`` the T_i with T_i U_i in RREF and ``parts[i]`` the
-    W_i of :func:`_axis_echelon`, both packed.
+    Per axis i, ``pivots[i]`` are the pivot columns of U_i = f_i(J).
+    ``inverse`` holds, per axis, the inverse g_i of f_i mod Q_{n_i} where
+    U_i is invertible and 1 elsewhere, or is None when that is 1 on
+    every axis.  A singular U_i has the T_i and W_i of
+    :func:`_axis_echelon` in ``transforms[i]`` and ``parts[i]``, packed;
+    both are None on an invertible axis, whose T_i is g_i(J) and W_i = I.
     """
 
-    __slots__ = ("dims", "pivots", "transforms", "parts")
+    __slots__ = ("dims", "pivots", "inverse", "transforms", "parts")
 
     def __init__(self, dims: Tuple[int, ...], factors: Sequence[int]):
         self.dims = dims
-        self.pivots, self.transforms, self.parts = zip(*map(_axis_echelon, dims, factors))
+        self.pivots, self.transforms, self.parts, inverse = [], [], [], []
+        for n, f in zip(dims, factors):
+            g = _inverse_mod(f, poly2.chebyshev_q(n).value)
+            pivots, t, w = (np.arange(n), None, None) if g is not None else _axis_echelon(n, f)
+            self.pivots.append(pivots)
+            self.transforms.append(t)
+            self.parts.append(w)
+            inverse.append(1 if g is None else g)
+        self.inverse = tuple(inverse) if any(g != 1 for g in inverse) else None
 
-    def solve(self, tbits: np.ndarray):
+    def solve(self, ts: Sequence[int]):
         """(packed canonical kernel, packed solution or None per target)
-        of the game matrix, in the dense RREF's canonical form (see
-        :class:`.gf2.Elimination`)."""
-        dims, ntargets, total = self.dims, tbits.shape[0], tbits.shape[1]
-        # t' = (T_1 (x) ... (x) T_d) t, one mode product per axis
-        t = tbits.reshape((ntargets,) + dims)
-        for i, ti in enumerate(self.transforms if ntargets else ()):
-            t = _mode_product(t, i, ti)
+        of the game matrix for the targets ``ts`` (grid ints), in the
+        dense RREF's canonical form (see :class:`.gf2.Elimination`)."""
+        dims, ntargets, total = self.dims, len(ts), math.prod(self.dims)
+        # t' = (T_1 (x) ... (x) T_d) t: Horner's rule on the grid applies
+        # every invertible axis's g_i(J) at once
+        if self.inverse is not None:
+            ts = [apply(dims, (self.inverse,), t) for t in ts]
+        singular = [i for i, t in enumerate(self.transforms) if t is not None]
+        if not singular:
+            # M is invertible: no kernel, and x = t'
+            return np.zeros((0, _nwords(total)), dtype=np.uint64), list(_ints_to_words(ts, total))
+        # a singular axis's T_i, one mode product each
+        t = _grid_bits(ts, total).reshape((ntargets,) + dims)
+        for i in singular if ntargets else ():
+            t = _mode_product(t, i, self.transforms[i])
         t = t.copy()
         # consistent iff t' vanishes outside the leading rank_1 x ... x
         # rank_d block, which then lands on the pivots P_1 x ... x P_d
@@ -494,10 +636,9 @@ class _Product:
         pivot = np.zeros(dims, dtype=bool)
         pivot[np.ix_(*self.pivots)] = True
         free = np.flatnonzero(~pivot.ravel())
-        coords = np.unravel_index(free, dims)
-        bits = _unpack_words_2d(self.parts[0][coords[0]], dims[0])
-        for n, w, c in zip(dims[1:], self.parts[1:], coords[1:]):
-            w = _unpack_words_2d(w[c], n)
+        bits = np.ones((free.size, 1), dtype=np.uint8)
+        for n, w, c in zip(dims, self.parts, np.unravel_index(free, dims)):
+            w = np.eye(n, dtype=np.uint8)[c] if w is None else _unpack_words_2d(w[c], n)
             bits = (bits[:, :, None] & w[:, None, :]).reshape(free.size, bits.shape[1] * n)
         bits[np.arange(free.size), free] = 1
         return _pack_rows(bits), solutions
@@ -517,24 +658,16 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
     a_factors = product_factors(tuple(dims[i] for i in others), ones) if ones else None
     if a_factors is None:
         return None, f"A is not a product of per-axis factors on axis {axis}"
-    inverses = []
+    a_inv = [1] * len(dims)
     for i, f in zip(others, a_factors):
-        g = _inverse_mod(f, poly2.chebyshev_q(dims[i]).value)
-        if g is None:
+        a_inv[i] = _inverse_mod(f, poly2.chebyshev_q(dims[i]).value)
+        if a_inv[i] is None:
             return None, f"A is singular on axis {axis}"
-        inverses.append(g)
-    r = math.prod(dims) // n
     # C = A^-1 B: over the exponent-0 terms, the products of g_i X^e_i
     # (a one-cell layer has the empty product, the 1 x 1 identity)
-    c_products = [[(dims[i], poly2._path_poly_rows(dims[i], _axis_factor([e], dims[i], g)))
-                   for i, g, e in zip(others, inverses, s)]
-                  for s in zeros]
-    c = _kron_sum(c_products, r, r)._words
-    a_inv = None
-    if any(g != 1 for g in inverses):
-        factors = [(dims[i], poly2._path_poly_rows(dims[i], g)) for i, g in zip(others, inverses)]
-        a_inv = _kron_sum([factors], r, r)._words
-    return _Chase(dims, axis, c, a_inv), None
+    c_polys = [tuple(_axis_factor([e], dims[i], a_inv[i]) for i, e in zip(others, s))
+               for s in zeros]
+    return _Chase(dims, axis, c_polys, tuple(a_inv) if any(g != 1 for g in a_inv) else None), None
 
 
 @lru_cache(maxsize=64)

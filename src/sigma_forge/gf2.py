@@ -24,12 +24,15 @@ canonical kernel and solutions in closed form.  Otherwise, when an axis
 qualifies, it is chased: one layer of total / n cells is eliminated and
 the answers are lifted to the grid, then put in the same canonical form
 (the free columns are the highest set bits of the kernel vectors).
-Every other matrix is eliminated whole.  Each system, whole, an axis
-factor or a chase's end system, is eliminated 8 columns at a time by
-the Method of Four Russians above 128 rows or columns and on Python-int
-rows below, by its own size (:func:`_rref_any`); both give the same
-pivots and reduced matrix columns.  Matrix products go through Four
-Russians tables as well (:func:`_product`, shared with the chase).
+Every other matrix is eliminated whole.  A system of packed words, a
+whole matrix or the end system of a chase on words, is eliminated 8
+columns at a time by the Method of Four Russians above 128 rows or
+columns and on Python-int rows below, by its own size
+(:func:`_rref_any`); a singular axis factor and the end system of a
+chase on ints are eliminated on their int rows directly
+(:func:`_echelon_rows`).  Every routine gives the same pivots and
+reduced matrix columns.  Matrix products go through Four Russians
+tables as well (:func:`_product`, shared with the chase).
 
 The first elimination that extracts a matrix's kernel stores the packed
 basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
@@ -81,7 +84,12 @@ def _int_to_words(value: int, n: int) -> np.ndarray:
 
 def _ints_to_words(ints: Sequence[int], n: int) -> np.ndarray:
     """Rows given as ints below 2^n, packed as read-only (rows, words)
-    uint64 words."""
+    uint64 words.  Rows of one word go through numpy's own int
+    conversion, wider ones through bytes."""
+    if _nwords(n) == 1:
+        words = np.array(ints, dtype=np.uint64).reshape(len(ints), 1)
+        words.flags.writeable = False
+        return words
     nb = _nwords(n) * 8
     raw = b"".join(v.to_bytes(nb, "little") for v in ints)
     return np.frombuffer(raw, dtype=np.uint64).reshape(len(ints), _nwords(n))
@@ -89,6 +97,8 @@ def _ints_to_words(ints: Sequence[int], n: int) -> np.ndarray:
 
 def _words_to_ints(words: np.ndarray) -> list:
     """Packed (rows, words) uint64 rows, one int per row."""
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
     nb = words.shape[1] * 8
     raw = words.tobytes()
     return [int.from_bytes(raw[i * nb: (i + 1) * nb], "little") for i in range(words.shape[0])]
@@ -393,7 +403,9 @@ class BitMatrix:
         if v.n != self.cols:
             raise ValueError(f"vector length {v.n} != cols {self.cols}")
         if self._game is not None:
-            return BitVector.from_int(self.rows, _chase.apply(*self._game, v.to_int()))
+            dims, terms = self._game
+            mx = _chase.apply(dims, _chase.kron_factors(dims, terms), v.to_int())
+            return BitVector.from_int(self.rows, mx)
         folded = np.bitwise_xor.reduce(self._words & v._words[None, :], axis=1)
         bits = np.bitwise_count(folded).astype(np.uint8) & 1
         return BitVector._of(self.rows, _pack_rows(bits))
@@ -443,11 +455,13 @@ class Elimination:
       first, made canonical by one RREF of the kernel with its columns
       reversed.
 
-    Every way the routine is picked by the size of the system
-    eliminated, m, an axis factor or the end system (:func:`_rref_any`):
-    Python-int rows up to ``_INT_PATH_MAX`` rows and columns, the
-    blocked Four Russians path (:func:`_rref`, 8 columns per table XOR)
-    above; both give the same pivots and reduced matrix columns.
+    A system of packed words, m or a chase's end system on words, gets
+    its routine from its own size (:func:`_rref_any`): Python-int rows
+    up to ``_INT_PATH_MAX`` rows and columns, the blocked Four Russians
+    path (:func:`_rref`, 8 columns per table XOR) above.  The chase's
+    int rows and a singular axis factor go to :func:`_echelon_rows`
+    directly.  Every routine gives the same pivots and reduced matrix
+    columns.
     """
 
     __slots__ = ("m", "targets", "rank", "_solutions", "_echelon")
@@ -455,19 +469,20 @@ class Elimination:
     def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
         self.m = m
         self.targets = tuple(targets)
-        tbits = np.zeros((len(self.targets), m.rows), dtype=np.uint8)
         for j, t in enumerate(self.targets):
             if t.n != m.rows:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
-            tbits[j] = t.to_array()
         backend = _chase.pick(m) if m._game is not None else None
         if backend is None:
+            tbits = np.zeros((len(self.targets), m.rows), dtype=np.uint8)
+            for j, t in enumerate(self.targets):
+                tbits[j] = t.to_array()
             self._echelon = _Echelon(m._words, m.cols, tbits)
             self.rank = self._echelon.rank
             self._solutions = [self._echelon.solution(j) for j in range(len(self.targets))]
         else:
             self._echelon = None
-            kernel, self._solutions = backend.solve(tbits)
+            kernel, self._solutions = backend.solve([t.to_int() for t in self.targets])
             self.rank = m.cols - kernel.shape[0]
             if m._kernel is None:
                 kernel.flags.writeable = False
@@ -866,11 +881,17 @@ def _kron_sum(products: Iterable[Sequence[tuple]], rows: int, cols: int,
     cols matrix; ``symmetric`` is trusted.  The size is checked before
     anything is built."""
     _check_dense(rows, cols)
+    return BitMatrix._of(rows, cols, _ints_to_words(_kron_row_sum(products, rows), cols), symmetric)
+
+
+def _kron_row_sum(products: Iterable[Sequence[tuple]], rows: int) -> list:
+    """The ``rows`` int rows of the XOR of the Kronecker products of each
+    sequence of factors (:func:`_kron_rows`), unpacked."""
     acc = None
     for factors in products:
         term = _kron_rows(factors)[1]
         acc = term if acc is None else [a ^ b for a, b in zip(acc, term)]
-    return BitMatrix._of(rows, cols, _ints_to_words(acc or [0] * rows, cols), symmetric)
+    return acc or [0] * rows
 
 
 def _kron_vec(factors: Sequence[tuple]) -> int:

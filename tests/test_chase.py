@@ -79,10 +79,9 @@ def _chased_answers(g, targets, axis):
     if c is None:
         return None
     total = g.shape.total
-    tbits = np.stack([t.to_array() for t in targets])
-    kernel, sols = c.solve(tbits)
+    kernel, sols = c.solve([t.to_int() for t in targets])
     # with no targets at all, the same kernel
-    assert np.array_equal(c.solve(tbits[:0])[0], kernel)
+    assert np.array_equal(c.solve([])[0], kernel)
     xs = [None if s is None else BitVector._of(total, s) for s in sols]
     certs = [None if x is not None else gf2._first_not_orthogonal(total, kernel, t)
              for t, x in zip(targets, xs)]
@@ -199,10 +198,9 @@ def _product_answers(g, targets):
     backend, _ = chase._pick(g.shape.dims, tuple(sorted(g.terms)))
     assert isinstance(backend, chase._Product)
     total = g.shape.total
-    tbits = np.stack([t.to_array() for t in targets])
-    kernel, sols = backend.solve(tbits)
+    kernel, sols = backend.solve([t.to_int() for t in targets])
     # with no targets at all, the same kernel
-    assert np.array_equal(backend.solve(tbits[:0])[0], kernel)
+    assert np.array_equal(backend.solve([])[0], kernel)
     xs = [None if s is None else BitVector._of(total, s) for s in sols]
     certs = [None if x is not None else gf2._first_not_orthogonal(total, kernel, t)
              for t, x in zip(targets, xs)]
@@ -256,6 +254,32 @@ def test_a_product_game_is_built_as_the_sum_of_its_terms():
             assert np.array_equal(adjacency_matrix(g).to_bit_array(), per_term)
 
 
+def test_a_game_is_built_as_its_bounding_box_plus_its_missing_terms(fresh_matrices):
+    """kron_factors takes the terms' bounding box plus one product per
+    missing term when that is fewer products than one per term; the
+    words equal the per-term sum either way."""
+    for dims in ((5,), (64,), (4, 6), (3, 5), (2, 3, 4), (2, 2, 2, 2)):
+        d = len(dims)
+        shape = GridShape(dims)
+        games = _games(dims) + [g for g in _matrix_free_games(dims) if g.shape.total <= 64]
+        for g in games:
+            terms = tuple(sorted(g.terms))
+            sets = [{t[i] for t in terms} for i in range(d)]
+            missing = int(np.prod([len(e) for e in sets])) - len(terms)
+            assert len(chase.kron_factors(dims, terms)) == min(len(terms), 1 + missing)
+            per_term = np.zeros((shape.total, shape.total), dtype=np.uint8)
+            for t in terms:
+                term = np.ones((1, 1), dtype=np.uint8)
+                for n, e in zip(dims, t):
+                    term = np.kron(term, _j_power(n, e))
+                per_term ^= term
+            assert np.array_equal(adjacency_matrix(g).to_bit_array(), per_term), \
+                f"{g.label()} on {g.shape}"
+    for d in range(2, 13):
+        terms = tuple(sorted(GameSpec.preset("sigma-:boxtimes", GridShape((2,) * d)).terms))
+        assert len(chase.kron_factors((2,) * d, terms)) == 2
+
+
 def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
     """X^e with e = 10^7 reaches the build and the product backend by
     pow_mod, never as a 10^7-bit polynomial."""
@@ -272,6 +296,39 @@ def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
     assert isinstance(chase.pick(m), chase._Product)
     targets = _targets(g.shape, random.Random(9))
     assert _product_answers(g, targets) == _dense_answers(g, targets)
+
+
+def test_invertible_product_axes_are_applied_by_horners_rule(monkeypatch, fresh_matrices):
+    """An invertible axis factor takes no mode product: a product game
+    whose every axis is invertible runs no mode product and no
+    elimination and has no kernel, and one that mixes invertible and
+    singular axes runs one mode product per singular axis; both give
+    the dense answers."""
+    modes = []
+    real = chase._mode_product
+    monkeypatch.setattr(chase, "_mode_product",
+                        lambda t, axis, words: modes.append(axis) or real(t, axis, words))
+    calls = _rref_calls(monkeypatch)
+    rng = random.Random(16)
+    kinds = set()
+    for dims in ((7, 7, 7), (3, 4), (9, 10), (4, 6, 7), (5, 7), (4, 8, 3), (2, 9), (10, 11),
+                 (6, 5, 3)):
+        for g in _product_games(dims):
+            terms = tuple(sorted(g.terms))
+            factors = chase.product_factors(dims, terms)
+            singular = [i for i, (n, f) in enumerate(zip(dims, factors))
+                        if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is None]
+            targets = _targets(g.shape, rng)
+            targets.append(adjacency_matrix(g).mul_vec(targets[1]))
+            calls.clear()
+            modes.clear()
+            got = _product_answers(g, targets)
+            assert modes == singular, f"{g.label()} on {g.shape}"
+            if not singular:
+                assert calls == [] and got[0] == g.shape.total
+            assert got == _dense_answers(g, targets), f"{g.label()} on {g.shape}"
+            kinds.add((bool(singular), len(singular) < len(dims)))
+    assert kinds >= {(False, True), (True, True)}
 
 
 def _matrix_free_games(dims):
@@ -324,8 +381,10 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
 
 
 def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
-    """For f prime to Q_n, _axis_echelon gives the (pivots, T, W) of one
-    RREF of [U | I] without running it; no factor runs an RREF."""
+    """For f prime to Q_n the product backend eliminates nothing: the
+    axis's pivots are 0 .. n - 1, its W is I, and its T is g(J_n) for
+    the inverse g of f mod Q_n, applied by Horner's rule: the T of one
+    RREF of [U | I], U^-1."""
     rng = random.Random(14)
     cases = [(n, f) for n in range(1, 41) for f in (1, 2, 3)]
     cases += [(n, poly2._mod_int(rng.getrandbits(2 * n), poly2.chebyshev_q(n).value))
@@ -333,27 +392,29 @@ def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
     calls = _rref_calls(monkeypatch)
     invertible = 0
     for n, f in cases:
-        chase._axis_echelon.cache_clear()
-        calls.clear()
-        pivots, t, w = chase._axis_echelon(n, f)
-        assert calls == []
-        if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is None:
+        g = chase._inverse_mod(f, poly2.chebyshev_q(n).value)
+        if g is None:
             continue
         invertible += 1
+        calls.clear()
+        backend = chase._Product((n,), (f,))
+        assert calls == []
+        assert backend.transforms == [None] and backend.parts == [None]
+        assert backend.inverse == (None if g == 1 else (g,))
         u = gf2._ints_to_words(poly2._path_poly_rows(n, f), n)
         e = gf2._Echelon(u, n, np.eye(n, dtype=np.uint8))
-        assert pivots.tolist() == e.pivots == list(range(n))
-        assert t.dtype == np.uint64 and t.tobytes() == np.ascontiguousarray(e.rhs).tobytes()
-        assert np.array_equal(w, BitMatrix.identity(n)._words)
-        assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
+        assert backend.pivots[0].tolist() == e.pivots == list(range(n))
+        t = gf2._ints_to_words(poly2._path_poly_rows(n, g), n)
+        assert t.tobytes() == np.ascontiguousarray(e.rhs).tobytes()
     assert invertible > 200
 
 
 def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_matrices):
-    """For f not prime to Q_n, _axis_echelon runs no RREF and agrees with
-    one RREF of [U | I]: the same pivots, the pivot parts of the same
-    canonical kernel vectors, and an invertible T (not unique when U is
-    singular) with T U equal to the reduced rows."""
+    """For f not prime to Q_n, _axis_echelon runs one int-row
+    elimination and no RREF, and agrees with one RREF of [U | I]: the
+    same pivots, the pivot parts of the same canonical kernel vectors,
+    and an invertible T (not unique when U is singular) with T U equal
+    to the reduced rows."""
     rng = random.Random(15)
     cases = [(n, f) for n in range(1, 90) for f in (0, 2, 3, 5, 7)]
     cases += [(n, poly2._mod_int(rng.getrandbits(2 * n), poly2.chebyshev_q(n).value))
@@ -367,7 +428,7 @@ def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_mat
         chase._axis_echelon.cache_clear()
         calls.clear()
         pivots, t, w = chase._axis_echelon(n, f)
-        assert calls == []
+        assert calls == [("_echelon_rows", n)]
         u = gf2._ints_to_words(poly2._path_poly_rows(n, f), n)
         e = gf2._Echelon(u, n, np.eye(n, dtype=np.uint8))
         u = gf2._unpack_words_2d(u, n)
@@ -385,40 +446,64 @@ def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_mat
     assert singular > 150
 
 
-@pytest.mark.parametrize("name,dims,axis,ntargets,ints", [
-    ("sigma+:box", (2, 159), 1, 2, True),      # a 2 x 3 gather index
-    ("sigma+:box", (16, 16), 0, 2, True),      # a 16 x 4 one
-    ("sigma+:box", (17, 17), 0, 2, False),     # a 17 x 4 one
-    ("sigma-:box", (4, 2, 9), 2, 2, True),     # an 8 x 4 one
-    ("sigma-:box", (4, 4, 9), 2, 2, False),    # a 16 x 5 one
-    ("sigma+:box", (5, 5, 12), 2, 2, False),   # a 25 x 6 one
-    ("sigma+:boxtimes", (9, 30), 1, 1, True),  # A = B = I + J_9, so C = I
-    # C = 0: a 60 x 1 gather index; rows of r + T bits
-    ("custom:1,0", (3, 60), 0, 4, True),
-    ("custom:1,0", (3, 60), 0, 5, False),
+@pytest.mark.parametrize("name,dims,axis,ntargets", [
+    ("sigma+:box", (2, 159), 1, 2),      # r = 2
+    ("sigma+:box", (16, 16), 0, 2),
+    ("sigma+:box", (17, 17), 0, 2),
+    ("sigma-:box", (4, 2, 9), 2, 2),     # r = 8, along the last axis
+    ("sigma-:box", (4, 4, 9), 2, 2),
+    ("sigma+:box", (5, 5, 12), 2, 2),    # r = 25
+    ("sigma+:boxtimes", (9, 30), 1, 1),  # A = B = I + J_9, so C = I
+    ("sigma+:box", (13, 13, 13), 0, 1),  # r = 169, on words
+    # C = 0: rows of r + T bits
+    ("custom:1,0", (3, 60), 0, 4),
+    ("custom:1,0", (3, 60), 0, 5),
+    # the one-word gate, r + T = 63, 64, 65 with T = 0, 1, 2, chased
+    # along axis 0 and along a later axis, with and without a kernel
+    ("sigma+:box", (7, 2, 9), 1, 0),     # r = 63, nullity 2
+    ("sigma+:box", (31, 3, 2), 1, 1),    # r = 62, nullity 6
+    ("sigma+:box", (2, 61), 0, 2),       # r = 61, nullity 1
+    ("sigma+:box", (8, 2, 8), 1, 0),     # r = 64, nullity 16
+    ("sigma-:boxtimes", (2, 63), 0, 1),  # r = 63, nullity 0, A = I + J
+    ("sigma-:box", (2, 62), 0, 2),       # r = 62, nullity 2
+    ("sigma+:box", (5, 2, 13), 1, 0),    # r = 65, nullity 1
+    ("sigma-:box", (2, 64), 0, 1),       # r = 64, nullity 0
+    ("sigma-:box", (7, 2, 9), 1, 2),     # r = 63, nullity 0
 ])
 def test_a_chase_on_either_side_of_the_int_loop_gives_the_dense_answers(monkeypatch, name, dims,
-                                                                       axis, ntargets, ints):
-    """Small layers run on ints, larger ones on numpy; both give the
-    dense RREF's answers, and the int loop, wherever its rows fit one
-    word, the numpy loop's end bits and layers."""
+                                                                       axis, ntargets):
+    """A chase whose r unit starts and T targets fit one word (r + T <=
+    64) runs on ints from start to finish, any other on packed words;
+    the routine that runs gives the dense RREF's answers, and where the
+    rows fit one word the routine on words gives the same bytes."""
     shape = GridShape(dims)
     g = parse_game(name, shape)
     rng = random.Random(15)
     targets = [BitVector.ones(shape.total)] + [
         BitVector.from_int(shape.total, rng.getrandbits(shape.total)) for _ in range(ntargets - 1)]
+    targets = targets[:ntargets]
     c, _ = chase._chase_on(dims, tuple(sorted(g.terms)), axis)
-    assert (c.gather is not None and c.gather.size <= chase._INT_GATHER_MAX
-            and c.r + ntargets <= 64) == ints
-    assert _chased_answers(g, targets, axis) == _dense_answers(g, targets)
-    tbits = np.stack([t.to_array() for t in targets])
-    runs = [c.run(tbits)]
-    if c.gather is not None and c.r + ntargets <= 64:
-        runs.append(c._run_ints(tbits))
-    monkeypatch.setattr(chase, "_INT_GATHER_MAX", 0)
-    end, layers = c.run(tbits)
-    for got in runs:
-        assert np.array_equal(got[0], end) and got[1].tobytes() == layers.tobytes()
+    ran = []
+    for path in ("_solve_ints", "_solve_words"):
+        def counted(self, ts, path=path, real=getattr(chase._Chase, path)):
+            ran.append((path, len(ts)))
+            return real(self, ts)
+        monkeypatch.setattr(chase._Chase, path, counted)
+    kernel, sols = c.solve([t.to_int() for t in targets])
+    path = "_solve_ints" if c.r + ntargets <= 64 else "_solve_words"
+    assert ran == [(path, ntargets)]
+    total = shape.total
+    xs = [None if s is None else BitVector._of(total, s) for s in sols]
+    rank, want_kernel, want_xs, _ = _dense_answers(g, targets)
+    assert (total - kernel.shape[0], kernel.tobytes(), xs) == (rank, want_kernel, want_xs)
+    if path == "_solve_ints":
+        ts = [t.to_int() for t in targets]
+        if c.a_inv is not None:
+            ts = [chase.apply(dims, (c.a_inv,), t) for t in ts]
+        got = [c._solve_ints(ts), c._solve_words(ts)]
+        assert got[0][0].tobytes() == got[1][0].tobytes() == want_kernel
+        assert [None if s is None else s.tobytes() for s in got[0][1]] == \
+            [None if s is None else s.tobytes() for s in got[1][1]]
 
 
 _BENCH_BOARDS = [("sigma-:boxtimes", "49x49"), ("sigma+:boxtimes", "50x50"),
@@ -490,12 +575,16 @@ def fresh_matrices():
 
 
 def _rref_calls(monkeypatch):
+    """Record (routine, columns) of every elimination: the RREFs of gf2
+    and the int-row eliminations the chase module runs itself (a
+    one-word chase's end system and canonical form, and a singular axis
+    factor)."""
     calls = []
-    for path in ("_rref", "_rref_ints"):
-        def counted(words, ncols, path=path, real=getattr(gf2, path)):
+    for module, path in ((gf2, "_rref"), (gf2, "_rref_ints"), (chase, "_echelon_rows")):
+        def counted(words, ncols, path=path, real=getattr(module, path)):
             calls.append((path, ncols))
             return real(words, ncols)
-        monkeypatch.setattr(gf2, path, counted)
+        monkeypatch.setattr(module, path, counted)
     return calls
 
 
@@ -519,21 +608,20 @@ def test_a_product_board_eliminates_only_its_axis_factor(monkeypatch, fresh_matr
     eliminated once on int rows by _axis_echelon; no RREF runs."""
     g = GameSpec.preset("sigma+:boxtimes", GridShape((50, 50)))
     calls = _rref_calls(monkeypatch)
-    eliminated = []
-    real = chase._echelon_rows
-    monkeypatch.setattr(chase, "_echelon_rows",
-                        lambda rows, n: eliminated.append(n) or real(rows, n))
     assert _solve_all(g)[0] is not None
-    assert calls == [] and eliminated == [50]
+    assert calls == [("_echelon_rows", 50)]
 
 
 def test_a_small_end_system_runs_on_int_rows(monkeypatch, fresh_matrices):
     """The routine is picked by the size of the system eliminated: the
-    49 x 49 end system of a 2,401-cell board runs on Python-int rows."""
+    49 x 49 end system of a 2,401-cell board runs on Python-int rows,
+    whose 49 unit starts and one target fit one word, so the chase
+    eliminates it by _echelon_rows itself, with no RREF of packed
+    words."""
     g = GameSpec.preset("sigma-:boxtimes", GridShape((49, 49)))
     calls = _rref_calls(monkeypatch)
     _solve_all(g)
-    assert calls == [("_rref_ints", 49)]
+    assert calls == [("_echelon_rows", 49)]
 
 
 @pytest.mark.parametrize("name,dims", [("sigma-:boxtimes", (50, 50)),

@@ -217,6 +217,26 @@ def test_public_constructors_check_and_copy_words(drawn):
         assert gf2.kernel_basis(built) == kernel == gf2.kernel_basis(expect)
 
 
+def test_int_rows_and_words_convert_on_both_sides_of_one_word():
+    """Rows of at most 64 bits go through numpy's int conversion, wider
+    ones through bytes; both agree with each int cut into 64-bit words,
+    give read-only words and round-trip, at 63, 64 and 65 bits."""
+    rng = random.Random(64)
+    for n in (0, 1, 63, 64, 65, 128, 129):
+        for count in (0, 1, 5):
+            ints = [rng.getrandbits(n) if n else 0 for _ in range(count)]
+            if n and count:
+                ints[0] = (1 << n) - 1  # the top bit set
+            words = gf2._ints_to_words(ints, n)
+            nw = gf2._nwords(n)
+            want = np.array([[v >> 64 * w & (1 << 64) - 1 for w in range(nw)] for v in ints],
+                            dtype=np.uint64).reshape(count, nw)
+            assert words.dtype == np.uint64 and words.shape == want.shape
+            assert np.array_equal(words, want) and not words.flags.writeable
+            assert gf2._words_to_ints(words) == ints
+            assert all(type(v) is int for v in gf2._words_to_ints(words))
+
+
 # ---------------------------------------------------------------------
 # rank
 # ---------------------------------------------------------------------

@@ -89,20 +89,23 @@ def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
     # achievable(all-on), kernel_basis, symmetric_achievability: the first
     # elimination leaves the kernel on the cached matrix for the other two
     calls = []
-    for path in ("_rref", "_rref_ints"):
-        def counted(words, ncols, path=path, real=getattr(gf2, path)):
+    for module, path in ((gf2, "_rref"), (gf2, "_rref_ints"), (chase, "_echelon_rows")):
+        def counted(words, ncols, path=path, real=getattr(module, path)):
             calls.append(path)
             return real(words, ncols)
-        monkeypatch.setattr(gf2, path, counted)
-    # the routine follows the system eliminated: 4x6 whole, the chased
-    # boards' end systems of 12 and 169 cells; sigma+:boxtimes's one axis
-    # factor I + J, shared by every axis, runs no RREF: it is invertible
-    # on 12 and 13 columns, and singular on 11 (11 = 2 mod 3), where
-    # _axis_echelon eliminates it on int rows itself
+        monkeypatch.setattr(module, path, counted)
+    # the routine follows the system eliminated: 4x6 whole, on int rows;
+    # the chased 12x12 boards' end systems of 12 cells by the chase on
+    # ints itself (12 unit starts and one target fit one word); the
+    # 13x13x13 boards' end systems of 169 cells by Four Russians;
+    # sigma+:boxtimes's one axis factor I + J, shared by every axis, is
+    # invertible on 12 and 13 columns, so nothing is eliminated, and
+    # singular on 11 (11 = 2 mod 3), where _axis_echelon eliminates it on
+    # int rows itself
     boards = [(name, dims, [path]) for name in game.PRESET_NAMES
-              for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_rref_ints"),
+              for dims, path in (((4, 6), "_rref_ints"), ((12, 12), "_echelon_rows"),
                                  ((13, 13, 13), "_rref"))]
-    boards.append(("sigma+:boxtimes", (11, 11), []))
+    boards.append(("sigma+:boxtimes", (11, 11), ["_echelon_rows"]))
     for name, dims, want in boards:
         g = preset(name, *dims)
         if name == "sigma+:boxtimes" and dims in ((12, 12), (13, 13, 13)):
