@@ -69,16 +69,6 @@ class QuotientShape:
     def d(self) -> int:
         return len(self.dims)
 
-    def flat_index(self, exponents: Sequence[int]) -> int:
-        if len(exponents) != self.d:
-            raise ValueError(f"expected {self.d} exponents, got {len(exponents)}")
-        j = 0
-        for e, n in zip(exponents, self.dims):
-            if not 0 <= e < n:
-                raise ValueError(f"exponent {e} out of range for axis size {n}")
-            j = j * n + e
-        return j
-
     def exponents_of(self, flat: int) -> tuple:
         out = []
         for s, n in zip(self.strides, self.dims):
@@ -185,13 +175,6 @@ class TensorElement:
         return cls.from_axis_polys(shape, [poly2.ONE] * shape.d)
 
     @classmethod
-    def variable(cls, shape: QuotientShape, axis: int) -> "TensorElement":
-        """The class of X_axis (reduced, so it may collapse when n=1)."""
-        polys = [poly2.ONE] * shape.d
-        polys[axis] = poly2.X
-        return cls.from_axis_polys(shape, polys)
-
-    @classmethod
     def monomial(cls, shape: QuotientShape, exponents: Sequence[int]) -> "TensorElement":
         """x_1^{e_1} ... x_d^{e_d}, each factor reduced mod its modulus by
         squaring (:func:`.poly2.pow_mod`), so a huge e costs only its bit
@@ -211,10 +194,6 @@ class TensorElement:
 
     def is_zero(self) -> bool:
         return self.coeffs.is_zero()
-
-    def constant_coefficient(self) -> int:
-        """Coefficient of the constant monomial (the element at (0,...,0))."""
-        return self.coeffs[0]
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check_shape(other)

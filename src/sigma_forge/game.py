@@ -19,7 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Tuple
 
 from . import gf2
 from .algebra import QuotientShape, TensorElement
@@ -49,21 +49,6 @@ class GridShape:
         for n in self.dims:
             t *= n
         return t
-
-    def flat_index(self, cell: Sequence[int]) -> int:
-        """Flat index of a 1-based cell (j_1, ..., j_d)."""
-        if len(cell) != self.d:
-            raise ValueError(f"cell {cell} has wrong arity for {self}")
-        j = 0
-        for c, n in zip(cell, self.dims):
-            if not 1 <= c <= n:
-                raise ValueError(f"cell coordinate {c} outside 1..{n}")
-            j = j * n + (c - 1)
-        return j
-
-    def cells(self) -> Iterator[Tuple[int, ...]]:
-        """All cells in flat order, 1-based."""
-        return itertools.product(*(range(1, n + 1) for n in self.dims))
 
     def __str__(self) -> str:
         return "x".join(map(str, self.dims))

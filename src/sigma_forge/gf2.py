@@ -166,17 +166,6 @@ class BitVector:
         arr = np.fromiter((b & 1 for b in bits), dtype=np.uint8)
         return cls._of(arr.shape[0], _pack_rows(arr))
 
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "BitVector":
-        """The vector with a 1 at each index, which must lie in 0..n-1;
-        a repeated index cancels (the unit vectors are XORed)."""
-        arr = np.zeros(n, dtype=np.uint8)
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} outside 0..{n - 1}")
-            arr[i] ^= 1
-        return cls._of(n, _pack_rows(arr))
-
     # -- queries ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -315,20 +304,6 @@ class BitMatrix:
         idx = np.arange(n)
         w[idx, idx >> 6] = _ONE << (idx.astype(np.uint64) & np.uint64(63))
         return cls._of(n, n, w, symmetric=True)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence, cols: Optional[int] = None,
-                  symmetric: bool = False) -> "BitMatrix":
-        """Build from BitVector rows or iterables of 0/1 entries."""
-        vecs = [r if isinstance(r, BitVector) else BitVector.from_bits(r) for r in rows]
-        if cols is None:
-            cols = vecs[0].n if vecs else 0
-        w = np.zeros((len(vecs), _nwords(cols)), dtype=np.uint64)
-        for i, v in enumerate(vecs):
-            if v.n != cols:
-                raise ValueError(f"row {i} has length {v.n}, expected {cols}")
-            w[i] = v._words
-        return cls(len(vecs), cols, w, symmetric)
 
     @classmethod
     def from_row_ints(cls, rows: int, cols: int, ints: Sequence[int],

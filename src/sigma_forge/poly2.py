@@ -11,7 +11,6 @@ minimal) polynomial of the n-vertex path adjacency matrix J_n.
 """
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Iterable
 
@@ -77,19 +76,11 @@ class Poly2:
         """Degree; -1 marks the zero polynomial."""
         return self._v.bit_length() - 1
 
-    def coeff(self, k: int) -> int:
-        return (self._v >> k) & 1
-
-    def coeffs(self) -> tuple:
-        return tuple((self._v >> k) & 1 for k in range(self._v.bit_length()))
-
     def __bool__(self) -> bool:
         return self._v != 0
 
     def __add__(self, other: "Poly2") -> "Poly2":
         return Poly2(self._v ^ other._v)
-
-    __sub__ = __add__
 
     def __mul__(self, other: "Poly2") -> "Poly2":
         return Poly2(_mul_int(self._v, other._v))
@@ -103,9 +94,6 @@ class Poly2:
 
     def __floordiv__(self, other: "Poly2") -> "Poly2":
         return Poly2(_divmod_int(self._v, other._v)[0])
-
-    def __lshift__(self, k: int) -> "Poly2":
-        return Poly2(self._v << k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
@@ -127,25 +115,6 @@ class Poly2:
             if (self._v >> k) & 1:
                 terms.append("1" if k == 0 else "X" if k == 1 else f"X^{k}")
         return "+".join(terms)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Poly2":
-        text = s.replace(" ", "")
-        if text == "0":
-            return cls(0)
-        v = 0
-        for term in text.split("+"):
-            if term == "1":
-                k = 0
-            elif term in ("X", "x"):
-                k = 1
-            else:
-                m = re.fullmatch(r"[Xx]\^(\d+)", term)
-                if m is None:
-                    raise ValueError(f"bad polynomial term {term!r} in {s!r}")
-                k = int(m.group(1))
-            v ^= 1 << k
-        return cls(v)
 
 
 ZERO = Poly2(0)

@@ -77,7 +77,7 @@ def achievable(g: GameSpec, target: BitVector,
     if x is not None:
         if m.mul_vec(x) != target:
             raise RuntimeError(f"witness for {g.label()} on {g.shape} fails M x = t")
-    elif m.symmetric:
+    else:
         _check_certificate(g, m, cert, target)
     return AchievabilityReport(g, target_kind, target, x is not None,
                                witness=x, certificate=cert)
@@ -205,9 +205,8 @@ def _check_oracle_size(shape: GridShape) -> None:
 
 
 def _push_columns(g: GameSpec) -> list:
-    m = adjacency_matrix(g)
-    cols = m if m.symmetric else m.transpose()
-    return cols.row_ints()
+    """The columns of the (symmetric) game matrix, as ints: its rows."""
+    return adjacency_matrix(g).row_ints()
 
 
 def brute_force_oracle(g: GameSpec, target: BitVector) -> bool:
@@ -263,12 +262,15 @@ def sweep(game: str, d: int, max_n: int, odd_only: bool = False,
     Shapes run in lexicographic order; with jobs > 1 the shapes are
     evaluated in parallel and the row order is restored, so output is
     byte-identical to a sequential run.  Workers are capped at the
-    available CPUs and the number of shapes.  A range whose largest
-    shape is too large for a dense build raises ValueError up front.
+    available CPUs and the number of shapes.  d, max_n or jobs below 1,
+    or a range whose largest shape is too large for a dense build,
+    raises ValueError up front.
     """
+    for name, value in (("d", d), ("max_n", max_n), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"sweep needs {name} >= 1, got {value}")
     axis = range(1, max_n + 1, 2) if odd_only else range(1, max_n + 1)
-    if axis and d > 0:
-        gf2._check_dense(axis[-1] ** d, axis[-1] ** d)
+    gf2._check_dense(axis[-1] ** d, axis[-1] ** d)
     tasks = [(game, dims) for dims in itertools.product(axis, repeat=d)]
     jobs = min(jobs, _available_cpus(), len(tasks))
     if jobs > 1:

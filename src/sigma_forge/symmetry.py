@@ -33,10 +33,6 @@ class SymmetricSubspace:
     shape: GridShape
     basis: tuple
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
 
 def symmetric_basis(shape: GridShape) -> SymmetricSubspace:
     """Orbit-indicator basis of the completely symmetric subspace.

@@ -14,18 +14,7 @@ from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matri
                               u_element)
 from sigma_forge.gf2 import BitMatrix, BitVector
 
-
-def _j_power(n, e):
-    """J_n^e as a dense 0/1 array, J_n from numpy's off-diagonals and the
-    power taken mod 2 by squaring."""
-    j = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
-    out = np.eye(n, dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ j % 2
-        j = j @ j % 2
-        e >>= 1
-    return out.astype(np.uint8)
+from helpers import bit_matrix, j_power
 
 
 def _custom(d):
@@ -247,9 +236,9 @@ def test_a_product_game_is_built_as_the_sum_of_its_terms():
             assert chase.product_factors(dims, tuple(sorted(g.terms))) is not None
             per_term = np.zeros((g.shape.total, g.shape.total), dtype=np.uint8)
             for t in g.terms:
-                term = _j_power(dims[0], t[0])
+                term = j_power(dims[0], t[0])
                 for n, e in zip(dims[1:], t[1:]):
-                    term = np.kron(term, _j_power(n, e))
+                    term = np.kron(term, j_power(n, e))
                 per_term ^= term
             assert np.array_equal(adjacency_matrix(g).to_bit_array(), per_term)
 
@@ -271,7 +260,7 @@ def test_a_game_is_built_as_its_bounding_box_plus_its_missing_terms(fresh_matric
             for t in terms:
                 term = np.ones((1, 1), dtype=np.uint8)
                 for n, e in zip(dims, t):
-                    term = np.kron(term, _j_power(n, e))
+                    term = np.kron(term, j_power(n, e))
                 per_term ^= term
             assert np.array_equal(adjacency_matrix(g).to_bit_array(), per_term), \
                 f"{g.label()} on {g.shape}"
@@ -291,7 +280,7 @@ def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
     monkeypatch.setattr(poly2, "_mod_int", bounded)
     g = GameSpec(GridShape((9, 8)), frozenset(itertools.product((0, 10 ** 7), (0, 1))))
     m = adjacency_matrix(g)
-    want = np.kron(_j_power(9, 10 ** 7) ^ _j_power(9, 0), _j_power(8, 1) ^ _j_power(8, 0))
+    want = np.kron(j_power(9, 10 ** 7) ^ j_power(9, 0), j_power(8, 1) ^ j_power(8, 0))
     assert np.array_equal(m.to_bit_array(), want)
     assert isinstance(chase.pick(m), chase._Product)
     targets = _targets(g.shape, random.Random(9))
@@ -441,7 +430,7 @@ def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_mat
         assert np.array_equal(wbits[pivots], np.eye(n, dtype=np.uint8)[pivots])
         tbits = gf2._unpack_words_2d(t, n)
         assert np.array_equal(tbits.astype(np.int64) @ u & 1, gf2._unpack_words_2d(e.rows, n))
-        assert gf2.rank(BitMatrix.from_rows(tbits)) == n
+        assert gf2.rank(bit_matrix(tbits)) == n
         assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
     assert singular > 150
 
@@ -558,20 +547,6 @@ def test_a_dense_board_builds_its_words_and_gives_the_same_answers(fresh_matrice
     assert e.rank == want.rank and e.kernel().tobytes() == want.kernel().tobytes()
     assert [e.solution(j) for j in range(2)] == [want.solution(j) for j in range(2)]
     assert [e.certificate(j) for j in range(2)] == [want.certificate(j) for j in range(2)]
-
-
-@pytest.fixture
-def fresh_matrices():
-    """Empty the adjacency and backend caches around a test, so its
-    matrices hold no stored kernel yet and a product game eliminates its
-    axis factors again."""
-    adjacency_matrix.cache_clear()
-    chase._pick.cache_clear()
-    chase._axis_echelon.cache_clear()
-    yield
-    adjacency_matrix.cache_clear()
-    chase._pick.cache_clear()
-    chase._axis_echelon.cache_clear()
 
 
 def _rref_calls(monkeypatch):

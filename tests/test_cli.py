@@ -341,6 +341,13 @@ def test_sweep_text(capsys):
     ["solve", "--shape", "200x200", "--game", "sigma-:box"],
     ["check-symmetric", "--shape", "200x200", "--game", "sigma+:box"],
     ["sweep", "--game", "sigma+:box", "--dims", "40", "--max-n", "13"],
+    # sweep arguments below 1
+    ["sweep", "--game", "sigma-:box", "--dims", "-1", "--max-n", "3"],
+    ["sweep", "--game", "sigma-:box", "--dims", "0", "--max-n", "3"],
+    ["sweep", "--game", "sigma-:box", "--max-n", "0"],
+    ["sweep", "--game", "sigma-:box", "--max-n", "-3"],
+    ["sweep", "--game", "sigma-:box", "--max-n", "3", "--jobs", "0"],
+    ["sweep", "--game", "sigma-:box", "--max-n", "3", "--jobs", "-2"],
 ])
 def test_usage_errors(capsys, argv):
     assert main(argv) == 2

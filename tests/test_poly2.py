@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from sigma_forge import poly2
 from sigma_forge.poly2 import ONE, X, Poly2, chebyshev_q, gcd, two_valuation, val_x
 
+from helpers import P
+
 polys = st.builds(Poly2, st.integers(0, (1 << 12) - 1))
 nonzero_polys = st.builds(Poly2, st.integers(1, (1 << 12) - 1))
-
-
-def P(s):
-    return Poly2.from_string(s)
 
 
 # ---------------------------------------------------------------------
@@ -161,16 +159,6 @@ def test_format_examples():
     assert ONE.to_string() == "1"
     assert P("1").to_string() == "1"
     assert (X + ONE).to_string() == "X+1"
-
-
-@given(polys)
-def test_string_round_trip(p):
-    assert Poly2.from_string(p.to_string()) == p
-
-
-def test_bad_string_rejected():
-    with pytest.raises(ValueError):
-        Poly2.from_string("X^2+Y")
 
 
 def test_pow_mod():

@@ -5,7 +5,7 @@ import pytest
 
 from sigma_forge import chase, game, gf2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
-from sigma_forge.gf2 import BitMatrix, BitVector
+from sigma_forge.gf2 import BitVector
 from sigma_forge.poly2 import two_valuation
 from sigma_forge.solver import (achievable, all_on, brute_force_image,
                                 brute_force_oracle, closed_form_value,
@@ -13,9 +13,7 @@ from sigma_forge.solver import (achievable, all_on, brute_force_image,
                                 sweep_csv, sweep_disagreements,
                                 symmetric_achievability)
 
-
-def preset(name, *dims):
-    return GameSpec.preset(name, GridShape(dims))
+from helpers import bit_matrix, preset
 
 
 # ---------------------------------------------------------------------
@@ -27,21 +25,6 @@ def test_single_cell_sigma_plus():
     rep = achievable(g, all_on(g.shape))
     assert rep.achievable
     assert rep.witness == BitVector.from_bits([1])
-
-
-@pytest.fixture
-def fresh_matrices():
-    """Empty the adjacency cache around a test: it starts from matrices
-    no earlier test has queried (so no kernel is stored on them yet) and
-    leaves behind none that it altered.  The backend cache is emptied
-    too, so a product game eliminates its axis factors again."""
-    adjacency_matrix.cache_clear()
-    chase._pick.cache_clear()
-    chase._axis_echelon.cache_clear()
-    yield
-    adjacency_matrix.cache_clear()
-    chase._pick.cache_clear()
-    chase._axis_echelon.cache_clear()
 
 
 def test_achievable_rejects_a_wrong_witness(monkeypatch, fresh_matrices):
@@ -68,7 +51,7 @@ def test_a_wrong_stored_kernel_is_caught(fresh_matrices):
     # the all-ones vector meets all-on and the centre's one-cell orbit
     # oddly, but M ones != 0 (a corner has 3 neighbours)
     assert not m.mul_vec(BitVector.ones(m.cols)).is_zero()
-    m._kernel = BitMatrix.from_rows([BitVector.ones(m.cols)])._words
+    m._kernel = bit_matrix([BitVector.ones(m.cols)])._words
     with pytest.raises(RuntimeError, match="M k = 0"):
         achievable(g, all_on(g.shape))
     with pytest.raises(RuntimeError, match="M k = 0"):
@@ -79,7 +62,7 @@ def test_symmetric_achievability_rejects_a_wrong_certificate(monkeypatch):
     g = preset("sigma-:boxtimes", 3, 3)
     assert not symmetric_achievability(g).achievable
     # bit 0 of every stored kernel vector flipped
-    kernel = gf2._kernel_of(adjacency_matrix(g)) ^ BitVector.from_indices(9, [0])._words
+    kernel = gf2._kernel_of(adjacency_matrix(g)) ^ BitVector.from_int(9, 1)._words
     monkeypatch.setattr(gf2, "_kernel_of", lambda m: kernel)
     with pytest.raises(RuntimeError, match="M k = 0"):
         symmetric_achievability(g)
@@ -338,7 +321,7 @@ def test_closed_form_1d_lift_matches_ground_truth():
 def _closed_form_by_u_element(g):
     """The 2-d criterion with u(0, 0) read from :func:`.game.u_element`."""
     n, m = g.shape.dims
-    u00 = game.u_element(g).constant_coefficient()
+    u00 = game.u_element(g).coeffs[0]
     return not (n % 2 and m % 2 and u00 == 0 and two_valuation(n + 1) == two_valuation(m + 1))
 
 
@@ -429,6 +412,17 @@ def test_sweep_parallel_is_deterministic():
     seq = sweep_csv(sweep("sigma-:boxtimes", d=2, max_n=5))
     par = sweep_csv(sweep("sigma-:boxtimes", d=2, max_n=5, jobs=2))
     assert seq == par
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(d=-1, max_n=3), "d"), (dict(d=0, max_n=3), "d"),
+    (dict(d=2, max_n=0), "max_n"), (dict(d=2, max_n=-3), "max_n"),
+    (dict(d=2, max_n=3, jobs=0), "jobs"), (dict(d=2, max_n=3, jobs=-2), "jobs"),
+])
+def test_sweep_rejects_arguments_below_one(monkeypatch, kwargs, name):
+    monkeypatch.setattr(solver, "_sweep_one", None)  # no shape is evaluated
+    with pytest.raises(ValueError, match=f"sweep needs {name} >= 1"):
+        sweep("sigma-:box", **kwargs)
 
 
 def test_sweep_clamps_jobs(monkeypatch):

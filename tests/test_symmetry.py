@@ -13,6 +13,8 @@ from sigma_forge.solver import symmetric_achievability
 from sigma_forge.symmetry import (central_configuration, central_element, orbit_parities,
                                   symmetric_basis)
 
+from helpers import bit_matrix, path_matrix, vector_at
+
 # every preset game of the sweeps: d = 1 up to 30, d = 2 up to 13, d = 3 up to 7
 SWEEP_SHAPES = ([(n,) for n in range(1, 31)]
                 + list(itertools.product(range(1, 14), repeat=2))
@@ -48,7 +50,7 @@ def test_basis_dimension():
         expect = 1
         for n in dims:
             expect *= (n + 1) // 2
-        assert sub.dim == expect
+        assert len(sub.basis) == expect
 
 
 def test_basis_vectors_are_reflection_invariant():
@@ -78,9 +80,9 @@ def _reference_orbit_basis(shape):
     per representative of the low quadrant in lexicographic order."""
     basis = []
     for rep in itertools.product(*[range((n + 1) // 2) for n in shape.dims]):
-        axis_sets = [sorted({j + 1, n - j}) for j, n in zip(rep, shape.dims)]  # 1-based
-        basis.append(BitVector.from_indices(
-            shape.total, [shape.flat_index(cell) for cell in itertools.product(*axis_sets)]))
+        axis_sets = [sorted({j, n - 1 - j}) for j, n in zip(rep, shape.dims)]
+        basis.append(vector_at(shape.total, [np.ravel_multi_index(cell, shape.dims)
+                                             for cell in itertools.product(*axis_sets)]))
     return basis
 
 
@@ -91,7 +93,7 @@ def _reference_symmetric_achievability(g):
     m = adjacency_matrix(g)
     kernel = gf2.kernel_basis(m)
     if kernel:
-        kmat = BitMatrix.from_rows(kernel, cols=m.cols)
+        kmat = bit_matrix(kernel, cols=m.cols)
         for w in _reference_orbit_basis(g.shape):
             hits = kmat.mul_vec(w)
             if not hits.is_zero():
@@ -142,7 +144,7 @@ def test_central_path4():
 def test_central_3x3():
     shape = GridShape((3, 3))
     assert central_configuration(shape) == \
-        BitVector.from_indices(9, [shape.flat_index((2, 2))])
+        vector_at(9, [np.ravel_multi_index((1, 1), shape.dims)])
 
 
 def geometric_central(shape):
@@ -155,7 +157,7 @@ def geometric_central(shape):
         for c, n in zip(cell, shape.dims):
             flat = flat * n + c
         idx.append(flat)
-    return BitVector.from_indices(shape.total, idx)
+    return vector_at(shape.total, idx)
 
 
 def test_central_matches_geometric_description():
@@ -292,12 +294,6 @@ def test_central_divisible_by_all_on_odd_axes_small():
 # the J-stable even-subspace lemma
 # ---------------------------------------------------------------------
 
-def path_matrix(n):
-    """J_n from numpy's off-diagonals."""
-    return BitMatrix._from_bit_array(np.eye(n, k=1, dtype=np.uint8)
-                                     | np.eye(n, k=-1, dtype=np.uint8))
-
-
 def parity(v):
     """c: the parity of the number of nonzero entries."""
     return v.weight() & 1
@@ -312,7 +308,7 @@ def max_j_stable_kernel_of_c(n):
     for _ in range(n):
         rows.append(power.mul_vec(BitVector.ones(n)))
         power = power @ j
-    return gf2.kernel_basis(BitMatrix.from_rows(rows, cols=n))
+    return gf2.kernel_basis(bit_matrix(rows, cols=n))
 
 
 def test_symlin_maximal_subspace():
