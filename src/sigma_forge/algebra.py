@@ -106,8 +106,8 @@ class QuotientShape:
 
 
 def _column_rows(n: int, columns: Sequence[int]) -> tuple:
-    """The n row ints of the matrix whose column j holds the low n bits
-    of columns[j]."""
+    """The n row ints of the matrix whose column j is columns[j], an
+    int below 2^n."""
     return tuple(BitMatrix.from_row_ints(len(columns), n, columns).transpose().row_ints())
 
 

@@ -9,10 +9,10 @@ invertible T_i with T_i U_i = R_i in RREF, and the canonical kernel of
 U_i: an invertible U_i (f_i prime to Q_{n_i}) needs no elimination, as
 its RREF is I: P_i is every column and T_i = U_i^-1 = g_i(J) for the
 inverse g_i of f_i mod Q_{n_i}; a singular one is eliminated on int
-rows (:func:`.gf2._echelon_rows`), each row reduced by its lowest set
-bit, which costs a few XORs a row on a banded U_i such as I + J.  T_i
-is then not unique, but any invertible T_i with T_i U_i = R_i gives the
-same answers.  As (T_1 (x) ... (x) T_d) M =
+rows (:func:`.gf2._echelon_rows`, read by :func:`.gf2._read_rows`),
+each row reduced by its lowest set bit, which costs a few XORs a row on
+a banded U_i such as I + J.  T_i is then not unique, but any invertible
+T_i with T_i U_i = R_i gives the same answers.  As (T_1 (x) ... (x) T_d) M =
 R_1 (x) ... (x) R_d, M x = t holds iff (R_1 (x) ... (x) R_d) x = t' =
 (T_1 (x) ... (x) T_d) t: on an invertible axis T_i = g_i(J) is applied
 by Horner's rule on the grid as one Python int (:func:`apply`), and on a
@@ -76,19 +76,21 @@ Python ints from start to finish: a layer is one int whose 64-bit chunk
 i holds the chased row of its cell i, C acts on a whole layer by
 Horner's rule on 64-bit cells (C is a sum of Kronecker products of
 polynomials in J, like M), the end system is eliminated on its int rows
-by :func:`.gf2._echelon_rows`, and a selection of chased columns is
-lifted to every cell at once, as the parities of the masked chunks; the
-kernel and solutions are packed once, at the end.  On such layers
-numpy's per-call cost, not the XORs, would set the time.  A chase of
-wider rows runs on vectors packed in uint64 words: a step by a sparse C
-XORs the words of the rows each row of C selects, and a product by a
-dense matrix goes through Four Russians tables (:func:`.gf2._product`);
-its end system and canonical form pick their RREF routine by their own
-size (:func:`.gf2._rref_any`).  Its working memory is C, built on int
-rows and packed on its first run, a few transient arrays of r x r bytes
-(C's gather index, the end system), the n + 2 packed layers over the
-r + T chased columns, and the lifted vectors, total x (nullity + T)
-bytes; gathers and tables are staged in blocks of at most 1 MB.  On
+by :func:`.gf2._echelon_rows` and read by :func:`.gf2._read_rows`, and
+a selection of chased columns is lifted to every cell at once, as the
+parities of the masked chunks; the kernel and solutions are packed
+once, at the end.  On such layers numpy's per-call cost, not the XORs,
+would set the time.  A chase of wider rows runs on vectors packed in
+uint64 words: a step by a sparse C XORs the words of the rows each row
+of C selects, and a product by a dense matrix goes through Four
+Russians tables (:func:`.gf2._product`); its end system is solved as a
+dense one, on int rows or by Four Russians by its size
+(:func:`.gf2._solve_packed`), and its kernel, of total >= 2r columns,
+is made canonical by Four Russians (:func:`.gf2._rref`).  Its working
+memory is C, built on int rows and packed on its first run, a few
+transient arrays of r x r bytes (C's gather index, the end system), the
+n + 2 packed layers over the r + T chased columns, and the lifted
+vectors, total x (nullity + T) bytes; gathers and tables are staged in blocks of at most 1 MB.  On
 2^12 cells, sigma-:box (r and the nullity both 2,048) peaks at 26 MB
 under tracemalloc, below two bytes per entry of the matrix.
 
@@ -96,15 +98,18 @@ under tracemalloc, below two bytes per entry of the matrix.
 :func:`.game.adjacency_matrix`, which keeps the game's dims and terms in
 its ``_game`` slot.  On 64 cells or more it picks the product backend
 for a product game, else the chase on the longest axis that qualifies,
-else the dense RREF, and logs one DEBUG line naming the backend.
+else the dense RREF, and logs one DEBUG line naming the backend.  Both
+backends here answer through ``solve(target ints)``, as the dense one
+does.
 
 The same matrix is described once, by :func:`kron_factors`, as a sum of
 Kronecker products of per-axis factors f_i(J): the terms' bounding box
 plus the terms it has too many, or one product per term, whichever is
-fewer.  Its dense words (:func:`game_words`, built only when read), its
-mat-vec (:func:`apply`, which checks every answer without the dense
-matrix, by Horner's rule on the grid as one Python int) and its
-diagonal (:func:`diagonal`) all read that description.
+fewer.  A game is a product game iff that is one product.  Its dense
+words (:func:`game_words`, built only when read), its mat-vec
+(:func:`apply`, which checks every answer without the dense matrix, by
+Horner's rule on the grid as one Python int), its diagonal
+(:func:`diagonal`) and the pick all read that description.
 """
 from __future__ import annotations
 
@@ -118,9 +123,9 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _Echelon, _echelon_rows, _ints_to_words,
-                  _kron_row_sum, _kron_sum, _kron_vec, _nwords, _pack_rows, _product, _rref_any,
-                  _unpack_words, _unpack_words_2d)
+from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_row_sum,
+                  _kron_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product, _read_rows,
+                  _rref, _solve_packed, _unpack_words, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
 
@@ -230,11 +235,11 @@ class _Chase:
         (:func:`apply`), so a step x_{k-1} = C x_k + x_{k+1} + (A^-1 t)_k
         is a few big-int operations.  The end system [P | s] is the rows
         of x_{-1}, eliminated by :func:`.gf2._echelon_rows`; the kernel
-        and the solutions are read off its reduced rows as selections of
-        chased columns, and lifted to every cell at once: bit 0 of a
-        chunk of the layers masked by a selection, folded onto itself, is
-        the parity of the selection over that cell's row.  One pack at
-        the end."""
+        and the solutions are read off its reduced rows
+        (:func:`.gf2._read_rows`) as selections of chased columns, and
+        lifted to every cell at once: bit 0 of a chunk of the layers
+        masked by a selection, folded onto itself, is the parity of the
+        selection over that cell's row.  One pack at the end."""
         r, n, total, ntargets = self.r, self.n, self.n * self.r, len(ts)
         sources = [0] * n
         for j, t in enumerate(ts):
@@ -248,17 +253,7 @@ class _Chase:
             x, nxt = apply(self.others, self.c_polys, x, _WORD) ^ nxt ^ source, x
             layers.append(x)
         end = memoryview(layers.pop().to_bytes(8 * r, sys.byteorder)).cast("Q").tolist()
-        pivots, rows = _echelon_rows(end, r)
-        rank = len(pivots)
-        bad = 0
-        for v in rows[rank:]:
-            bad |= v
-
-        def selection(c):
-            # the pivot part of column c of the reduced rows
-            return sum(1 << p for p, v in zip(pivots, rows) if v >> c & 1)
-        free = sorted(set(range(r)).difference(pivots))
-        solved = [j for j in range(ntargets) if not bad >> (r + j) & 1]
+        kernel, xs = _read_rows(*_echelon_rows(end, r), r, ntargets)
         # every layer, x_0 lowest, and the parities of a selection over
         # its cells, in grid order from cell 0, one b"0" or b"1" a cell
         flat = int.from_bytes(b"".join(x.to_bytes(8 * r, "little") for x in reversed(layers)),
@@ -271,22 +266,19 @@ class _Chase:
             for h in folds:
                 p ^= p >> h
             return self._to_grid(p.to_bytes(8 * total, "little")[::8].translate(_BIT0_ASCII))
-        xs = [int(lifted(1 << (r + j) | selection(r + j))[::-1], 2) for j in solved]
-        kernel = [lifted(1 << f | selection(f)) for f in free]
-        if self.axis and free:
+        xs = [None if x is None else int(lifted(1 << (r + j) | x)[::-1], 2)
+              for j, x in enumerate(xs)]
+        kernel = [lifted(k) for k in kernel]
+        if self.axis and kernel:
             # the canonical kernel: the RREF of the kernel with its columns
             # reversed pivots on the highest set bits, the free columns
             rpivots, rrows = _echelon_rows([int(v, 2) for v in kernel], total)
             kernel = [_reversed_bits(v, total) for v in reversed(rrows)]
             for f, k in zip(reversed(rpivots), kernel):
-                xs = [x ^ k if x >> (total - 1 - f) & 1 else x for x in xs]
+                xs = [x ^ k if x is not None and x >> (total - 1 - f) & 1 else x for x in xs]
         else:
             kernel = [int(v[::-1], 2) for v in kernel]
-        words = _ints_to_words(kernel + xs, total)
-        solutions = [None] * ntargets
-        for j, x in zip(solved, words[len(kernel):]):
-            solutions[j] = x
-        return words[:len(kernel)], solutions
+        return _pack_answers(kernel, xs, total)
 
     def _to_layers(self, cells: bytes) -> bytes:
         """One byte a cell, grid order -> layer order (byte k r + i is
@@ -393,12 +385,12 @@ class _Chase:
         """:meth:`solve` on packed words (:meth:`run`, :meth:`lift`)."""
         r, ntargets = self.r, len(ts)
         end, layers = self.run(_grid_bits(ts, self.n * r))
-        e = _Echelon(_pack_rows(end[:, :r]), r, np.ascontiguousarray(end[:, r:].T))
-        last = [e.solution(j) for j in range(ntargets)]
+        kernel, last = _solve_packed(_pack_rows(end[:, :r]), r,
+                                     _words_to_ints(_pack_rows(np.ascontiguousarray(end[:, r:].T))))
         solved = [j for j in range(ntargets) if last[j] is not None]
         # a grid vector sums the unit starts its last layer selects, plus
         # its target's affine column
-        kernel = _unpack_words_2d(e.kernel(), r)
+        kernel = _unpack_words_2d(kernel, r)
         select = np.zeros((kernel.shape[0] + len(solved), r + ntargets), dtype=np.uint8)
         select[:kernel.shape[0], :r] = kernel
         for q, j in enumerate(solved, start=kernel.shape[0]):
@@ -426,7 +418,7 @@ def _canonical_kernel(bits: np.ndarray):
     reversed pivots on the highest set bits."""
     ncols = bits.shape[1]
     words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
-    pivots = _rref_any(words, ncols)
+    pivots = _rref(words, ncols)
     free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
     return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
 
@@ -438,17 +430,6 @@ def _axis_factor(e_set: Sequence[int], n: int, g: int = 1) -> int:
     return poly2._mod_int(poly2._mul_int(g, f), poly2.chebyshev_q(n).value)
 
 
-def product_factors(dims: Tuple[int, ...], terms: Sequence[tuple]) -> Optional[list]:
-    """The per-axis factors f_i (sums of X^e over E_i, reduced mod
-    Q_{n_i}) when the term set is E_1 x ... x E_d, so that the game
-    matrix is f_1(J) (x) ... (x) f_d(J); else None."""
-    sets = [{t[i] for t in terms} for i in range(len(dims))]
-    # distinct terms drawn from the product fill it iff they are as many
-    if len(terms) != math.prod(len(e) for e in sets):
-        return None
-    return [_axis_factor(e_set, n) for e_set, n in zip(sets, dims)]
-
-
 @lru_cache(maxsize=512)
 def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
     """The game matrix as a sum of Kronecker products f_1(J) (x) ... (x)
@@ -457,9 +438,10 @@ def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
     their bounding box E_1 x ... x E_d (E_i the exponents on axis i,
     f_i their sum) plus one product X^{e_1} ... X^{e_d} per term of the
     box that is not a term.  That description is taken when it has
-    fewer products than one per term: a product game is one product,
-    sigma-:boxtimes two.  The dense words, the mat-vec and the diagonal
-    of a game matrix all read it."""
+    fewer products than one per term, so a game is a product game iff it
+    is one product, whose factors are then the f_i; sigma-:boxtimes is
+    two.  The pick, the dense words, the mat-vec and the diagonal of a
+    game matrix all read it."""
     sets = [sorted({t[i] for t in terms}) for i in range(len(dims))]
     products, rest = [], terms
     if 1 + math.prod(map(len, sets)) - len(terms) < len(terms):
@@ -561,18 +543,17 @@ def _axis_echelon(n: int, f: int):
     column c, and W[p] = e_p for a pivot p.  :func:`.gf2._echelon_rows`
     eliminates U on int rows, row i tagged with bit n + i, so the tags
     the rows end with are the rows of T; every step is a row operation,
-    so T is invertible."""
+    so T is invertible.  The kernel is read off the reduced rows by
+    :func:`.gf2._read_rows`."""
     rows = poly2._path_poly_rows(n, f)
     pivots, rows = _echelon_rows((u | 1 << (n + i) for i, u in enumerate(rows)), n)
     t = [v >> n for v in rows]
-    # W[c] of a free c: the pivots p whose reduced row has bit c
-    w = [0] * n
-    for p, v in zip(pivots, rows):
-        w[p] = 1 << p
-        free = v & ((1 << n) - 1) ^ 1 << p
-        while free:
-            w[(free & -free).bit_length() - 1] |= 1 << p
-            free &= free - 1
+    # W[c] of a free c: its kernel vector, whose highest set bit is c,
+    # less e_c
+    w = [1 << c for c in range(n)]
+    for k in _read_rows(pivots, rows, n, 0)[0]:
+        c = k.bit_length() - 1
+        w[c] = k ^ 1 << c
     pivots = np.asarray(pivots, dtype=np.intp)
     pivots.flags.writeable = False
     return pivots, _ints_to_words(t, n), _ints_to_words(w, n)
@@ -653,13 +634,13 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
     if any(t[axis] > 1 for t in terms):
         return None, f"exponent above 1 on axis {axis}"
     others = [i for i in range(len(dims)) if i != axis]
-    ones = {tuple(t[i] for i in others) for t in terms if t[axis] == 1}
+    ones = tuple(sorted({tuple(t[i] for i in others) for t in terms if t[axis] == 1}))
     zeros = [tuple(t[i] for i in others) for t in terms if t[axis] == 0]
-    a_factors = product_factors(tuple(dims[i] for i in others), ones) if ones else None
-    if a_factors is None:
+    a_factors = kron_factors(tuple(dims[i] for i in others), ones)
+    if len(a_factors) != 1:
         return None, f"A is not a product of per-axis factors on axis {axis}"
     a_inv = [1] * len(dims)
-    for i, f in zip(others, a_factors):
+    for i, f in zip(others, a_factors[0]):
         a_inv[i] = _inverse_mod(f, poly2.chebyshev_q(dims[i]).value)
         if a_inv[i] is None:
             return None, f"A is singular on axis {axis}"
@@ -676,9 +657,9 @@ def _pick(dims: Tuple[int, ...], terms: Tuple[tuple, ...]):
     or more axes, else the chase on the longest axis that qualifies
     (the first of equals); or (None, the reasons no axis does)."""
     if len(dims) > 1:
-        factors = product_factors(dims, terms)
-        if factors is not None:
-            return _Product(dims, factors), None
+        products = kron_factors(dims, terms)
+        if len(products) == 1:
+            return _Product(dims, products[0]), None
     reasons = []
     for axis in sorted(range(len(dims)), key=lambda i: (-dims[i], i)):
         chase, why = _chase_on(dims, terms, axis)

@@ -16,7 +16,9 @@ Every rank, kernel, solve, certificate and image query reads one
 :class:`Elimination` record, the one place that picks a backend.  Its
 answers are those of the canonical reduced row echelon form: pivots are
 the first nonzero row in column order, rows are swapped, and free
-variables are fixed to zero when a solution is extracted.  A game
+variables are fixed to zero when a solution is extracted.  Every
+backend answers through one call, ``solve(target ints)``, which returns
+the packed kernel and a packed solution or None per target.  A game
 matrix (its ``_game`` slot set) of 64 cells or more is handed to
 :func:`.chase.pick`.  A product game (terms E_1 x ... x E_d, d >= 2) is
 eliminated axis by axis: one n_i-column RREF per axis gives the
@@ -24,23 +26,27 @@ canonical kernel and solutions in closed form.  Otherwise, when an axis
 qualifies, it is chased: one layer of total / n cells is eliminated and
 the answers are lifted to the grid, then put in the same canonical form
 (the free columns are the highest set bits of the kernel vectors).
-Every other matrix is eliminated whole.  A system of packed words, a
-whole matrix or the end system of a chase on words, is eliminated 8
-columns at a time by the Method of Four Russians above 128 rows or
-columns and on Python-int rows below, by its own size
-(:func:`_rref_any`); a singular axis factor and the end system of a
-chase on ints are eliminated on their int rows directly
-(:func:`_echelon_rows`).  Every routine gives the same pivots and
-reduced matrix columns.  Matrix products go through Four Russians
-tables as well (:func:`_product`, shared with the chase).
+Every other matrix is eliminated whole (:class:`_Dense`).
 
-The first elimination that extracts a matrix's kernel stores the packed
-basis in the matrix's write-once ``_kernel`` slot (the kernel vectors
-only, never the reduced rows).  Later rank, kernel and certificate
-queries on the same object read it instead of eliminating again.  The
-basis is a function of the matrix alone, so two threads that race on
-the slot write equal values and either write may stand; the same holds
-for a game matrix's words.
+Answers are read off an echelon form in one place per representation.
+Int rows are eliminated by :func:`_echelon_rows` and read by
+:func:`_read_rows`: a system of at most 128 rows and columns
+(``_INT_PATH_MAX``), the end system of a chase on ints and a singular
+axis factor.  A larger system of packed words is eliminated 8 columns
+at a time by the Method of Four Russians (:func:`_rref`) and read off
+the reduced words.  :func:`_solve_packed` picks between the two by size,
+for a whole matrix and for the end system of a chase on words.  Every
+routine gives the same pivots and reduced matrix columns.  Matrix
+products go through Four Russians tables as well (:func:`_product`,
+shared with the chase).
+
+Every elimination extracts the kernel, and the first one stores the
+packed basis in the matrix's write-once ``_kernel`` slot (the kernel
+vectors only, never the reduced rows).  Later rank, kernel and
+certificate queries on the same object read it instead of eliminating
+again.  The basis is a function of the matrix alone, so two threads
+that race on the slot write equal values and either write may stand;
+the same holds for a game matrix's words.
 """
 from __future__ import annotations
 
@@ -227,8 +233,8 @@ class BitMatrix:
     :meth:`Elimination.certificate` prove a target outside the image by
     a kernel vector not orthogonal to it (Im m = (Ker m)^perp).
 
-    The first elimination that extracts the kernel leaves its packed
-    basis in ``_kernel``; later rank, kernel and certificate queries on
+    The first elimination of the matrix leaves its packed kernel basis
+    in ``_kernel``; later rank, kernel and certificate queries on
     the same object read it.  A game matrix (:meth:`_of_game`) keeps its
     game in the write-once ``_game`` slot and is made without words:
     :mod:`.chase` reads the game to eliminate it, and :meth:`mul_vec`
@@ -310,8 +316,10 @@ class BitMatrix:
                       symmetric: bool = False) -> "BitMatrix":
         if len(ints) != rows:
             raise ValueError(f"expected {rows} row ints, got {len(ints)}")
-        mask = (1 << cols) - 1
-        return cls(rows, cols, _ints_to_words([v & mask for v in ints], cols), symmetric)
+        for v in ints:
+            if v < 0 or v >> cols:
+                raise ValueError(f"row int {v} is outside 0 .. 2^{cols} - 1")
+        return cls(rows, cols, _ints_to_words(ints, cols), symmetric)
 
     @classmethod
     def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False) -> "BitMatrix":
@@ -415,11 +423,12 @@ class Elimination:
     basis is the identity on those columns, and exactly one solution in
     a coset is zero on them.
 
-    The backend is picked here and nowhere else (what qualifies a game
-    for the product backend or the chase is decided by
-    :func:`.chase.pick`):
+    The backend is picked here and nowhere else, and every backend
+    answers through one call, ``solve(target ints)``, which returns the
+    packed kernel and a packed solution or None per target.  What
+    qualifies a game for the product backend or the chase is decided
+    by :func:`.chase.pick`:
 
-    - dense: the RREF of m itself;
     - product: a game matrix of :func:`.game.adjacency_matrix` whose
       terms are a product E_1 x ... x E_d, so m = U_1 (x) ... (x) U_d,
       is eliminated one factor U_i at a time; the canonical kernel and
@@ -428,18 +437,15 @@ class Elimination:
       r x r end system of r = total / n cells, whose kernel and
       solutions are lifted to the grid and, unless the axis is the
       first, made canonical by one RREF of the kernel with its columns
-      reversed.
+      reversed;
+    - dense (:class:`_Dense`): the RREF of m itself, for every other
+      matrix, on int rows or by Four Russians by its size
+      (:func:`_solve_packed`).
 
-    A system of packed words, m or a chase's end system on words, gets
-    its routine from its own size (:func:`_rref_any`): Python-int rows
-    up to ``_INT_PATH_MAX`` rows and columns, the blocked Four Russians
-    path (:func:`_rref`, 8 columns per table XOR) above.  The chase's
-    int rows and a singular axis factor go to :func:`_echelon_rows`
-    directly.  Every routine gives the same pivots and reduced matrix
-    columns.
+    The kernel is stored on m by the elimination that finds it first.
     """
 
-    __slots__ = ("m", "targets", "rank", "_solutions", "_echelon")
+    __slots__ = ("m", "targets", "rank", "_solutions")
 
     def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
         self.m = m
@@ -447,32 +453,17 @@ class Elimination:
         for j, t in enumerate(self.targets):
             if t.n != m.rows:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
-        backend = _chase.pick(m) if m._game is not None else None
-        if backend is None:
-            tbits = np.zeros((len(self.targets), m.rows), dtype=np.uint8)
-            for j, t in enumerate(self.targets):
-                tbits[j] = t.to_array()
-            self._echelon = _Echelon(m._words, m.cols, tbits)
-            self.rank = self._echelon.rank
-            self._solutions = [self._echelon.solution(j) for j in range(len(self.targets))]
-        else:
-            self._echelon = None
-            kernel, self._solutions = backend.solve([t.to_int() for t in self.targets])
-            self.rank = m.cols - kernel.shape[0]
-            if m._kernel is None:
-                kernel.flags.writeable = False
-                m._kernel = kernel
+        backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
+        kernel, self._solutions = backend.solve([t.to_int() for t in self.targets])
+        self.rank = m.cols - kernel.shape[0]
+        if m._kernel is None:
+            kernel.flags.writeable = False
+            m._kernel = kernel
 
     def kernel(self) -> np.ndarray:
         """Basis of {x : m x = 0}, packed one vector per row, in RREF
-        order.  The first call for m stores the basis on m; later calls,
-        from this record or another of m, read it there."""
-        m = self.m
-        if m._kernel is None:
-            words = self._echelon.kernel()
-            words.flags.writeable = False
-            m._kernel = words
-        return m._kernel
+        order, as stored on m."""
+        return self.m._kernel
 
     def consistent(self) -> list:
         """Per target, whether it lies in the column space of m."""
@@ -495,56 +486,97 @@ class Elimination:
         return _first_not_orthogonal(self.m.cols, self.kernel(), self.targets[j])
 
 
-class _Echelon:
-    """The RREF of the first ``ncols`` columns of packed rows, with a
-    (k, rows) block of target bits riding in the words after them.
+class _Dense:
+    """The dense backend: the RREF of m's words (:func:`_solve_packed`)."""
 
-    ``rows`` holds the reduced matrix columns, ``rhs`` the transformed
-    target block (bit j of a row is target j) and ``pivots`` the pivot
-    columns.
-    """
+    __slots__ = ("m",)
 
-    __slots__ = ("ncols", "pivots", "rows", "rhs")
+    def __init__(self, m: BitMatrix):
+        self.m = m
 
-    def __init__(self, words: np.ndarray, ncols: int, tbits: np.ndarray):
-        self.ncols = ncols
-        split = words.shape[1]
-        aug = np.zeros((words.shape[0], split + _nwords(tbits.shape[0])), dtype=np.uint64)
-        aug[:, :split] = words
-        if tbits.shape[0]:
-            aug[:, split:] = _pack_rows(np.ascontiguousarray(tbits.T))
-        self.pivots = _rref_any(aug, ncols)
-        self.rows, self.rhs = aug[:, :split], aug[:, split:]
+    def solve(self, ts: Sequence[int]):
+        """(packed kernel, packed solution or None per target) of m for
+        the targets ``ts`` (ints, bit i for row i)."""
+        return _solve_packed(self.m._words, self.m.cols, ts)
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
-    def kernel(self) -> np.ndarray:
-        """The packed kernel basis: one vector per free column, in
-        increasing column order, each with its free coordinate set."""
-        if self.rank == self.ncols:
-            return np.zeros((0, _nwords(self.ncols)), dtype=np.uint64)
-        piv = np.asarray(self.pivots, dtype=np.intp)
-        free = np.ones(self.ncols, dtype=bool)
-        free[piv] = False
-        free = np.flatnonzero(free)
-        bits = np.zeros((free.size, self.ncols), dtype=np.uint8)
-        bits[np.arange(free.size), free] = 1
-        # the pivot rows' bits in the free columns, a rank x nullity block
-        strips = self.rows[: self.rank].view(np.uint8)
-        bits[:, piv] = ((strips[:, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
-        return _pack_rows(bits)
+def _solve_packed(words: np.ndarray, ncols: int, ts: Sequence[int]):
+    """(packed kernel, packed solution or None per target) of the RREF
+    of the first ``ncols`` columns of packed rows, for the targets
+    ``ts`` (ints, bit i for row i); this is where the routine is picked
+    by size.  A system of at most ``_INT_PATH_MAX`` rows and columns is
+    eliminated on int rows, target j at bit ncols + j, and read by
+    :func:`_read_rows`.  A larger one is eliminated by Four Russians
+    (:func:`_rref`) with the targets in the words after its columns, and
+    read off the reduced words."""
+    nrows, ntargets = words.shape[0], len(ts)
+    if nrows <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
+        rows = _words_to_ints(words)
+        for j, t in enumerate(ts):
+            while t:
+                low = t & -t
+                rows[low.bit_length() - 1] |= 1 << (ncols + j)
+                t ^= low
+        return _pack_answers(*_read_rows(*_echelon_rows(rows, ncols), ncols, ntargets), ncols)
+    split = words.shape[1]
+    aug = np.zeros((nrows, split + _nwords(ntargets)), dtype=np.uint64)
+    aug[:, :split] = words
+    tbits = _unpack_words_2d(_ints_to_words(ts, nrows), nrows)
+    aug[:, split:] = _pack_rows(np.ascontiguousarray(tbits.T))
+    pivots = _rref(aug, ncols)
+    rank = len(pivots)
+    piv = np.asarray(pivots, dtype=np.intp)
+    free = np.ones(ncols, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    # kernel vector f: e_f plus the pivots whose reduced row has bit f,
+    # read as a rank x nullity block of the pivot rows' strips
+    bits = np.zeros((free.size, ncols), dtype=np.uint8)
+    bits[np.arange(free.size), free] = 1
+    strips = aug[:rank, :split].view(np.uint8)
+    bits[:, piv] = ((strips[:, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
+    # solution j: the pivots whose reduced row has target bit j, or None
+    # when a vanishing row has it
+    rhs = _unpack_words_2d(aug[:, split:], ntargets)
+    xbits = np.zeros((ntargets, ncols), dtype=np.uint8)
+    xbits[:, piv] = rhs[:rank].T
+    bad = rhs[rank:].any(axis=0)
+    xs = _pack_rows(xbits)
+    return _pack_rows(bits), [None if bad[j] else xs[j] for j in range(ntargets)]
 
-    def solution(self, j: int) -> Optional[np.ndarray]:
-        """The packed solution for target j with free variables zero, or
-        None when target j is inconsistent."""
-        col = ((self.rhs[:, j >> 6] >> np.uint64(j & 63)) & _ONE).astype(np.uint8)
-        if col[self.rank:].any():
-            return None
-        xbits = np.zeros(self.ncols, dtype=np.uint8)
-        xbits[np.asarray(self.pivots, dtype=np.intp)] = col[: self.rank]
-        return _pack_rows(xbits)
+
+def _read_rows(pivots: list, rows: list, ncols: int, ntargets: int):
+    """(kernel, solutions) as ints, read off the reduced rows of
+    :func:`_echelon_rows` whose target j sits at bit ncols + j; bits
+    above the targets are ignored.  Kernel vector f, one per free
+    column in increasing order, is e_f plus the pivots whose reduced
+    row has bit f.  Solution j is the pivots whose reduced row has bit
+    ncols + j (free variables zero), or None when a vanishing row has
+    that bit."""
+    width = ncols + ntargets
+    # picks[c]: the pivots whose reduced row has bit c; a reduced row has
+    # no other pivot's bit
+    picks = [0] * width
+    for p, v in zip(pivots, rows):
+        rest = v & ((1 << width) - 1) ^ 1 << p
+        while rest:
+            low = rest & -rest
+            picks[low.bit_length() - 1] |= 1 << p
+            rest ^= low
+    bad = 0
+    for v in rows[len(pivots):]:
+        bad |= v
+    free = sorted(set(range(ncols)).difference(pivots))
+    return ([1 << f | picks[f] for f in free],
+            [None if bad >> c & 1 else picks[c] for c in range(ncols, width)])
+
+
+def _pack_answers(kernel: list, solutions: list, n: int):
+    """(packed kernel, packed solution or None per target) of int
+    answers of n bits, in one pack."""
+    words = _ints_to_words(kernel + [x for x in solutions if x is not None], n)
+    solved = iter(words[len(kernel):])
+    return words[:len(kernel)], [None if x is None else next(solved) for x in solutions]
 
 
 def _first_not_orthogonal(n: int, kernel: np.ndarray, t: BitVector) -> Optional[BitVector]:
@@ -605,14 +637,6 @@ def _product(a: np.ndarray, ncols: int, b: np.ndarray) -> np.ndarray:
             else:
                 np.bitwise_xor.reduce(picked, axis=0, out=out[i:i + step])
     return out
-
-
-def _rref_any(words: np.ndarray, ncols: int) -> list:
-    """:func:`_rref_ints` on a system of at most ``_INT_PATH_MAX`` rows
-    and columns, :func:`_rref` on a larger one: the one routine pick."""
-    if 0 < words.shape[0] <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
-        return _rref_ints(words, ncols)
-    return _rref(words, ncols)
 
 
 def _rref(words: np.ndarray, ncols: int) -> list:
@@ -708,14 +732,6 @@ def _rref(words: np.ndarray, ncols: int) -> list:
     return pivots
 
 
-def _rref_ints(words: np.ndarray, ncols: int) -> list:
-    """:func:`_echelon_rows` on packed rows, in place; returns the pivot
-    columns."""
-    pivots, rows = _echelon_rows(_words_to_ints(words), ncols)
-    words[:] = _ints_to_words(rows, words.shape[1] * _WORD)
-    return pivots
-
-
 def _echelon_rows(rows: Iterable[int], ncols: int):
     """(pivots, rows): the RREF of the first ``ncols`` bits of int rows.
     The reduced pivot rows come in pivot order, then the rows that vanish
@@ -799,8 +815,6 @@ def solve_with_certificate(m: BitMatrix, b: BitVector):
         if k is not None:
             return None, k
     e = Elimination(m, [b])
-    if m.symmetric:
-        e.kernel()  # stored on m even when b is reachable
     return e.solution(), e.certificate()
 
 

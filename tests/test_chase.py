@@ -233,7 +233,7 @@ def test_only_product_games_of_two_or_more_axes_take_the_product_backend():
 def test_a_product_game_is_built_as_the_sum_of_its_terms():
     for dims in ((1, 9), (6, 7), (50, 50), (2, 3, 4), (5, 8, 8)):
         for g in _product_games(dims):
-            assert chase.product_factors(dims, tuple(sorted(g.terms))) is not None
+            assert len(chase.kron_factors(dims, tuple(sorted(g.terms)))) == 1
             per_term = np.zeros((g.shape.total, g.shape.total), dtype=np.uint8)
             for t in g.terms:
                 term = j_power(dims[0], t[0])
@@ -304,7 +304,9 @@ def test_invertible_product_axes_are_applied_by_horners_rule(monkeypatch, fresh_
                  (6, 5, 3)):
         for g in _product_games(dims):
             terms = tuple(sorted(g.terms))
-            factors = chase.product_factors(dims, terms)
+            products = chase.kron_factors(dims, terms)
+            assert len(products) == 1
+            factors = products[0]
             singular = [i for i, (n, f) in enumerate(zip(dims, factors))
                         if chase._inverse_mod(f, poly2.chebyshev_q(n).value) is None]
             targets = _targets(g.shape, rng)
@@ -369,6 +371,16 @@ def test_the_matrix_free_mul_vec_and_diagonal_equal_the_dense_ones(fresh_matrice
             assert sigma_plus == (plain.diagonal() == BitVector.ones(m.cols))
 
 
+def _rref_with_identity(rows, n):
+    """(pivots, reduced rows as n-column bits, packed right half) of the
+    blocked RREF of [U | I] for the n x n matrix U of int rows."""
+    words = np.hstack([gf2._ints_to_words(rows, n),
+                       gf2._ints_to_words([1 << i for i in range(n)], n)])
+    pivots = gf2._rref(words, n)
+    half = words.shape[1] // 2
+    return pivots, gf2._unpack_words_2d(words[:, :half], n), np.ascontiguousarray(words[:, half:])
+
+
 def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
     """For f prime to Q_n the product backend eliminates nothing: the
     axis's pivots are 0 .. n - 1, its W is I, and its T is g(J_n) for
@@ -390,11 +402,10 @@ def test_an_invertible_axis_factor_takes_no_rref(monkeypatch, fresh_matrices):
         assert calls == []
         assert backend.transforms == [None] and backend.parts == [None]
         assert backend.inverse == (None if g == 1 else (g,))
-        u = gf2._ints_to_words(poly2._path_poly_rows(n, f), n)
-        e = gf2._Echelon(u, n, np.eye(n, dtype=np.uint8))
-        assert backend.pivots[0].tolist() == e.pivots == list(range(n))
+        pivots, rows, rhs = _rref_with_identity(poly2._path_poly_rows(n, f), n)
+        assert backend.pivots[0].tolist() == pivots == list(range(n))
         t = gf2._ints_to_words(poly2._path_poly_rows(n, g), n)
-        assert t.tobytes() == np.ascontiguousarray(e.rhs).tobytes()
+        assert t.tobytes() == rhs.tobytes()
     assert invertible > 200
 
 
@@ -418,18 +429,19 @@ def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_mat
         calls.clear()
         pivots, t, w = chase._axis_echelon(n, f)
         assert calls == [("_echelon_rows", n)]
-        u = gf2._ints_to_words(poly2._path_poly_rows(n, f), n)
-        e = gf2._Echelon(u, n, np.eye(n, dtype=np.uint8))
-        u = gf2._unpack_words_2d(u, n)
-        assert pivots.tolist() == e.pivots, (n, f)
+        want, rows, _ = _rref_with_identity(poly2._path_poly_rows(n, f), n)
+        u = gf2._unpack_words_2d(gf2._ints_to_words(poly2._path_poly_rows(n, f), n), n)
+        assert pivots.tolist() == want, (n, f)
         free = np.setdiff1d(np.arange(n), pivots)
-        kernel = gf2._unpack_words_2d(e.kernel(), n)
-        kernel[np.arange(free.size), free] = 0
+        # the pivot parts of the canonical kernel vectors: the free
+        # columns of the reduced pivot rows
+        kernel = np.zeros((free.size, n), dtype=np.uint8)
+        kernel[:, pivots] = rows[:pivots.size, free].T
         wbits = gf2._unpack_words_2d(w, n)
         assert np.array_equal(wbits[free], kernel), (n, f)
         assert np.array_equal(wbits[pivots], np.eye(n, dtype=np.uint8)[pivots])
         tbits = gf2._unpack_words_2d(t, n)
-        assert np.array_equal(tbits.astype(np.int64) @ u & 1, gf2._unpack_words_2d(e.rows, n))
+        assert np.array_equal(tbits.astype(np.int64) @ u & 1, rows)
         assert gf2.rank(bit_matrix(tbits)) == n
         assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
     assert singular > 150
@@ -550,12 +562,11 @@ def test_a_dense_board_builds_its_words_and_gives_the_same_answers(fresh_matrice
 
 
 def _rref_calls(monkeypatch):
-    """Record (routine, columns) of every elimination: the RREFs of gf2
-    and the int-row eliminations the chase module runs itself (a
-    one-word chase's end system and canonical form, and a singular axis
-    factor)."""
+    """Record (routine, columns) of every elimination, by Four Russians
+    or on int rows, run by gf2 (a dense system) or by the chase module
+    (an end system, a canonical form or a singular axis factor)."""
     calls = []
-    for module, path in ((gf2, "_rref"), (gf2, "_rref_ints"), (chase, "_echelon_rows")):
+    for module, path in itertools.product((gf2, chase), ("_rref", "_echelon_rows")):
         def counted(words, ncols, path=path, real=getattr(module, path)):
             calls.append((path, ncols))
             return real(words, ncols)

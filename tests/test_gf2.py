@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import random
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ def test_constructors_reject_malformed_words():
         BitMatrix(2, 3, np.zeros(2, dtype=np.uint64))
     with pytest.raises(ValueError, match="past bit 64"):
         BitMatrix(1, 65, np.array([[0, 2]], dtype=np.uint64))
+
+
+def test_row_ints_outside_the_columns_are_rejected():
+    # a bit at or above cols, on both sides of one word, and a negative
+    # int, whose bits run on forever
+    for rows, cols, ints in ((2, 2, [0b111, 0b1]), (1, 2, [-1]), (1, 65, [1 << 65]),
+                             (1, 0, [1])):
+        with pytest.raises(ValueError, match=rf"row int {ints[0]} is outside"):
+            BitMatrix.from_row_ints(rows, cols, ints)
+    assert BitMatrix.from_row_ints(2, 2, [0b11, 0b1]).row_ints() == [3, 1]
 
 
 @st.composite
@@ -517,76 +528,71 @@ def test_elimination_is_deterministic():
     assert gf2.kernel_basis(m) == gf2.kernel_basis(m)
 
 
-def _agreement_cases(rng):
-    """Matrices up to 140x140 on both sides of the int-path cutoff:
-    dense non-square, rank-deficient products, and symmetric squares,
-    each with zero and with several targets (half of them in the image)."""
-    for _ in range(6):
-        r, c = rng.randrange(1, 141), rng.randrange(1, 141)
-        inner = rng.randrange(1, min(r, c) + 1)
-        a = random_bit_matrix(rng, inner, c)
-        low_rank = random_bit_matrix(rng, r, inner) @ a
-        ata = a.transpose() @ a
-        sym = bit_matrix([ata.row(i) for i in range(c)], symmetric=True)
-        n = rng.randrange(1, 141)
-        for m in (random_bit_matrix(rng, r, c), low_rank, sym,
-                  random_bit_matrix(rng, n, n, symmetric=True)):
-            targets = [BitVector.from_int(m.rows, rng.getrandbits(m.rows)) for _ in range(3)]
-            targets += [m.mul_vec(BitVector.from_int(m.cols, rng.getrandbits(m.cols)))
-                        for _ in range(3)]
-            yield m, []
-            yield m, targets
+def _parity_rows(rows, x):
+    """m x as an int, for m given by its int rows."""
+    return sum(((r & x).bit_count() & 1) << i for i, r in enumerate(rows))
 
 
-def _all_queries(m, targets):
-    out = [gf2.rank(m), gf2.kernel_basis(m), gf2.in_image_many(m, targets),
-           [gf2.solve(m, t) for t in targets]]
-    if m.rows == m.cols:
-        out.append([gf2.solve_with_certificate(m, t) for t in targets])
-    return out
+def _int_rank(rows):
+    """The rank of int rows, each reduced by the rows kept so far by its
+    highest set bit."""
+    kept = {}
+    for v in rows:
+        while v and v.bit_length() in kept:
+            v ^= kept[v.bit_length()]
+        if v:
+            kept[v.bit_length()] = v
+    return len(kept)
 
 
-def _fresh_game(m: BitMatrix) -> BitMatrix:
-    """:func:`fresh`, keeping the game, so an elimination still chases."""
-    copy = fresh(m)
-    copy._game = m._game
-    return copy
+@st.composite
+def augmented_systems(draw):
+    """(int rows, cols, target ints) of 1-128 rows and columns: a random
+    matrix or a product through 1-128 inner columns (rank deficient
+    when that is fewer), with 0-3 targets, each random (often outside
+    the image) or the image of a random vector."""
+    nrows, cols = draw(st.integers(1, 128)), draw(st.integers(1, 128))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=nrows, max_size=nrows))
+    else:
+        inner = draw(st.integers(1, 128))
+        b = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=inner, max_size=inner))
+        a = draw(st.lists(st.integers(0, (1 << inner) - 1), min_size=nrows, max_size=nrows))
+        rows = [functools.reduce(int.__xor__, (b[k] for k in range(inner) if v >> k & 1), 0)
+                for v in a]
+    targets = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            targets.append(draw(st.integers(0, (1 << nrows) - 1)))
+        else:
+            targets.append(_parity_rows(rows, draw(st.integers(0, (1 << cols) - 1))))
+    return rows, cols, targets
 
 
-def test_int_and_vectorized_paths_agree(monkeypatch):
-    cases = list(_agreement_cases(random.Random(271)))
-    assert any(m.rows <= gf2._INT_PATH_MAX and m.cols <= gf2._INT_PATH_MAX
-               for m, _ in cases)
-    # chased boards, whose end systems of 12 and 10 cells run on int rows
-    rng = random.Random(272)
-    for name in PRESET_NAMES:
-        for dims in ((12, 12), (10, 15)):
-            m = _fresh_game(adjacency_matrix(GameSpec.preset(name, GridShape(dims))))
-            images = [m.mul_vec(BitVector.from_int(m.cols, rng.getrandbits(m.cols)))
-                      for _ in range(2)]
-            cases.append((m, [BitVector.ones(m.rows),
-                              BitVector.from_int(m.rows, rng.getrandbits(m.rows))] + images))
-    default = [_all_queries(m, t) for m, t in cases]
-    monkeypatch.setattr(gf2, "_INT_PATH_MAX", 0)
-
-    def no_int_rows(words, ncols):
-        raise AssertionError("_rref_ints ran with _INT_PATH_MAX = 0")
-
-    monkeypatch.setattr(gf2, "_rref_ints", no_int_rows)
-    # fresh copies: the first pass left each kernel stored on its matrix,
-    # and rank and kernel_basis would read it instead of eliminating
-    vectorized = [_all_queries(_fresh_game(m), t) for m, t in cases]
-    assert default == vectorized
-    for (m, targets), (rank, kernel, member, xs, *certs) in zip(cases, vectorized):
-        assert rank + len(kernel) == m.cols
-        assert all(m.mul_vec(k).is_zero() for k in kernel)
-        assert member == [x is not None for x in xs]
-        assert all(m.mul_vec(x) == t for x, t in zip(xs, targets) if x is not None)
-        assert all(member[len(targets) // 2:])
-        if m.symmetric:
-            for (x, k), t in zip(certs[0], targets):
-                assert (x is None) == (k is not None)
-                assert k is None or (m.mul_vec(k).is_zero() and k.dot(t) == 1)
+@settings(deadline=None)
+@given(augmented_systems())
+def test_int_and_words_readers_agree(system):
+    """The int-row reader and the words reader give the same bytes:
+    the kernel, and each target's solution or None."""
+    rows, cols, targets = system
+    words = gf2._ints_to_words(rows, cols)
+    kernel, solutions = gf2._solve_packed(words, cols, targets)
+    # the words reader on the same system, with no int-row elimination
+    # to fall back on
+    with unittest.mock.patch.object(gf2, "_INT_PATH_MAX", 0), \
+            unittest.mock.patch.object(gf2, "_echelon_rows", None):
+        want_kernel, want_solutions = gf2._solve_packed(words, cols, targets)
+    assert kernel.shape == want_kernel.shape and kernel.tobytes() == want_kernel.tobytes()
+    assert ([None if x is None else x.tobytes() for x in solutions]
+            == [None if x is None else x.tobytes() for x in want_solutions])
+    rank = _int_rank(rows)
+    assert kernel.shape[0] == cols - rank
+    assert all(_parity_rows(rows, int.from_bytes(k.tobytes(), "little")) == 0 for k in kernel)
+    for t, x in zip(targets, solutions):
+        # t is outside the image iff appending it as a column adds to the rank
+        augmented = [r | (t >> i & 1) << cols for i, r in enumerate(rows)]
+        assert (x is None) == (_int_rank(augmented) > rank)
+        assert x is None or _parity_rows(rows, int.from_bytes(x.tobytes(), "little")) == t
 
 
 def test_stored_kernel_answers_match_a_fresh_elimination():
@@ -678,8 +684,9 @@ def test_blocked_rref_matches_per_column_reference():
         if words.shape[0] <= gf2._INT_PATH_MAX and ncols <= gf2._INT_PATH_MAX:
             # the int routine gives the same pivots and reduced matrix
             # columns; the target columns may differ by left kernel rows
-            ints = words.copy()
-            assert gf2._rref_ints(ints, ncols) == pivots
+            int_pivots, rows = gf2._echelon_rows(gf2._words_to_ints(words), ncols)
+            assert int_pivots == pivots
+            ints = gf2._ints_to_words(rows, words.shape[1] * 64)
             assert np.array_equal(gf2._unpack_words_2d(ints, ncols),
                                   gf2._unpack_words_2d(expected, ncols))
             int_cases += 1
