@@ -75,24 +75,30 @@ the T targets fit one 64-bit word (r + T <= 64) the chase stays on
 Python ints from start to finish: a layer is one int whose 64-bit chunk
 i holds the chased row of its cell i, C acts on a whole layer by
 Horner's rule on 64-bit cells (C is a sum of Kronecker products of
-polynomials in J, like M), the end system is eliminated on its int rows
-by :func:`.gf2._echelon_rows` and read by :func:`.gf2._read_rows`, and
-a selection of chased columns is lifted to every cell at once, as the
-parities of the masked chunks; the kernel and solutions are packed
-once, at the end.  On such layers numpy's per-call cost, not the XORs,
-would set the time.  A chase of wider rows runs on vectors packed in
-uint64 words: a step by a sparse C XORs the words of the rows each row
-of C selects, and a product by a dense matrix goes through Four
-Russians tables (:func:`.gf2._product`); its end system is solved as a
-dense one, on int rows or by Four Russians by its size
-(:func:`.gf2._solve_packed`), and its kernel, of total >= 2r columns,
-is made canonical by Four Russians (:func:`.gf2._rref`).  Its working
-memory is C, built on int rows and packed on its first run, a few
-transient arrays of r x r bytes (C's gather index, the end system), the
-n + 2 packed layers over the r + T chased columns, and the lifted
-vectors, total x (nullity + T) bytes; gathers and tables are staged in blocks of at most 1 MB.  On
-2^12 cells, sigma-:box (r and the nullity both 2,048) peaks at 26 MB
-under tracemalloc, below two bytes per entry of the matrix.
+polynomials in J, like M), and a selection of chased columns is lifted
+to every cell at once, as the parities of the masked chunks; the kernel
+and solutions are packed once, at the end.  On such layers numpy's
+per-call cost, not the XORs, would set the time.  A chase of wider rows
+runs on vectors packed in uint64 words: a step by a sparse C XORs the
+words of the rows each row of C selects, a product by a dense matrix
+goes through Four Russians tables (:func:`.gf2._product`), and the
+kernel, of total >= 2r columns, is made canonical by Four Russians
+(:func:`.gf2._rref`).
+
+Either way the end system is the int rows of x_{-1}, [P | s] with
+target j at bit r + j: the one system format of :func:`.gf2._solve_rows`,
+which solves it on int rows or by Four Russians by its size and returns
+the kernel and the solutions as ints.  The grid vector of a kernel
+vector k sums the unit starts k selects, and that of target j's
+solution x also its affine column: the selection k, or 1 << (r + j) | x.
+
+A chase on words keeps in memory C, built on int rows and packed on its
+first run, a few transient arrays of r x r bytes (C's gather index, the
+end system), the n + 2 packed layers over the r + T chased columns, and
+the lifted vectors, total x (nullity + T) bytes; gathers and tables are
+staged in blocks of at most 1 MB.  On 2^12 cells, sigma-:box (r and the
+nullity both 2,048) peaks at 26 MB under tracemalloc, below two bytes
+per entry of the matrix.
 
 :func:`pick` is called by :class:`.gf2.Elimination` for a matrix of
 :func:`.game.adjacency_matrix`, which keeps the game's dims and terms in
@@ -125,7 +131,7 @@ import numpy as np
 from . import poly2
 from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_row_sum,
                   _kron_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product, _read_rows,
-                  _rref, _solve_packed, _unpack_words, _unpack_words_2d, _words_to_ints)
+                  _rref, _solve_rows, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
 
@@ -234,16 +240,15 @@ class _Chase:
         j - r).  C acts on a whole layer by Horner's rule on 64-bit cells
         (:func:`apply`), so a step x_{k-1} = C x_k + x_{k+1} + (A^-1 t)_k
         is a few big-int operations.  The end system [P | s] is the rows
-        of x_{-1}, eliminated by :func:`.gf2._echelon_rows`; the kernel
-        and the solutions are read off its reduced rows
-        (:func:`.gf2._read_rows`) as selections of chased columns, and
-        lifted to every cell at once: bit 0 of a chunk of the layers
-        masked by a selection, folded onto itself, is the parity of the
-        selection over that cell's row.  One pack at the end."""
+        of x_{-1}, solved by :func:`.gf2._solve_rows`; the kernel and the
+        solutions are selections of chased columns, lifted to every cell
+        at once: bit 0 of a chunk of the layers masked by a selection,
+        folded onto itself, is the parity of the selection over that
+        cell's row.  One pack at the end."""
         r, n, total, ntargets = self.r, self.n, self.n * self.r, len(ts)
         sources = [0] * n
         for j, t in enumerate(ts):
-            cells = self._to_layers(format(t, f"0{total}b")[::-1].encode()).translate(_FROM_ASCII)
+            cells = self._layer_cells(t)
             for k in range(n):
                 sources[k] ^= _chunks(cells[k * r:k * r + r]) << (r + j)
         # x_{n-1}: chunk i is unit start i; x_n = 0
@@ -253,7 +258,7 @@ class _Chase:
             x, nxt = apply(self.others, self.c_polys, x, _WORD) ^ nxt ^ source, x
             layers.append(x)
         end = memoryview(layers.pop().to_bytes(8 * r, sys.byteorder)).cast("Q").tolist()
-        kernel, xs = _read_rows(*_echelon_rows(end, r), r, ntargets)
+        kernel, xs = _solve_rows(end, r, ntargets)
         # every layer, x_0 lowest, and the parities of a selection over
         # its cells, in grid order from cell 0, one b"0" or b"1" a cell
         flat = int.from_bytes(b"".join(x.to_bytes(8 * r, "little") for x in reversed(layers)),
@@ -280,10 +285,11 @@ class _Chase:
             kernel = [int(v[::-1], 2) for v in kernel]
         return _pack_answers(kernel, xs, total)
 
-    def _to_layers(self, cells: bytes) -> bytes:
-        """One byte a cell, grid order -> layer order (byte k r + i is
-        cell i of layer k)."""
+    def _layer_cells(self, t: int) -> bytes:
+        """Grid int t as one byte 0 or 1 a cell, in layer order (byte
+        k r + i is cell i of layer k)."""
         n, inner = self.n, self.inner
+        cells = format(t, f"0{n * self.r}b")[::-1].encode().translate(_FROM_ASCII)
         if inner == self.r:
             return cells
         if inner == 1:
@@ -315,43 +321,38 @@ class _Chase:
             self._words = c, _gather_index(c, self.r)
         return self._words
 
-    def _layers(self, bits: np.ndarray) -> np.ndarray:
-        """(q, total) grid bits -> (q, n, r): axis moved first."""
-        q = bits.shape[0]
-        return np.moveaxis(bits.reshape((q,) + self.dims), 1 + self.axis, 1).reshape(
-            q, self.n, self.r)
-
     def _grid(self, layers: np.ndarray) -> np.ndarray:
         """(q, n, r) layer bits -> (q, total) grid bits."""
         q = layers.shape[0]
         others = self.dims[:self.axis] + self.dims[self.axis + 1:]
         return np.moveaxis(layers.reshape((q, self.n) + others), 1, 1 + self.axis).reshape(q, -1)
 
-    def _sources(self, tbits: np.ndarray) -> np.ndarray:
-        """t_k for every layer k and each of the T targets (A^-1 already
-        applied), packed as (n, r, w) words that line up with the words
-        of a chased row from word r // 64 on, so that target j lands in
-        column r + j."""
-        ntargets, n, r = tbits.shape[0], self.n, self.r
+    def _sources(self, ts: Sequence[int]) -> np.ndarray:
+        """t_k for every layer k and each of the T targets ``ts`` (grid
+        ints, A^-1 already applied), packed as (n, r, w) words that line
+        up with the words of a chased row from word r // 64 on, so that
+        target j lands in column r + j."""
+        n, r = self.n, self.r
         pad = r & 63
-        bits = np.zeros((n, r, pad + ntargets), dtype=np.uint8)
-        bits[:, :, pad:] = self._layers(tbits).transpose(1, 2, 0)
+        bits = np.zeros((n, r, pad + len(ts)), dtype=np.uint8)
+        for j, t in enumerate(ts):
+            bits[:, :, pad + j] = np.frombuffer(self._layer_cells(t), dtype=np.uint8).reshape(n, r)
         return _pack_rows(bits)
 
-    def run(self, tbits: np.ndarray):
+    def run(self, ts: Sequence[int]):
         """Chase the r unit starts of the last layer and one affine column
-        per row of the (T, total) target bits on packed words: r + T
-        chased columns.  Returns x_{-1} as (r, r + T) bits, whose columns
-        are [P | s], and the packed layers x_0 .. x_{n-1}, for
-        :meth:`lift`."""
-        r, n, ntargets = self.r, self.n, tbits.shape[0]
+        per target of ``ts`` (grid ints, A^-1 already applied) on packed
+        words: r + T chased columns.  Returns the rows of x_{-1} as
+        packed words, [P | s] with target j at bit r + j, and the packed
+        layers x_0 .. x_{n-1}, for :meth:`lift`."""
+        r, n, ntargets = self.r, self.n, len(ts)
         c, gather = self._packed()
         width = _nwords(r + ntargets)
         # buf[k + 1] holds x_k, with an all-zero row after its r rows
         buf = np.zeros((n + 2, r + 1, width), dtype=np.uint64)
         idx = np.arange(r)
         buf[n, idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-        sources = self._sources(tbits) if ntargets else None
+        sources = self._sources(ts) if ntargets else None
         flat = buf.reshape((n + 2) * (r + 1), width)
         if gather is not None:
             step = max(1, _STAGE_WORDS // (gather.shape[1] * width))
@@ -366,38 +367,32 @@ class _Chase:
                                           out=out[i:i + step])
             if sources is not None:
                 buf[k, :r, r >> 6:] ^= sources[k]
-        return _unpack_words_2d(buf[0, :r], r + ntargets), buf[1:n + 1, :r]
+        return buf[0, :r], buf[1:n + 1, :r]
 
-    def lift(self, layers: np.ndarray, select: np.ndarray) -> np.ndarray:
-        """Grid vectors from :meth:`run`'s layers: row q of ``select``
-        picks the chased columns (unit starts and targets) vector q sums.
-        Returns (q, total) bits."""
-        q = select.shape[0]
+    def lift(self, layers: np.ndarray, select: Sequence[int], ncols: int) -> np.ndarray:
+        """Grid vectors from :meth:`run`'s layers: the ints of ``select``
+        pick the chased columns (unit starts and targets, ``ncols`` in
+        all) each vector sums.  Returns (q, total) bits."""
+        q = len(select)
         n, r = self.n, self.r
         if not q:
             return np.zeros((0, n * r), dtype=np.uint8)
-        picked = _product(layers.reshape(n * r, -1), select.shape[1],
-                          _pack_rows(np.ascontiguousarray(select.T)))
+        picks = _unpack_words_2d(_ints_to_words(select, ncols), ncols)
+        picked = _product(layers.reshape(n * r, -1), ncols,
+                          _pack_rows(np.ascontiguousarray(picks.T)))
         bits = _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
         return self._grid(bits)
 
     def _solve_words(self, ts: Sequence[int]):
         """:meth:`solve` on packed words (:meth:`run`, :meth:`lift`)."""
         r, ntargets = self.r, len(ts)
-        end, layers = self.run(_grid_bits(ts, self.n * r))
-        kernel, last = _solve_packed(_pack_rows(end[:, :r]), r,
-                                     _words_to_ints(_pack_rows(np.ascontiguousarray(end[:, r:].T))))
+        end, layers = self.run(ts)
+        kernel, last = _solve_rows(_words_to_ints(end), r, ntargets)
         solved = [j for j in range(ntargets) if last[j] is not None]
         # a grid vector sums the unit starts its last layer selects, plus
         # its target's affine column
-        kernel = _unpack_words_2d(kernel, r)
-        select = np.zeros((kernel.shape[0] + len(solved), r + ntargets), dtype=np.uint8)
-        select[:kernel.shape[0], :r] = kernel
-        for q, j in enumerate(solved, start=kernel.shape[0]):
-            select[q, :r] = _unpack_words(last[j], r)
-            select[q, r + j] = 1
-        grid = self.lift(layers, select)
-        kernel, xs = grid[:kernel.shape[0]], grid[kernel.shape[0]:]
+        grid = self.lift(layers, kernel + [1 << r + j | last[j] for j in solved], r + ntargets)
+        kernel, xs = grid[:len(kernel)], grid[len(kernel):]
         if self.axis and kernel.shape[0]:
             kernel, free = _canonical_kernel(kernel)
             xs = xs ^ (xs[:, free] @ kernel & 1).astype(np.uint8)
@@ -458,7 +453,7 @@ def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
     total = math.prod(dims)
     products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(dims, factors)]
                 for factors in kron_factors(dims, terms)]
-    return _kron_sum(products, total, total, symmetric=True)._words
+    return _kron_sum(products, total, total)._words
 
 
 @lru_cache(maxsize=64)

@@ -28,17 +28,17 @@ the answers are lifted to the grid, then put in the same canonical form
 (the free columns are the highest set bits of the kernel vectors).
 Every other matrix is eliminated whole (:class:`_Dense`).
 
-Answers are read off an echelon form in one place per representation.
-Int rows are eliminated by :func:`_echelon_rows` and read by
-:func:`_read_rows`: a system of at most 128 rows and columns
-(``_INT_PATH_MAX``), the end system of a chase on ints and a singular
-axis factor.  A larger system of packed words is eliminated 8 columns
-at a time by the Method of Four Russians (:func:`_rref`) and read off
-the reduced words.  :func:`_solve_packed` picks between the two by size,
-for a whole matrix and for the end system of a chase on words.  Every
-routine gives the same pivots and reduced matrix columns.  Matrix
-products go through Four Russians tables as well (:func:`_product`,
-shared with the chase).
+Every system reaches elimination in one format: int rows whose first
+ncols bits are the matrix and whose bit ncols + j is target j, and
+:func:`_solve_rows` solves it, for the dense backend and for the end
+system of either chase, returning the kernel and the solutions as ints.
+It picks the routine by size: a system of at most 128 rows and columns
+(``_INT_PATH_MAX``) is eliminated by :func:`_echelon_rows` and read by
+:func:`_read_rows`; a larger one is packed once, eliminated 8 columns at
+a time by the Method of Four Russians (:func:`_rref`) and read off the
+reduced words.  Every routine gives the same pivots and reduced matrix
+columns.  Matrix products go through Four Russians tables as well
+(:func:`_product`, shared with the chase).
 
 Every elimination extracts the kernel, and the first one stores the
 packed basis in the matrix's write-once ``_kernel`` slot (the kernel
@@ -164,7 +164,10 @@ class BitVector:
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "BitVector":
-        """Coordinate k = bit k of value; bits at or beyond n are dropped."""
+        """Coordinate k = bit k of value; bits at or beyond n are dropped.
+        A negative value is refused."""
+        if value < 0:
+            raise ValueError(f"negative value {value}")
         return cls._of(n, _int_to_words(value, n))
 
     @classmethod
@@ -439,8 +442,8 @@ class Elimination:
       first, made canonical by one RREF of the kernel with its columns
       reversed;
     - dense (:class:`_Dense`): the RREF of m itself, for every other
-      matrix, on int rows or by Four Russians by its size
-      (:func:`_solve_packed`).
+      matrix: its int rows with the targets tagged on, solved on int
+      rows or by Four Russians by its size (:func:`_solve_rows`).
 
     The kernel is stored on m by the elimination that finds it first.
     """
@@ -487,7 +490,8 @@ class Elimination:
 
 
 class _Dense:
-    """The dense backend: the RREF of m's words (:func:`_solve_packed`)."""
+    """The dense backend: the RREF of m's int rows with the targets
+    tagged on (:func:`_solve_rows`)."""
 
     __slots__ = ("m",)
 
@@ -496,53 +500,50 @@ class _Dense:
 
     def solve(self, ts: Sequence[int]):
         """(packed kernel, packed solution or None per target) of m for
-        the targets ``ts`` (ints, bit i for row i)."""
-        return _solve_packed(self.m._words, self.m.cols, ts)
-
-
-def _solve_packed(words: np.ndarray, ncols: int, ts: Sequence[int]):
-    """(packed kernel, packed solution or None per target) of the RREF
-    of the first ``ncols`` columns of packed rows, for the targets
-    ``ts`` (ints, bit i for row i); this is where the routine is picked
-    by size.  A system of at most ``_INT_PATH_MAX`` rows and columns is
-    eliminated on int rows, target j at bit ncols + j, and read by
-    :func:`_read_rows`.  A larger one is eliminated by Four Russians
-    (:func:`_rref`) with the targets in the words after its columns, and
-    read off the reduced words."""
-    nrows, ntargets = words.shape[0], len(ts)
-    if nrows <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
-        rows = _words_to_ints(words)
+        the targets ``ts`` (ints, bit i for row i): target j is set at
+        bit cols + j of the rows it has, and the answers are packed
+        once."""
+        rows, ncols = self.m.row_ints(), self.m.cols
         for j, t in enumerate(ts):
             while t:
                 low = t & -t
                 rows[low.bit_length() - 1] |= 1 << (ncols + j)
                 t ^= low
-        return _pack_answers(*_read_rows(*_echelon_rows(rows, ncols), ncols, ntargets), ncols)
-    split = words.shape[1]
-    aug = np.zeros((nrows, split + _nwords(ntargets)), dtype=np.uint64)
-    aug[:, :split] = words
-    tbits = _unpack_words_2d(_ints_to_words(ts, nrows), nrows)
-    aug[:, split:] = _pack_rows(np.ascontiguousarray(tbits.T))
-    pivots = _rref(aug, ncols)
+        return _pack_answers(*_solve_rows(rows, ncols, len(ts)), ncols)
+
+
+def _solve_rows(rows: list, ncols: int, ntargets: int):
+    """(kernel, solution or None per target) as ints, of the RREF of the
+    first ``ncols`` bits of int rows that carry target j at bit ncols +
+    j; this is where the routine is picked by size.  A system of at most
+    ``_INT_PATH_MAX`` rows and columns is eliminated by
+    :func:`_echelon_rows` and read by :func:`_read_rows`.  A larger one
+    is packed once, eliminated by Four Russians (:func:`_rref`) and read
+    off the reduced words."""
+    if len(rows) <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
+        return _read_rows(*_echelon_rows(rows, ncols), ncols, ntargets)
+    words = _ints_to_words(rows, ncols + ntargets).copy()
+    pivots = _rref(words, ncols)
     rank = len(pivots)
     piv = np.asarray(pivots, dtype=np.intp)
     free = np.ones(ncols, dtype=bool)
     free[piv] = False
     free = np.flatnonzero(free)
+    strips = words.view(np.uint8)
     # kernel vector f: e_f plus the pivots whose reduced row has bit f,
     # read as a rank x nullity block of the pivot rows' strips
     bits = np.zeros((free.size, ncols), dtype=np.uint8)
     bits[np.arange(free.size), free] = 1
-    strips = aug[:rank, :split].view(np.uint8)
-    bits[:, piv] = ((strips[:, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
-    # solution j: the pivots whose reduced row has target bit j, or None
+    bits[:, piv] = ((strips[:rank, free >> 3] >> (free & 7).astype(np.uint8)) & 1).T
+    # solution j: the pivots whose reduced row has bit ncols + j, or None
     # when a vanishing row has it
-    rhs = _unpack_words_2d(aug[:, split:], ntargets)
+    tcols = ncols + np.arange(ntargets)
+    rhs = (strips[:, tcols >> 3] >> (tcols & 7).astype(np.uint8)) & 1
     xbits = np.zeros((ntargets, ncols), dtype=np.uint8)
     xbits[:, piv] = rhs[:rank].T
     bad = rhs[rank:].any(axis=0)
-    xs = _pack_rows(xbits)
-    return _pack_rows(bits), [None if bad[j] else xs[j] for j in range(ntargets)]
+    xs = _words_to_ints(_pack_rows(xbits))
+    return _words_to_ints(_pack_rows(bits)), [None if bad[j] else xs[j] for j in range(ntargets)]
 
 
 def _read_rows(pivots: list, rows: list, ncols: int, ntargets: int):
@@ -863,14 +864,12 @@ def _kron_rows(factors: Sequence[tuple]) -> tuple:
     return width, rows
 
 
-def _kron_sum(products: Iterable[Sequence[tuple]], rows: int, cols: int,
-              symmetric: bool = False) -> BitMatrix:
+def _kron_sum(products: Iterable[Sequence[tuple]], rows: int, cols: int) -> BitMatrix:
     """XOR of the Kronecker products of each sequence of factors, each
     (width, row ints) (:func:`_kron_rows`), packed once into a rows x
-    cols matrix; ``symmetric`` is trusted.  The size is checked before
-    anything is built."""
+    cols matrix.  The size is checked before anything is built."""
     _check_dense(rows, cols)
-    return BitMatrix._of(rows, cols, _ints_to_words(_kron_row_sum(products, rows), cols), symmetric)
+    return BitMatrix._of(rows, cols, _ints_to_words(_kron_row_sum(products, rows), cols))
 
 
 def _kron_row_sum(products: Iterable[Sequence[tuple]], rows: int) -> list:

@@ -117,7 +117,6 @@ class Poly2:
         return "+".join(terms)
 
 
-ZERO = Poly2(0)
 ONE = Poly2(1)
 X = Poly2(2)
 

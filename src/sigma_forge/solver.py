@@ -227,19 +227,6 @@ def brute_force_oracle(g: GameSpec, target: BitVector) -> bool:
     return False
 
 
-def brute_force_image(g: GameSpec) -> frozenset:
-    """All reachable configurations (as ints), by the same enumeration."""
-    total = g.shape.total
-    _check_oracle_size(g.shape)
-    cols = _push_columns(g)
-    seen = {0}
-    cur = 0
-    for s in range(1, 1 << total):
-        cur ^= cols[(s & -s).bit_length() - 1]
-        seen.add(cur)
-    return frozenset(seen)
-
-
 def _sweep_one(task) -> PredicateVerdict:
     game_text, dims = task
     g = parse_game(game_text, GridShape(dims))

@@ -1,11 +1,14 @@
 """Builders and dense references shared by the test modules.
 
 They go through the conversions the package itself uses (row ints,
-``BitVector.from_int``, ``TensorElement.monomial``) or through numpy, so
-no test needs an entry point of its own in the package.
+``BitVector.from_int``, ``TensorElement.monomial``), through numpy, or,
+for the reachable set of a small board, through the brute-force
+oracle's own size cap and push columns, so no test needs an entry point
+of its own in the package.
 """
 import numpy as np
 
+from sigma_forge import solver
 from sigma_forge.algebra import TensorElement
 from sigma_forge.game import GameSpec, GridShape
 from sigma_forge.gf2 import BitMatrix, BitVector
@@ -58,6 +61,21 @@ def vector_at(n, indices):
 def variable(qs, axis):
     """The class of X_axis in the algebra qs."""
     return TensorElement.monomial(qs, [int(i == axis) for i in range(qs.d)])
+
+
+def brute_force_image(g):
+    """Every configuration reachable on g's board, as ints: the sums of
+    all push subsets, in Gray-code order, as
+    :func:`sigma_forge.solver.brute_force_oracle` walks them and under the
+    same cap."""
+    solver._check_oracle_size(g.shape)
+    cols = solver._push_columns(g)
+    seen = {0}
+    cur = 0
+    for s in range(1, 1 << g.shape.total):
+        cur ^= cols[(s & -s).bit_length() - 1]
+        seen.add(cur)
+    return frozenset(seen)
 
 
 def P(text):

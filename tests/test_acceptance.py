@@ -15,12 +15,11 @@ from sigma_forge.algebra import QuotientShape, TensorElement
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix, is_sigma_plus
 from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import X, chebyshev_q, two_valuation, val_x
-from sigma_forge.solver import (achievable, all_on, brute_force_image,
-                                brute_force_oracle, sweep,
+from sigma_forge.solver import (achievable, all_on, brute_force_oracle, sweep,
                                 sweep_disagreements, symmetric_achievability)
 from sigma_forge.symmetry import central_configuration, central_element, symmetric_basis
 
-from helpers import variable
+from helpers import brute_force_image, variable
 
 SIGMA_PLUS = ("sigma+:box", "sigma+:boxtimes")
 ALL_PRESETS = game.PRESET_NAMES

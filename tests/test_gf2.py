@@ -12,7 +12,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigma_forge import gf2
@@ -128,6 +128,11 @@ def test_vector_padding_stays_zero():
     assert w.to_int() < 1 << 65
     assert w.weight() == 64
     assert BitVector.from_int(65, (1 << 70) - 1) == v
+
+
+def test_vector_from_int_refuses_a_negative_value():
+    with pytest.raises(ValueError, match="negative"):
+        BitVector.from_int(3, -1)
 
 
 def test_vector_dot():
@@ -569,30 +574,43 @@ def augmented_systems(draw):
     return rows, cols, targets
 
 
+def _straddling_system(cols):
+    """(rows, cols, three targets): a vanishing row, a target outside the
+    image, one inside and a third; with cols = 63 or 127 the target bits
+    cols .. cols + 2 straddle a word boundary."""
+    top = 0b1011 << (cols - 4)
+    rows = [top, (1 << cols) - 1, 1 << (cols - 1), top, 0b101]
+    return rows, cols, [0b00001, 0b01001, 0b10110]
+
+
 @settings(deadline=None)
+@example(_straddling_system(63))
+@example(_straddling_system(64))
+@example(_straddling_system(127))
 @given(augmented_systems())
 def test_int_and_words_readers_agree(system):
-    """The int-row reader and the words reader give the same bytes:
-    the kernel, and each target's solution or None."""
+    """The int-row reader and the words reader give the same answers,
+    bit for bit: the kernel, and each target's solution or None."""
     rows, cols, targets = system
-    words = gf2._ints_to_words(rows, cols)
-    kernel, solutions = gf2._solve_packed(words, cols, targets)
+    # target j at bit cols + j of the rows it has
+    tagged = [r | sum((t >> i & 1) << (cols + j) for j, t in enumerate(targets))
+              for i, r in enumerate(rows)]
+    kernel, solutions = gf2._solve_rows(tagged, cols, len(targets))
     # the words reader on the same system, with no int-row elimination
     # to fall back on
     with unittest.mock.patch.object(gf2, "_INT_PATH_MAX", 0), \
             unittest.mock.patch.object(gf2, "_echelon_rows", None):
-        want_kernel, want_solutions = gf2._solve_packed(words, cols, targets)
-    assert kernel.shape == want_kernel.shape and kernel.tobytes() == want_kernel.tobytes()
-    assert ([None if x is None else x.tobytes() for x in solutions]
-            == [None if x is None else x.tobytes() for x in want_solutions])
+        want_kernel, want_solutions = gf2._solve_rows(tagged, cols, len(targets))
+    assert kernel == want_kernel
+    assert solutions == want_solutions
     rank = _int_rank(rows)
-    assert kernel.shape[0] == cols - rank
-    assert all(_parity_rows(rows, int.from_bytes(k.tobytes(), "little")) == 0 for k in kernel)
+    assert len(kernel) == cols - rank
+    assert all(_parity_rows(rows, k) == 0 for k in kernel)
     for t, x in zip(targets, solutions):
         # t is outside the image iff appending it as a column adds to the rank
         augmented = [r | (t >> i & 1) << cols for i, r in enumerate(rows)]
         assert (x is None) == (_int_rank(augmented) > rank)
-        assert x is None or _parity_rows(rows, int.from_bytes(x.tobytes(), "little")) == t
+        assert x is None or _parity_rows(rows, x) == t
 
 
 def test_stored_kernel_answers_match_a_fresh_elimination():

@@ -7,13 +7,12 @@ from sigma_forge import chase, game, gf2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
 from sigma_forge.gf2 import BitVector
 from sigma_forge.poly2 import two_valuation
-from sigma_forge.solver import (achievable, all_on, brute_force_image,
-                                brute_force_oracle, closed_form_value,
+from sigma_forge.solver import (achievable, all_on, brute_force_oracle, closed_form_value,
                                 principal_predicate, sweep,
                                 sweep_csv, sweep_disagreements,
                                 symmetric_achievability)
 
-from helpers import bit_matrix, preset
+from helpers import bit_matrix, brute_force_image, preset
 
 
 # ---------------------------------------------------------------------
