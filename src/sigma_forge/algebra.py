@@ -8,7 +8,9 @@ index convention in :mod:`.gf2`, so multiplication by x^e is
 C_1^{e_1} (x) ... (x) C_d^{e_d} with C_i the companion matrix of M_i,
 and the operator of an element sums those over its monomials.  The game
 matrix is the same sum over path-matrix powers J^e; one builder in
-:mod:`.gf2` makes both.
+:mod:`.gf2` makes both, and one rule (:func:`.gf2._kron_groups`) groups
+the monomials of either into the fewest Kronecker products of per-axis
+sums.
 
 For grid games the moduli are the Chebyshev-type Q_n and phi /
 phi_inverse translate between the monomial basis and the standard grid
@@ -233,12 +235,26 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
 
 def mult_operator(u: TensorElement) -> BitMatrix:
     """Matrix of multiplication by u in the monomial basis: the sum, over
-    the monomials x^e of u, of C_1^{e_1} (x) ... (x) C_d^{e_d}."""
+    the monomials x^e of u, of C_1^{e_1} (x) ... (x) C_d^{e_d}, grouped
+    as the game matrix groups its terms (:func:`.gf2._kron_groups`): a
+    product over exponent sets E_1 x ... x E_d is the Kronecker product
+    of the per-axis sums of C_i^e over E_i, so a separable u is one
+    Kronecker product."""
     shape = u.shape
-    products = [[(m.degree, _companion_power(m, e))
-                 for m, e in zip(shape.moduli, shape.exponents_of(j))]
-                for j in np.flatnonzero(u.coeffs.to_array()).tolist()]
+    support = np.unravel_index(np.flatnonzero(u.coeffs.to_array()), shape.dims)
+    terms = list(zip(*(a.tolist() for a in support)))
+    products = [[(m.degree, _companion_sum(m, e_set)) for m, e_set in zip(shape.moduli, group)]
+                for group in gf2._kron_groups(terms)]
     return gf2._kron_sum(products, shape.total, shape.total)
+
+
+def _companion_sum(m: Poly2, e_set: Sequence[int]) -> tuple:
+    """The row ints of the sum of C^e over e_set, from the cached
+    :func:`_companion_power` rows."""
+    rows = _companion_power(m, e_set[0])
+    for e in e_set[1:]:
+        rows = tuple(a ^ b for a, b in zip(rows, _companion_power(m, e)))
+    return rows
 
 
 def divides(u: TensorElement, t: TensorElement) -> bool:

@@ -109,17 +109,17 @@ backends here answer through ``solve(target ints)``, as the dense one
 does.
 
 The same matrix is described once, by :func:`kron_factors`, as a sum of
-Kronecker products of per-axis factors f_i(J): the terms' bounding box
-plus the terms it has too many, or one product per term, whichever is
-fewer.  A game is a product game iff that is one product.  Its dense
-words (:func:`game_words`, built only when read), its mat-vec
-(:func:`apply`, which checks every answer without the dense matrix, by
-Horner's rule on the grid as one Python int), its diagonal
+Kronecker products of per-axis factors f_i(J), grouped by the rule the
+multiplication operator reads too (:func:`.gf2._kron_groups`): the
+terms' bounding box plus the terms it has too many, or one product per
+term, whichever is fewer.  A game is a product game iff that is one
+product.  Its dense words (:func:`game_words`, built only when read),
+its mat-vec (:func:`apply`, which checks every answer without the dense
+matrix, by Horner's rule on the grid as one Python int), its diagonal
 (:func:`diagonal`) and the pick all read that description.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import sys
@@ -129,9 +129,9 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_row_sum,
-                  _kron_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product, _read_rows,
-                  _rref, _solve_rows, _unpack_words_2d, _words_to_ints)
+from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_groups,
+                  _kron_row_sum, _kron_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product,
+                  _read_rows, _rref, _solve_rows, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
 
@@ -429,22 +429,16 @@ def _axis_factor(e_set: Sequence[int], n: int, g: int = 1) -> int:
 def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
     """The game matrix as a sum of Kronecker products f_1(J) (x) ... (x)
     f_d(J): per product, its per-axis factors f_i (ints, reduced mod
-    Q_{n_i}).  Over GF(2) the sum over the terms equals the product of
-    their bounding box E_1 x ... x E_d (E_i the exponents on axis i,
-    f_i their sum) plus one product X^{e_1} ... X^{e_d} per term of the
-    box that is not a term.  That description is taken when it has
-    fewer products than one per term, so a game is a product game iff it
-    is one product, whose factors are then the f_i; sigma-:boxtimes is
-    two.  The pick, the dense words, the mat-vec and the diagonal of a
-    game matrix all read it."""
-    sets = [sorted({t[i] for t in terms}) for i in range(len(dims))]
-    products, rest = [], terms
-    if 1 + math.prod(map(len, sets)) - len(terms) < len(terms):
-        present = set(terms)
-        products = [tuple(poly2._power_sum(n, e_set) for n, e_set in zip(dims, sets))]
-        rest = [t for t in itertools.product(*sets) if t not in present]
-    return tuple(products) + tuple(tuple(poly2._power_sum(n, [e]) for n, e in zip(dims, t))
-                                   for t in rest)
+    Q_{n_i}), f_i the sum of X^e over the product's exponent set E_i on
+    axis i.  The products are those of :func:`.gf2._kron_groups`, the
+    rule the multiplication operator reads too: the terms' bounding box
+    plus the box terms that are not terms, or one product per term,
+    whichever is fewer.  So a game is a product game iff it is one
+    product, whose factors are then the f_i; sigma-:boxtimes is two.
+    The pick, the dense words, the mat-vec and the diagonal of a game
+    matrix all read it."""
+    return tuple(tuple(poly2._power_sum(n, e_set) for n, e_set in zip(dims, group))
+                 for group in _kron_groups(terms))
 
 
 def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:

@@ -79,6 +79,7 @@ class GameSpec:
         return "custom:" + ";".join(",".join(map(str, t)) for t in parts)
 
 
+@lru_cache(maxsize=64)
 def preset_terms(name: str, d: int) -> frozenset:
     units = {tuple(1 if i == k else 0 for i in range(d)) for k in range(d)}
     zero = tuple([0] * d)

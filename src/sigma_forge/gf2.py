@@ -37,8 +37,16 @@ It picks the routine by size: a system of at most 128 rows and columns
 :func:`_read_rows`; a larger one is packed once, eliminated 8 columns at
 a time by the Method of Four Russians (:func:`_rref`) and read off the
 reduced words.  Every routine gives the same pivots and reduced matrix
-columns.  Matrix products go through Four Russians tables as well
-(:func:`_product`, shared with the chase).
+columns.  A matrix product (:func:`_product`, shared with the chase)
+with a one-word right side and a small left side XORs the rows its
+bits select, with no table; any other goes through Four Russians
+tables as well.
+
+Sums of Kronecker products are built by :func:`_kron_sum` from per-axis
+factors, grouped by one rule (:func:`_kron_groups`): the bounding box
+of the exponents plus the missing monomials, or one product per term,
+whichever is fewer.  The game matrix and the multiplication operator
+both read it.
 
 Every elimination extracts the kernel, and the first one stores the
 packed basis in the matrix's write-once ``_kernel`` slot (the kernel
@@ -50,6 +58,7 @@ the same holds for a game matrix's words.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -172,7 +181,13 @@ class BitVector:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        arr = np.fromiter((b & 1 for b in bits), dtype=np.uint8)
+        """Coordinate k = entry k of bits; an entry other than 0 and 1 is
+        refused."""
+        bits = list(bits)
+        for k, b in enumerate(bits):
+            if b != 0 and b != 1:
+                raise ValueError(f"entry {k} is {b!r}, not 0 or 1")
+        arr = np.array(bits, dtype=np.uint8)
         return cls._of(arr.shape[0], _pack_rows(arr))
 
     # -- queries ------------------------------------------------------
@@ -610,17 +625,31 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 # gathers: 1 MB
 _STAGE_WORDS = 1 << 17
 
+# the largest unpacked a (rows x 64 x words of a) that :func:`_product`
+# multiplies by a one-word b directly: timeit on a 2-vCPU AMD EPYC, random
+# a and b, direct against Four Russians in microseconds, gives 48x48x48 4.2
+# against 17.0, 89x89x4 7.9 against 19.1 and 128x128x64 12.0 against
+# 20.2 at or below it, and from 24,576 bits up a loss or a draw:
+# 384x64x64 23.0 against 22.0, 2,500x2x50 36.2 against 15.3
+_DIRECT_MAX_BITS = 1 << 14
+
 
 def _product(a: np.ndarray, ncols: int, b: np.ndarray) -> np.ndarray:
     """The GF(2) product of packed rows a (ncols columns) with packed
-    rows b (ncols of them), by Four Russians: per byte of a's columns, a
-    table of the 256 sums of the 8 rows of b it covers, and per row of
-    a one gather of a table entry per byte.  Tables and gathers are
-    built in blocks of at most ``_STAGE_WORDS`` words."""
+    rows b (ncols of them).  When b is one word wide and a unpacks to at
+    most ``_DIRECT_MAX_BITS`` bits, each result row is the XOR of the
+    rows of b that its bits select, read off a's unpacked bits with no
+    table.  Otherwise by Four Russians: per byte of a's columns, a table
+    of the 256 sums of the 8 rows of b it covers, and per row of a one
+    gather of a table entry per byte.  Tables and gathers are built in
+    blocks of at most ``_STAGE_WORDS`` words."""
     groups = (ncols + 7) >> 3
     width = b.shape[1]
     if not groups or not width:
         return np.zeros((a.shape[0], width), dtype=np.uint64)
+    if width == 1 and a.shape[0] * a.shape[1] * _WORD <= _DIRECT_MAX_BITS:
+        bits = np.unpackbits(a.view(np.uint8), axis=1, count=ncols, bitorder="little")
+        return np.bitwise_xor.reduce(bits * b[:, 0], axis=1).reshape(-1, 1)
     rows = np.zeros((groups * 8, width), dtype=np.uint64)
     rows[:ncols] = b
     rows = rows.reshape(groups, 8, width)
@@ -880,6 +909,26 @@ def _kron_row_sum(products: Iterable[Sequence[tuple]], rows: int) -> list:
         term = _kron_rows(factors)[1]
         acc = term if acc is None else [a ^ b for a, b in zip(acc, term)]
     return acc or [0] * rows
+
+
+def _kron_groups(terms: Sequence[tuple]) -> list:
+    """The sum of the monomials x_1^{e_1} ... x_d^{e_d} of ``terms``
+    (exponent tuples) as a sum of products of per-axis sums: per
+    product, its per-axis exponent sets (tuples).  Over GF(2) the sum
+    over the terms equals the product over their bounding box E_1 x ...
+    x E_d (E_i the exponents on axis i, summed) plus one product per box
+    term that is not a term.  That description is taken when it has
+    fewer products than one per term, so a separable sum is one
+    product.  The game matrix (:func:`.chase.kron_factors`) and the
+    multiplication operator (:func:`.algebra.mult_operator`) read it."""
+    if not terms:
+        return []
+    sets = [tuple(sorted({t[i] for t in terms})) for i in range(len(terms[0]))]
+    if 1 + math.prod(map(len, sets)) - len(terms) >= len(terms):
+        return [tuple((e,) for e in t) for t in terms]
+    present = set(terms)
+    return [tuple(sets)] + [tuple((e,) for e in t) for t in itertools.product(*sets)
+                            if t not in present]
 
 
 def _kron_vec(factors: Sequence[tuple]) -> int:

@@ -6,6 +6,8 @@ for the reachable set of a small board, through the brute-force
 oracle's own size cap and push columns, so no test needs an entry point
 of its own in the package.
 """
+import functools
+
 import numpy as np
 
 from sigma_forge import solver
@@ -30,6 +32,36 @@ def j_power(n, e=1):
         j = j @ j % 2
         e >>= 1
     return out.astype(np.uint8)
+
+
+def companion_power(m, e):
+    """C^e as a dense 0/1 array, for the companion matrix C of the
+    modulus m (multiplication by x on the monomial basis of k[X]/m):
+    ones below the diagonal and m's low coefficients in the last
+    column, the power taken mod 2 by squaring."""
+    n = m.degree
+    c = np.eye(n, k=-1, dtype=np.int64)
+    c[:, n - 1] = [m.value >> j & 1 for j in range(n)]
+    out = np.eye(n, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ c % 2
+        c = c @ c % 2
+        e >>= 1
+    return out
+
+
+def monomial_operator_sum(u):
+    """Multiplication by u as a dense 0/1 array: the sum mod 2, over the
+    monomials x^e of u, of the numpy Kronecker products of the companion
+    powers C_1^{e_1}, ..., C_d^{e_d}, one product per monomial."""
+    shape = u.shape
+    out = np.zeros((shape.total, shape.total), dtype=np.int64)
+    for j in np.flatnonzero(u.coeffs.to_array()):
+        e = np.unravel_index(j, shape.dims)
+        out += functools.reduce(np.kron, [companion_power(m, int(k))
+                                          for m, k in zip(shape.moduli, e)])
+    return (out % 2).astype(np.uint8)
 
 
 def path_matrix(n):

@@ -5,6 +5,7 @@ tuples, per-axis reduction through Poly2), never touching the operator
 or packed-vector code paths it is checking.
 """
 import itertools
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from sigma_forge.gf2 import BitMatrix, BitVector
 from sigma_forge.poly2 import Poly2, chebyshev_q
 from sigma_forge.symmetry import central_element
 
-from helpers import P, bit_matrix, path_matrix, variable, vector_at
+from helpers import P, bit_matrix, monomial_operator_sum, path_matrix, variable, vector_at
 
 
 # ---------------------------------------------------------------------
@@ -188,6 +189,67 @@ def test_operator_of_game_and_central_elements_matches_oracle():
             for name in PRESET_NAMES:
                 assert_operator_columns_are_products(u_element(GameSpec.preset(name, shape)))
             assert_operator_columns_are_products(central_element(shape))
+
+
+def _operator_cases():
+    """Elements of Chebyshev and monomial algebras of 1-3 axes: a
+    separable element (its support a full box), that box less one to
+    three monomials, a few scattered monomials, a random element and
+    zero."""
+    rng = random.Random(2048)
+    for d in (1, 2, 3):
+        for _ in range(6):
+            dims = [rng.randint(1, 5) for _ in range(d)]
+            for qs in (QuotientShape.chebyshev(dims), QuotientShape.monomial(dims)):
+                box = TensorElement.from_axis_polys(
+                    qs, [Poly2(rng.getrandbits(6) | 1) for _ in range(d)])
+                yield box
+                support = np.flatnonzero(box.coeffs.to_array()).tolist()
+                gone = rng.sample(support, max(0, min(len(support) - 1, rng.randint(1, 3))))
+                yield box + TensorElement(qs, vector_at(qs.total, gone))
+                yield TensorElement(qs, vector_at(qs.total, rng.sample(
+                    range(qs.total), min(qs.total, rng.randint(1, 4)))))
+                yield random_element(rng, qs)
+                yield TensorElement.zero(qs)
+
+
+def test_operator_equals_the_per_monomial_sum():
+    """Grouping u's monomials into Kronecker products of per-axis sums
+    changes no bit of the operator."""
+    for u in _operator_cases():
+        assert np.array_equal(algebra.mult_operator(u).to_bit_array(),
+                              monomial_operator_sum(u)), u
+
+
+def test_operator_takes_the_fewest_kronecker_products(monkeypatch):
+    """The central element is separable, so its operator is one
+    Kronecker product; the sigma-:boxtimes u is its box less the unit,
+    two products; a product per monomial is never exceeded."""
+    counts = []
+    real = gf2._kron_sum
+
+    def counted(products, rows, cols):
+        products = list(products)
+        counts.append(len(products))
+        return real(products, rows, cols)
+
+    monkeypatch.setattr(gf2, "_kron_sum", counted)
+    for dims in ((2, 2), (4, 6), (3, 4, 5), (7, 7), (2, 3, 8)):
+        shape = GridShape(dims)
+        counts.clear()
+        algebra.mult_operator(central_element(shape))
+        assert counts == [1], dims
+        counts.clear()
+        algebra.mult_operator(u_element(GameSpec.preset("sigma-:boxtimes", shape)))
+        assert counts == [2], dims
+    for u in _operator_cases():
+        counts.clear()
+        algebra.mult_operator(u)
+        monomials = monomials_of(u)
+        assert counts[0] <= len(monomials)
+        if monomials and len(monomials) == math.prod(
+                len({e[i] for e in monomials}) for i in range(u.shape.d)):
+            assert counts == [1], u
 
 
 def test_operator_of_x_is_kron_of_companions():

@@ -4,6 +4,7 @@ Expected values for the nontrivial cases were regenerated from the
 independent oracles below (dense arithmetic on plain int lists and
 exhaustive enumeration), which never touch the packed representation.
 """
+import contextlib
 import functools
 import itertools
 import math
@@ -133,6 +134,15 @@ def test_vector_padding_stays_zero():
 def test_vector_from_int_refuses_a_negative_value():
     with pytest.raises(ValueError, match="negative"):
         BitVector.from_int(3, -1)
+
+
+def test_vector_from_bits_refuses_entries_other_than_0_and_1():
+    for bits in ([2, 3, -1, 0], [0, 1, 2], [-1], [0, 1, 1 << 64], ["1"]):
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            BitVector.from_bits(bits)
+    assert BitVector.from_bits([True, False, np.uint8(1), 0]) == BitVector.from_int(4, 0b101)
+    assert BitVector.from_bits(np.array([0, 1, 1], dtype=np.int64)).to_bits() == (0, 1, 1)
+    assert BitVector.from_bits([]) == BitVector.zeros(0)
 
 
 def test_vector_dot():
@@ -722,6 +732,56 @@ def test_matmul_against_dense():
     for i in range(4):
         for j in range(5):
             assert ab.get(i, j) == sum(da[i][k] * db[k][j] for k in range(6)) % 2
+
+
+@st.composite
+def product_operands(draw):
+    """(a words, ncols, b words) of a random rows x ncols by ncols x
+    bcols product: 0-300 rows, so a one-word b lands on both sides of
+    ``_DIRECT_MAX_BITS``, ncols often not a multiple of 8, and b one
+    word or several words wide; each side dense or sparse."""
+    rows, ncols = draw(st.integers(0, 300)), draw(st.integers(0, 200))
+    bcols = draw(st.sampled_from([1, 5, 8, 50, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    a = (rng.random((rows, ncols)) < density).astype(np.uint8)
+    b = (rng.random((ncols, bcols)) < density).astype(np.uint8)
+    return a, b
+
+
+def _shaped_operands(rows, ncols, bcols, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 2, (rows, ncols), dtype=np.uint8),
+            rng.integers(0, 2, (ncols, bcols), dtype=np.uint8))
+
+
+@settings(deadline=None)
+@example(_shaped_operands(2500, 2, 50))
+@example(_shaped_operands(0, 17, 3))
+@example(_shaped_operands(256, 64, 64))
+@example(_shaped_operands(257, 64, 64))
+@example(_shaped_operands(128, 128, 64))
+@example(_shaped_operands(89, 89, 4))
+@given(product_operands())
+def test_product_routines_equal_numpy(operands):
+    """Both routines of ``_product``, each forced, and the routine it
+    picks give the words of (A @ B) % 2 in numpy, byte for byte; a
+    one-word b within the bound takes the direct routine and builds no
+    table."""
+    a, b = operands
+    ncols = a.shape[1]
+    want = gf2._pack_rows((a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8))
+    aw, bw = gf2._pack_rows(a), gf2._pack_rows(b)
+    direct = bw.shape[1] == 1 and aw.shape[0] * aw.shape[1] * 64 <= gf2._DIRECT_MAX_BITS
+    with unittest.mock.patch.object(gf2, "_subset_sums", None) if direct \
+            else contextlib.nullcontext():
+        assert gf2._product(aw, ncols, bw).tobytes() == want.tobytes()
+    with unittest.mock.patch.object(gf2, "_DIRECT_MAX_BITS", -1):
+        assert gf2._product(aw, ncols, bw).tobytes() == want.tobytes()
+    if bw.shape[1] == 1:
+        with unittest.mock.patch.object(gf2, "_DIRECT_MAX_BITS", 1 << 62), \
+                unittest.mock.patch.object(gf2, "_subset_sums", None):
+            assert gf2._product(aw, ncols, bw).tobytes() == want.tobytes()
 
 
 def test_transpose_round_trip():
