@@ -19,15 +19,23 @@ index-0 grid vector).
 
 Divisibility is decided by linear algebra: u divides t iff t lies in
 the image of the multiplication-by-u operator.
+
+Every piece that elements and grids share is built once and kept in
+the one byte-budgeted store of :mod:`._memo` (``BUDGET_BYTES``,
+64 MiB, oldest entries dropped first): the companion powers C^e and
+their per-axis sums, the phi axes, and a grid's total x total phi and
+phi^-1 matrices, keyed by its dims, so every :class:`QuotientShape` of
+one grid shares them.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import gf2, poly2
+from ._memo import memo
 from .gf2 import BitMatrix, BitVector
 from .poly2 import Poly2, chebyshev_q
 
@@ -54,8 +62,6 @@ class QuotientShape:
             acc *= n
         self.strides = tuple(reversed(strides))
         self.is_chebyshev = all(m == chebyshev_q(n) for m, n in zip(self.moduli, self.dims))
-        self._phi: Optional[BitMatrix] = None
-        self._phi_inv: Optional[BitMatrix] = None
 
     @classmethod
     def chebyshev(cls, dims: Sequence[int]) -> "QuotientShape":
@@ -78,18 +84,16 @@ class QuotientShape:
         return tuple(out)
 
     def phi_matrix(self) -> BitMatrix:
+        """phi on the grid of these dims, shared by every shape of them
+        (:func:`_phi_grid`)."""
         self._require_chebyshev()
-        if self._phi is None:
-            self._phi = gf2._kron_sum([[(n, _phi_axis(n)) for n in self.dims]],
-                                      self.total, self.total)
-        return self._phi
+        return _phi_grid(self.dims)
 
     def phi_inverse_matrix(self) -> BitMatrix:
+        """phi^-1 on the grid of these dims, shared like
+        :meth:`phi_matrix`."""
         self._require_chebyshev()
-        if self._phi_inv is None:
-            self._phi_inv = gf2._kron_sum([[(n, _phi_inv_axis(n)) for n in self.dims]],
-                                          self.total, self.total)
-        return self._phi_inv
+        return _phi_inv_grid(self.dims)
 
     def _require_chebyshev(self):
         if not self.is_chebyshev:
@@ -113,7 +117,7 @@ def _column_rows(n: int, columns: Sequence[int]) -> tuple:
     return tuple(BitMatrix.from_row_ints(len(columns), n, columns).transpose().row_ints())
 
 
-@lru_cache(maxsize=None)
+@memo
 def _companion_power(m: Poly2, e: int) -> tuple:
     """The row ints of C^e for the companion matrix C of m
     (multiplication by x on the monomial basis of k[X]/m), without a
@@ -141,7 +145,7 @@ def _companion_power(m: Poly2, e: int) -> tuple:
     return tuple(rows[::-1])
 
 
-@lru_cache(maxsize=None)
+@memo
 def _phi_axis(n: int) -> tuple:
     """The row ints of phi on one axis: column i is J_n^i applied to
     e_0."""
@@ -152,11 +156,27 @@ def _phi_axis(n: int) -> tuple:
     return _column_rows(n, columns)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _phi_inv_axis(n: int) -> tuple:
     """The row ints of the inverse axis matrix: column i holds the
     coefficients of Q_i."""
     return _column_rows(n, [chebyshev_q(i).value for i in range(n)])
+
+
+@memo
+def _phi_grid(dims: tuple) -> BitMatrix:
+    """phi on the grid ``dims``: the Kronecker product of the axes'
+    :func:`_phi_axis`.  Callers share the matrix; an elimination of it
+    stores only an empty kernel, as phi is invertible."""
+    total = math.prod(dims)
+    return gf2._kron_sum([[(n, _phi_axis(n)) for n in dims]], total, total)
+
+
+@memo
+def _phi_inv_grid(dims: tuple) -> BitMatrix:
+    """phi^-1 on the grid ``dims``, from the axes' :func:`_phi_inv_axis`."""
+    total = math.prod(dims)
+    return gf2._kron_sum([[(n, _phi_inv_axis(n)) for n in dims]], total, total)
 
 
 class TensorElement:
@@ -248,9 +268,12 @@ def mult_operator(u: TensorElement) -> BitMatrix:
     return gf2._kron_sum(products, shape.total, shape.total)
 
 
-def _companion_sum(m: Poly2, e_set: Sequence[int]) -> tuple:
+@memo
+def _companion_sum(m: Poly2, e_set: tuple) -> tuple:
     """The row ints of the sum of C^e over e_set, from the cached
-    :func:`_companion_power` rows."""
+    :func:`_companion_power` rows; cached itself, so an operator looks
+    up each axis once, not each exponent.  The sum over one exponent is
+    the C^e tuple itself, kept (and charged) under both keys."""
     rows = _companion_power(m, e_set[0])
     for e in e_set[1:]:
         rows = tuple(a ^ b for a, b in zip(rows, _companion_power(m, e)))

@@ -117,6 +117,17 @@ product.  Its dense words (:func:`game_words`, built only when read),
 its mat-vec (:func:`apply`, which checks every answer without the dense
 matrix, by Horner's rule on the grid as one Python int), its diagonal
 (:func:`diagonal`) and the pick all read that description.
+
+The per-axis pieces that boards share, the inverse g_i of an axis
+factor (:func:`_inverse_mod`), a singular axis's (pivots, T, W)
+(:func:`_axis_echelon`) and the rows of f_i(J)
+(:func:`.poly2._path_poly_rows`), are kept by (n, f) in the one
+byte-budgeted store of :mod:`._memo` (``BUDGET_BYTES``, 64 MiB, oldest
+entries dropped first).  The caches keyed by a whole game
+(:func:`kron_factors`, :func:`_pick`, :func:`.game.adjacency_matrix`)
+stay bounded by count: a picked chase keeps its packed C once it has
+run, and a game matrix its words and kernel, so their entries grow
+after insertion and a charge made then would not hold.
 """
 from __future__ import annotations
 
@@ -129,6 +140,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
+from ._memo import memo
 from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_groups,
                   _kron_row_sum, _kron_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product,
                   _read_rows, _rref, _solve_rows, _unpack_words_2d, _words_to_ints)
@@ -144,6 +156,7 @@ _log = logging.getLogger(__name__)
 _MIN_CELLS = 64
 
 
+@memo
 def _inverse_mod(a: int, m: int) -> Optional[int]:
     """The inverse of polynomial a modulo m (bit k = coefficient of X^k),
     or None when gcd(a, m) != 1; extended Euclid."""
@@ -523,7 +536,7 @@ def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
     return np.moveaxis(_unpack_words_2d(product, cols).reshape(moved.shape), 0, axis + 1)
 
 
-@lru_cache(maxsize=64)
+@memo
 def _axis_echelon(n: int, f: int):
     """(pivots, T, W) of a singular U = f(J_n) (f not prime to Q_n); T
     and W are packed n x n, and all three are read-only, as boards that

@@ -8,11 +8,18 @@ polynomial has degree -1, the conventional "minus infinity" marker.
 The family Q_n is defined by Q_0 = 1, Q_1 = X and the Chebyshev
 relation Q_{n+1} = X Q_n + Q_{n-1}; Q_n is the characteristic (and
 minimal) polynomial of the n-vertex path adjacency matrix J_n.
+
+The rows of f(J_n) (:func:`_path_poly_rows`) are kept, by (n, f), in
+the one byte-budgeted store of :mod:`._memo` (``BUDGET_BYTES``,
+64 MiB, oldest entries dropped first), so every board with an axis of
+that length and factor shares them.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable
+
+from ._memo import memo
 
 
 def _mul_int(a: int, b: int) -> int:
@@ -184,7 +191,8 @@ def _power_sum(n: int, exps: Iterable[int]) -> int:
     return f
 
 
-def _path_poly_rows(n: int, f: int) -> list:
+@memo
+def _path_poly_rows(n: int, f: int) -> tuple:
     """The n columns of f(J_n) as n-bit ints, which are also its rows as
     f(J_n) is symmetric.  Column 0 is f(J) e_0, by Horner's rule on one
     int (J v adds each bit's two neighbours); then, as e_{c+1} = J e_c +
@@ -198,5 +206,5 @@ def _path_poly_rows(n: int, f: int) -> list:
     for _ in range(n):
         cols.append(col)
         prev, col = col, (col << 1 ^ col >> 1) & mask ^ prev
-    return cols
+    return tuple(cols)
 
