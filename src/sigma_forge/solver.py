@@ -18,7 +18,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -242,28 +242,79 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _interchangeable_axes(terms: frozenset, d: int) -> List[List[int]]:
+    """The axes grouped by interchangeability, each group ascending.
+
+    Axes i and j are interchangeable when swapping them maps the term
+    set to itself.  That relation is an equivalence: if the swaps
+    (i j) and (j k) fix the terms, so does (i k) = (i j)(j k)(i j).  So
+    one comparison with a group's first axis places each axis, and
+    every permutation within a group fixes the terms."""
+    groups: List[List[int]] = []
+    for i in range(d):
+        for group in groups:
+            swap = list(range(d))
+            swap[i], swap[group[0]] = group[0], i
+            if {tuple(t[p] for p in swap) for t in terms} == terms:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
 def sweep(game: str, d: int, max_n: int, odd_only: bool = False,
           jobs: int = 1) -> List[PredicateVerdict]:
     """Evaluate closed form against ground truth over a shape range.
 
-    Shapes run in lexicographic order; with jobs > 1 the shapes are
-    evaluated in parallel and the row order is restored, so output is
-    byte-identical to a sequential run.  Workers are capped at the
-    available CPUs and the number of shapes.  d, max_n or jobs below 1,
-    or a range whose largest shape is too large for a dense build,
-    raises ValueError up front.
+    Permuting the axes of a grid is an isomorphism onto the grid with
+    permuted sizes.  When the permutation maps the game's term set to
+    itself, it carries the game matrix of one shape onto that of the
+    other and the completely symmetric configurations onto themselves,
+    so the ground truth is the same on both shapes.  So is
+    :func:`closed_form_value`: the 2-d criterion is symmetric in n and
+    m (u(0, 0) sums over the term set), the corollary tries every axis
+    order, and the sigma-plus test reads the diagonal.  Each shape is
+    keyed by its sizes sorted within each group of interchangeable
+    axes (:func:`_interchangeable_axes`), which is the first member of
+    its class in lexicographic order, and each class is evaluated once.
+
+    Rows come back one per shape in lexicographic order, each with its
+    own shape; with jobs > 1 the classes are evaluated in parallel and
+    their order restored, so output is byte-identical to a sequential
+    run.  Workers are capped at the available CPUs and the number of
+    distinct evaluations.  d, max_n or jobs below 1, or a range whose
+    largest shape is too large for a dense build, raises ValueError up
+    front.
     """
     for name, value in (("d", d), ("max_n", max_n), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"sweep needs {name} >= 1, got {value}")
     axis = range(1, max_n + 1, 2) if odd_only else range(1, max_n + 1)
     gf2._check_dense(axis[-1] ** d, axis[-1] ** d)
-    tasks = [(game, dims) for dims in itertools.product(axis, repeat=d)]
+    # parsed on the range's first shape, so a bad game fails with the
+    # message its first evaluation would give
+    groups = _interchangeable_axes(parse_game(game, GridShape((1,) * d)).terms, d)
+
+    def class_key(dims):
+        key = list(dims)
+        for group in groups:
+            for i, n in zip(group, sorted(dims[i] for i in group)):
+                key[i] = n
+        return tuple(key)
+
+    shapes = list(itertools.product(axis, repeat=d))
+    keys = [class_key(dims) for dims in shapes]
+    tasks = [(game, dims) for dims, key in zip(shapes, keys) if dims == key]
     jobs = min(jobs, _available_cpus(), len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_sweep_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    return [_sweep_one(t) for t in tasks]
+            verdicts = list(ex.map(_sweep_one, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    else:
+        verdicts = [_sweep_one(t) for t in tasks]
+    by_key = {dims: v for (_, dims), v in zip(tasks, verdicts)}
+    return [replace(by_key[key], shape=GridShape(dims))
+            for dims, key in zip(shapes, keys)]
 
 
 def sweep_disagreements(rows: Sequence[PredicateVerdict]) -> List[PredicateVerdict]:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma_forge import chase, game, gf2, solver
 from sigma_forge.game import GameSpec, GridShape, adjacency_matrix
@@ -442,9 +444,68 @@ def test_sweep_clamps_jobs(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", FakePool)
-    seq = sweep("sigma-:boxtimes", d=2, max_n=2)  # 4 shapes
-    for cpus, jobs, expect in [(3, 64, [3]), (8, 64, [4]), (8, 2, [2]), (1, 64, [])]:
+    seq = sweep("sigma-:boxtimes", d=2, max_n=2)  # 4 shapes, 3 classes
+    for cpus, jobs, expect in [(3, 64, [3]), (8, 64, [3]), (8, 2, [2]), (1, 64, [])]:
         workers.clear()
         monkeypatch.setattr(solver, "_available_cpus", lambda: cpus)
         assert sweep("sigma-:boxtimes", d=2, max_n=2, jobs=jobs) == seq
         assert workers == expect
+
+
+def per_shape_sweep(game_text, d, max_n, odd_only):
+    """The sweep's rows with every shape evaluated on its own."""
+    axis = range(1, max_n + 1, 2) if odd_only else range(1, max_n + 1)
+    return [solver._sweep_one((game_text, dims))
+            for dims in itertools.product(axis, repeat=d)]
+
+
+@pytest.mark.parametrize("odd_only", [False, True], ids=["all", "odd"])
+@pytest.mark.parametrize("d,max_n", [(2, 13), (3, 7)])
+@pytest.mark.parametrize("name", game.PRESET_NAMES)
+def test_sweep_equals_a_per_shape_sweep_on_presets(name, d, max_n, odd_only):
+    assert sweep(name, d, max_n, odd_only) == per_shape_sweep(name, d, max_n, odd_only)
+
+
+@st.composite
+def custom_games(draw):
+    """A custom game text on d = 2 or 3 axes: 1-4 terms with exponents
+    0-3, left as drawn or closed under swapping axes 0 and 1, or under
+    every axis permutation, so both symmetric and asymmetric sets come."""
+    d = draw(st.integers(2, 3))
+    terms = set(draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4)))
+    closure = draw(st.sampled_from(["none", "swap01", "all"]))
+    if closure == "swap01":
+        terms |= {(t[1], t[0]) + t[2:] for t in terms}
+    elif closure == "all":
+        terms = {tuple(t[p] for p in perm) for t in terms
+                 for perm in itertools.permutations(range(d))}
+    return d, "custom:" + ";".join(",".join(map(str, t)) for t in sorted(terms))
+
+
+# 55 examples on boards up to 7x7 and 4x4x4: about 0.4 s, budget 30 s
+@settings(max_examples=55, deadline=None)
+@given(custom_games(), st.booleans())
+def test_sweep_equals_a_per_shape_sweep_on_custom_games(drawn, odd_only):
+    d, text = drawn
+    max_n = 7 if d == 2 else 4
+    assert sweep(text, d, max_n, odd_only) == per_shape_sweep(text, d, max_n, odd_only)
+
+
+@pytest.mark.parametrize("text,d,max_n,calls", [
+    *[(name, 2, 13, 91) for name in game.PRESET_NAMES],
+    *[(name, 3, 7, 84) for name in game.PRESET_NAMES],
+    ("custom:1,0", 2, 6, 36),  # swapping the axes moves the term: no merging
+    ("custom:1,0;0,1", 2, 6, 21),
+])
+def test_sweep_evaluates_each_class_once(monkeypatch, text, d, max_n, calls):
+    evaluated = []
+    one = solver._sweep_one
+
+    def counted(task):
+        evaluated.append(task[1])
+        return one(task)
+
+    monkeypatch.setattr(solver, "_sweep_one", counted)
+    rows = sweep(text, d, max_n)
+    assert len(evaluated) == len(set(evaluated)) == calls
+    assert len(rows) == max_n ** d
