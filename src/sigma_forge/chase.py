@@ -92,11 +92,11 @@ the kernel and the solutions as ints.  The grid vector of a kernel
 vector k sums the unit starts k selects, and that of target j's
 solution x also its affine column: the selection k, or 1 << (r + j) | x.
 
-A chase on words keeps in memory C, built on int rows and packed on its
-first run, a few transient arrays of r x r bytes (C's gather index, the
-end system), the n + 2 packed layers over the r + T chased columns, and
-the lifted vectors, total x (nullity + T) bytes; gathers and tables are
-staged in blocks of at most 1 MB.  On 2^12 cells, sigma-:box (r and the
+A run on words holds C, built on int rows and packed for that run, a
+few transient arrays of r x r bytes (C's gather index, the end system),
+the n + 2 packed layers over the r + T chased columns, and the lifted
+vectors, total x (nullity + T) bytes; gathers and tables are staged in
+blocks of at most 1 MB.  On 2^12 cells, sigma-:box (r and the
 nullity both 2,048) peaks at 26 MB under tracemalloc, below two bytes
 per entry of the matrix.
 
@@ -113,8 +113,8 @@ Kronecker products of per-axis factors f_i(J), grouped by the rule the
 multiplication operator reads too (:func:`.gf2._kron_groups`): the
 terms' bounding box plus the terms it has too many, or one product per
 term, whichever is fewer.  A game is a product game iff that is one
-product.  Its dense words (:func:`game_words`, built only when read),
-its mat-vec (:func:`apply`, which checks every answer without the dense
+product.  Its dense rows (:func:`game_rows`, built on each read), its
+mat-vec (:func:`apply`, which checks every answer without the dense
 matrix, by Horner's rule on the grid as one Python int), its diagonal
 (:func:`diagonal`) and the pick all read that description.
 
@@ -123,11 +123,11 @@ factor (:func:`_inverse_mod`), a singular axis's (pivots, T, W)
 (:func:`_axis_echelon`) and the rows of f_i(J)
 (:func:`.poly2._path_poly_rows`), are kept by (n, f) in the one
 byte-budgeted store of :mod:`._memo` (``BUDGET_BYTES``, 64 MiB, oldest
-entries dropped first).  The caches keyed by a whole game
-(:func:`kron_factors`, :func:`_pick`, :func:`.game.adjacency_matrix`)
-stay bounded by count: a picked chase keeps its packed C once it has
-run, and a game matrix its words and kernel, so their entries grow
-after insertion and a charge made then would not hold.
+entries dropped first).  :func:`pick` builds a backend from them for
+each elimination, and no backend keeps what a solve builds (a chase
+on words builds C for each run).  The caches keyed by a whole game,
+:func:`kron_factors` and :func:`.game.adjacency_matrix`, are bounded
+by count: their entries do not grow, bar a game matrix's kernel.
 """
 from __future__ import annotations
 
@@ -142,7 +142,7 @@ import numpy as np
 from . import poly2
 from ._memo import memo
 from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_groups,
-                  _kron_row_sum, _kron_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product,
+                  _kron_row_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product,
                   _read_rows, _rref, _solve_rows, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
@@ -213,10 +213,10 @@ class _Chase:
     per product its per-axis polynomials (as in :func:`apply`), and
     ``a_inv`` holds the per-axis factors g_i of A^-1 (1 on ``axis``), or
     is None when A = I.  A solve on packed words builds C packed, and
-    its gather index, on its first run (``_words``).
+    its gather index, for that run (:meth:`_packed`), and keeps neither.
     """
 
-    __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv", "_words")
+    __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv")
 
     def __init__(self, dims: Tuple[int, ...], axis: int, c_polys: list, a_inv: Optional[tuple]):
         self.dims = dims
@@ -228,7 +228,6 @@ class _Chase:
         self.inner = math.prod(dims[axis + 1:])
         self.c_polys = c_polys
         self.a_inv = a_inv
-        self._words = None
 
     # -- answers -------------------------------------------------------
 
@@ -325,14 +324,12 @@ class _Chase:
 
     def _packed(self):
         """(C packed, its :func:`_gather_index` or None for a dense C,
-        whose steps go through Four Russians tables), built on the first
-        run on words."""
-        if self._words is None:
-            products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(self.others, factors)]
-                        for factors in self.c_polys]
-            c = _ints_to_words(_kron_row_sum(products, self.r), self.r)
-            self._words = c, _gather_index(c, self.r)
-        return self._words
+        whose steps go through Four Russians tables), built for one run
+        on words."""
+        products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(self.others, factors)]
+                    for factors in self.c_polys]
+        c = _ints_to_words(_kron_row_sum(products, self.r), self.r)
+        return c, _gather_index(c, self.r)
 
     def _grid(self, layers: np.ndarray) -> np.ndarray:
         """(q, n, r) layer bits -> (q, total) grid bits."""
@@ -448,19 +445,18 @@ def kron_factors(dims: Tuple[int, ...], terms: Tuple[tuple, ...]) -> tuple:
     plus the box terms that are not terms, or one product per term,
     whichever is fewer.  So a game is a product game iff it is one
     product, whose factors are then the f_i; sigma-:boxtimes is two.
-    The pick, the dense words, the mat-vec and the diagonal of a game
+    The pick, the dense rows, the mat-vec and the diagonal of a game
     matrix all read it."""
     return tuple(tuple(poly2._power_sum(n, e_set) for n, e_set in zip(dims, group))
                  for group in _kron_groups(terms))
 
 
-def game_words(dims: Tuple[int, ...], terms: Sequence[tuple]) -> np.ndarray:
-    """The packed rows of the dense game matrix, read-only: one
-    :func:`.gf2._kron_sum` of the int rows of the factors f_i(J)."""
-    total = math.prod(dims)
+def game_rows(dims: Tuple[int, ...], terms: Sequence[tuple]) -> list:
+    """The int rows of the dense game matrix, a new list: one
+    :func:`.gf2._kron_row_sum` of the int rows of the factors f_i(J)."""
     products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(dims, factors)]
                 for factors in kron_factors(dims, terms)]
-    return _kron_sum(products, total, total)._words
+    return _kron_row_sum(products, math.prod(dims))
 
 
 @lru_cache(maxsize=64)
@@ -653,7 +649,6 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
     return _Chase(dims, axis, c_polys, tuple(a_inv) if any(g != 1 for g in a_inv) else None), None
 
 
-@lru_cache(maxsize=64)
 def _pick(dims: Tuple[int, ...], terms: Tuple[tuple, ...]):
     """(backend, None): the product backend for a product game of two
     or more axes, else the chase on the longest axis that qualifies

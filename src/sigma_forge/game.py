@@ -129,12 +129,12 @@ def adjacency_matrix(g: GameSpec) -> BitMatrix:
     (:func:`.chase.kron_factors`); ValueError above 32,768 cells
     (:data:`gf2.DENSE_MAX_BYTES`).
 
-    The matrix keeps the game's dims and terms in its write-once
-    ``_game`` slot and is returned without its dense words, which are
-    packed on their first read.  An elimination may chase it or solve
-    it axis by axis (:mod:`.chase`), and its mat-vec and diagonal are
-    read from the game, so a board that is not eliminated whole never
-    builds them."""
+    The matrix holds the game's dims and terms in ``_game`` and builds
+    its rows and words from them on each read, keeping neither, so the
+    count bound holds: a cached matrix gains only its kernel.  An
+    elimination may chase it or solve it axis by axis (:mod:`.chase`),
+    and its mat-vec and diagonal are read from the game, so a board
+    that is not eliminated whole never builds its rows."""
     total = g.shape.total
     gf2._check_dense(total, total)
     return BitMatrix._of_game(g.shape.dims, tuple(sorted(g.terms)))

@@ -6,11 +6,11 @@ are whole-word XORs vectorized with numpy.  All values are immutable
 after construction: the public constructors check and copy the words
 they are given, and the internal ones take ownership of words built
 here.  A game matrix of :func:`.game.adjacency_matrix` is made from its
-game alone: its packed words are built on their first read, and its
-mat-vec and diagonal are read from the game axis by axis
-(:mod:`.chase`) without them.  The words are a function of the game,
-so a matrix's value never changes.  All operations are pure functions,
-so everything here can be shared freely across threads.
+game alone and never stores words: its int rows and packed words are
+built from the game on each read, and its mat-vec and diagonal are read
+from the game axis by axis (:mod:`.chase`) without them.  All
+operations are pure functions, so everything here can be shared freely
+across threads.
 
 Every rank, kernel, solve, certificate and image query reads one
 :class:`Elimination` record, the one place that picks a backend.  Its
@@ -52,9 +52,9 @@ Every elimination extracts the kernel, and the first one stores the
 packed basis in the matrix's write-once ``_kernel`` slot (the kernel
 vectors only, never the reduced rows).  Later rank, kernel and
 certificate queries on the same object read it instead of eliminating
-again.  The basis is a function of the matrix alone, so two threads
-that race on the slot write equal values and either write may stand;
-the same holds for a game matrix's words.
+again.  It is the only state a matrix gains after construction.  The
+basis is a function of the matrix alone, so two threads that race on
+the slot write equal values and either write may stand.
 """
 from __future__ import annotations
 
@@ -253,14 +253,14 @@ class BitMatrix:
 
     The first elimination of the matrix leaves its packed kernel basis
     in ``_kernel``; later rank, kernel and certificate queries on
-    the same object read it.  A game matrix (:meth:`_of_game`) keeps its
-    game in the write-once ``_game`` slot and is made without words:
-    :mod:`.chase` reads the game to eliminate it, and :meth:`mul_vec`
-    and :meth:`diagonal` to apply M axis by axis.  Its packed words are
-    built from the game on their first read (``_words``), by whatever
-    reads them: the dense backend, ``@``, ``==``, ``hash``, ``row_ints``
-    and the like.  They are a function of the game, so the value never
-    changes and two threads that race to build them write equal words.
+    the same object read it.  That is the only state set after
+    construction.  A game matrix (:meth:`_of_game`) holds its game in
+    ``_game`` and no words: :mod:`.chase` reads the game to eliminate
+    it, and :meth:`mul_vec` and :meth:`diagonal` to apply M axis by
+    axis.  Its int rows (:meth:`row_ints`, :func:`.chase.game_rows`) and
+    its packed words (``_words``, those rows packed) are built from the
+    game on each read and not kept, by whatever reads them: the dense
+    backend, ``@``, ``==``, ``hash`` and the like.
     """
 
     __slots__ = ("rows", "cols", "symmetric", "_packed", "_kernel", "_game")
@@ -310,11 +310,9 @@ class BitMatrix:
 
     @property
     def _words(self) -> np.ndarray:
-        """The packed rows, read-only; a game matrix packs them on first
-        read (:func:`.chase.game_words`)."""
-        if self._packed is None:
-            self._packed = _chase.game_words(*self._game)
-        return self._packed
+        """The packed rows, read-only; a game matrix packs its
+        :meth:`row_ints` on each read."""
+        return self._packed if self._game is None else _ints_to_words(self.row_ints(), self.cols)
 
     # -- constructors -------------------------------------------------
 
@@ -355,7 +353,8 @@ class BitMatrix:
         return BitVector._of(self.cols, self._words[i].copy())
 
     def row_ints(self) -> list:
-        return _words_to_ints(self._words)
+        """The rows as ints, a new list; a game matrix's from the game."""
+        return _words_to_ints(self._packed) if self._game is None else _chase.game_rows(*self._game)
 
     def to_bit_array(self) -> np.ndarray:
         """Dense uint8 0/1 matrix (a copy)."""

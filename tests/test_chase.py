@@ -1,6 +1,7 @@
 """The chase backend against the dense RREF, and the backend pick."""
 import itertools
 import logging
+import math
 import random
 import tracemalloc
 
@@ -146,7 +147,6 @@ def test_a_short_axis_board_is_chased_in_less_memory_than_its_build(fresh_matric
     several staged blocks.  The chase, C built afresh, peaks below two
     bytes per entry of the matrix and gives the dense answers."""
     g = GameSpec.preset("sigma-:box", GridShape((2,) * 12))
-    chase._pick.cache_clear()
     targets = _targets(g.shape, random.Random(6))
     tracemalloc.start()
     try:
@@ -512,14 +512,19 @@ _BENCH_BOARDS = [("sigma-:boxtimes", "49x49"), ("sigma+:boxtimes", "50x50"),
 
 
 def _forbid_board_builds(monkeypatch, total):
-    """Make a dense build of a total x total matrix raise."""
-    real = gf2._kron_sum
+    """Make a dense build of a total x total matrix raise: a Kronecker
+    build, or the game's rows, which its words are packed from."""
+    real_sum, real_rows = gf2._kron_sum, chase.game_rows
 
-    def guarded(products, rows, cols):
+    def guarded_sum(products, rows, cols):
         assert (rows, cols) != (total, total), "the board's dense words were built"
-        return real(products, rows, cols)
-    monkeypatch.setattr(gf2, "_kron_sum", guarded)
-    monkeypatch.setattr(chase, "_kron_sum", guarded)
+        return real_sum(products, rows, cols)
+
+    def guarded_rows(dims, terms):
+        assert math.prod(dims) != total, "the board's dense words were built"
+        return real_rows(dims, terms)
+    monkeypatch.setattr(gf2, "_kron_sum", guarded_sum)
+    monkeypatch.setattr(chase, "game_rows", guarded_rows)
 
 
 @pytest.mark.parametrize("name,shape", _BENCH_BOARDS)
@@ -549,12 +554,13 @@ def test_a_bench_board_is_solved_and_checked_without_its_words(monkeypatch, tmp_
 @pytest.mark.parametrize("name,dims", [("sigma+:box", (5, 7)), ("sigma-:boxtimes", (50, 50))])
 def test_a_dense_board_builds_its_words_and_gives_the_same_answers(fresh_matrices, name, dims):
     """Under 64 cells, or when no axis qualifies, the dense backend
-    reads the words; its answers equal those of a plain copy."""
+    builds the rows from the game and keeps no words; its answers equal
+    those of a plain copy."""
     g = GameSpec.preset(name, GridShape(dims))
     targets = _targets(g.shape, random.Random(12))
     m = adjacency_matrix(g)
     e = gf2.Elimination(m, targets)
-    assert m._packed is not None
+    assert m._packed is None
     want = gf2.Elimination(_plain(m), targets)
     assert e.rank == want.rank and e.kernel().tobytes() == want.kernel().tobytes()
     assert [e.solution(j) for j in range(2)] == [want.solution(j) for j in range(2)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sigma_forge
-from sigma_forge import _memo, algebra, chase, poly2, solver, symmetry
+from sigma_forge import _memo, algebra, chase, gf2, poly2, solver, symmetry
 from sigma_forge.algebra import QuotientShape, TensorElement
 from sigma_forge.game import adjacency_matrix, quotient_shape, u_element
 from sigma_forge.gf2 import BitMatrix, BitVector
@@ -145,3 +145,27 @@ def test_every_memoized_function_answers_as_its_uncached_one(empty_store):
                 assert all((a == b).all() for a, b in zip(got, want)), args
             else:
                 assert got == want, (fn.__name__, args)
+
+
+@pytest.mark.parametrize("name,dims", [("sigma-:boxtimes", (50, 50)), ("sigma+:box", (13, 13, 13))])
+def test_a_cached_game_matrix_and_a_backend_do_not_grow(fresh_matrices, name, dims):
+    """After an achievability and a symmetric check, a cached game
+    matrix holds its kernel and little else: 50x50 sigma-:boxtimes is
+    eliminated whole, from rows built for the solve and not kept.
+    13x13x13 sigma+:box is chased on words, and its backend holds as
+    many bytes after a solve, which builds C, as before."""
+    g = preset(name, *dims)
+    m = adjacency_matrix(g)
+    backend = chase.pick(m)
+    held = _memo._sizeof(backend)
+    solver.achievable(g, solver.all_on(g.shape))
+    solver.symmetric_achievability(g)
+    assert adjacency_matrix(g) is m and m._packed is None
+    assert _memo._sizeof(m) <= m._kernel.nbytes + 4096
+    if backend is None:
+        gf2._Dense(m).solve([BitVector.ones(m.cols).to_int()])
+        assert m._packed is None and _memo._sizeof(m) <= m._kernel.nbytes + 4096
+    else:
+        assert isinstance(backend, chase._Chase) and backend.r > 64
+        backend.solve([BitVector.ones(m.cols).to_int()])
+        assert _memo._sizeof(backend) == held
