@@ -70,20 +70,30 @@ invertible iff each a_i is prime to Q_{n_i}, the minimal polynomial of
 J_{n_i}, and then A^-1 is the product of the inverses mod Q_{n_i}.
 
 Arithmetic is exact over GF(2).  A^-1 t is applied to the targets on
-the grid by Horner's rule (:func:`apply`).  When the r unit starts and
-the T targets fit one 64-bit word (r + T <= 64) the chase stays on
-Python ints from start to finish: a layer is one int whose 64-bit chunk
-i holds the chased row of its cell i, C acts on a whole layer by
-Horner's rule on 64-bit cells (C is a sum of Kronecker products of
-polynomials in J, like M), and a selection of chased columns is lifted
-to every cell at once, as the parities of the masked chunks; the kernel
-and solutions are packed once, at the end.  On such layers numpy's
-per-call cost, not the XORs, would set the time.  A chase of wider rows
-runs on vectors packed in uint64 words: a step by a sparse C XORs the
-words of the rows each row of C selects, a product by a dense matrix
-goes through Four Russians tables (:func:`.gf2._product`), and the
-kernel, of total >= 2r columns, is made canonical by Four Russians
-(:func:`.gf2._rref`).
+the grid by Horner's rule (:func:`apply`).  C is grouped as the game
+is: one product per group of :func:`.gf2._kron_groups` over the
+exponent-0 terms, each factor times g_i.  A product with a zero
+factor, such as X mod Q_1 = 0 on an axis of length 1, is zero and left
+out.  When the r unit starts and the T targets fit one 64-bit word
+(r + T <= 64) the chase runs on Python ints, where numpy's per-call
+cost, not the XORs, would set the time of a layer.  A layer is one int
+whose 64-bit chunk i holds the chased row of its cell i.  Each
+target's cells are chunked once for all layers, and t_k is read from
+that one int's bytes.  C acts on a whole layer by Horner's rule on
+64-bit cells, in the one loop that :func:`apply` runs too
+(:func:`_act`), its shift masks read once per solve.  The layers then
+go to numpy once, and every kernel vector and solution, each a
+selection of chased columns, is lifted in one pass: entry (v, i) is
+the parity of chunk i masked by selection v (:func:`_parities`, one
+``bitwise_count`` in blocks of at most ``_STAGE_WORDS`` words), put in
+grid order and packed once.  A chase of wider rows runs on vectors
+packed in uint64 words: a step by a sparse C XORs the words of the
+rows each row of C selects, a product by a dense matrix goes through
+Four Russians tables (:func:`.gf2._product`), and the lift is one
+product of the layers by the selections.  Off the first axis the
+lifted kernel is made canonical by one RREF with its columns reversed,
+on int rows up to 64 vectors (every int chase's kernel) and by Four
+Russians above (:func:`.gf2._rref`).
 
 Either way the end system is the int rows of x_{-1}, [P | s] with
 target j at bit r + j: the one system format of :func:`.gf2._solve_rows`,
@@ -142,17 +152,20 @@ import numpy as np
 from . import poly2
 from ._memo import memo
 from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_groups,
-                  _kron_row_sum, _kron_vec, _nwords, _pack_answers, _pack_rows, _product,
-                  _read_rows, _rref, _solve_rows, _unpack_words_2d, _words_to_ints)
+                  _kron_row_sum, _kron_vec, _nwords, _pack_rows, _product, _read_rows, _rref,
+                  _solve_rows, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
 
 # a backend's fixed cost is paid on every board it takes; below this
 # many cells the dense RREF runs on int rows and is cheap, and a backend
-# built afresh is no sure win: at 36-64 cells (timeit, one target) a
-# one-word chase costs 0.07-0.09 ms against 0.1-0.18 ms dense, a
-# product of invertible axes 0.02 ms against 0.07 ms, and one of
-# singular axes 0.18 ms against 0.11 ms (8x8 sigma+:boxtimes)
+# built afresh is no sure win.  At 36-64 cells (timeit, one target, the
+# per-axis store warm, 2-vCPU Xeon), picked and solved, a one-word chase
+# takes 0.045-0.12 ms against 0.06-0.27 ms dense (5x8 sigma-:box 0.082
+# against 0.073), a product of invertible axes 0.009-0.014 ms against
+# 0.06-0.13 ms, and one of singular axes 0.07-0.09 ms against 0.07-0.11
+# ms (8x8 sigma+:boxtimes 0.084 against 0.113); moving the gate is
+# measured by whole sweeps, not by these
 _MIN_CELLS = 64
 
 
@@ -188,15 +201,8 @@ def _gather_index(c: np.ndarray, r: int) -> Optional[np.ndarray]:
     return index
 
 
-def _reversed_bits(v: int, n: int) -> int:
-    """v < 2^n with bit j moved to bit n - 1 - j."""
-    return int(format(v, f"0{n}b")[::-1], 2)
-
-
-# bytes.translate tables: b"0"/b"1" to bytes 0/1, and any byte to b"0" or
-# b"1" by its bit 0
+# bytes.translate table: b"0"/b"1" to bytes 0/1
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-_BIT0_ASCII = bytes.maketrans(bytes(range(256)), bytes(48 + (b & 1) for b in range(256)))
 
 
 def _chunks(cells: bytes) -> int:
@@ -206,14 +212,29 @@ def _chunks(cells: bytes) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _parities(chunks: np.ndarray, select: Sequence[int]) -> np.ndarray:
+    """(q, cells) bits: entry (v, i) is the parity of chunk i masked by
+    the v-th of the q ints of ``select`` (each below 2^64), one
+    :func:`numpy.bitwise_count` over blocks of at most ``_STAGE_WORDS``
+    masked words."""
+    sel = np.array(select, dtype=np.uint64)[:, None]
+    out = np.empty((sel.shape[0], chunks.size), dtype=np.uint8)
+    step = _STAGE_WORDS // max(1, sel.shape[0])
+    for i in range(0, chunks.size, step):
+        np.bitwise_count(chunks[i:i + step] & sel, out=out[:, i:i + step])
+    out &= 1
+    return out
+
+
 class _Chase:
     """A game on ``dims`` chased along ``axis``; see the module notes.
 
     ``c_polys`` is C as a sum of Kronecker products over the other axes,
-    per product its per-axis polynomials (as in :func:`apply`), and
-    ``a_inv`` holds the per-axis factors g_i of A^-1 (1 on ``axis``), or
-    is None when A = I.  A solve on packed words builds C packed, and
-    its gather index, for that run (:meth:`_packed`), and keeps neither.
+    one per group of :func:`.gf2._kron_groups`, per product its per-axis
+    polynomials (as in :func:`apply`), and ``a_inv`` holds the per-axis
+    factors g_i of A^-1 (1 on ``axis``), or is None when A = I.  A solve
+    on packed words builds C packed and its gather index
+    (:meth:`_packed`) for that solve, and keeps neither.
     """
 
     __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv")
@@ -249,53 +270,50 @@ class _Chase:
         """:meth:`solve` on Python ints.  A layer x_k is one int whose
         64-bit chunk i is the chased row of its cell i: bit j of the row
         is its coefficient of chased column j (unit start j, or target
-        j - r).  C acts on a whole layer by Horner's rule on 64-bit cells
-        (:func:`apply`), so a step x_{k-1} = C x_k + x_{k+1} + (A^-1 t)_k
-        is a few big-int operations.  The end system [P | s] is the rows
-        of x_{-1}, solved by :func:`.gf2._solve_rows`; the kernel and the
-        solutions are selections of chased columns, lifted to every cell
-        at once: bit 0 of a chunk of the layers masked by a selection,
-        folded onto itself, is the parity of the selection over that
-        cell's row.  One pack at the end."""
+        j - r).  The targets' cells are chunked once for every layer, so
+        t_k is a slice of one int's bytes, and C acts on a whole layer
+        by Horner's rule on 64-bit cells (:func:`_act`, its masks read
+        once), so a step x_{k-1} = C x_k + x_{k+1} + (A^-1 t)_k is a few
+        big-int operations.  The end system [P | s] is the rows of
+        x_{-1}, solved by :func:`.gf2._solve_rows`; the kernel and the
+        solutions are selections of chased columns, all lifted to every
+        cell in one pass (:func:`_parities`)."""
         r, n, total, ntargets = self.r, self.n, self.n * self.r, len(ts)
-        sources = [0] * n
+        # chunk k r + i holds bit r + j of target j's cell i of layer k
+        sources = 0
         for j, t in enumerate(ts):
-            cells = self._layer_cells(t)
-            for k in range(n):
-                sources[k] ^= _chunks(cells[k * r:k * r + r]) << (r + j)
+            sources ^= _chunks(self._layer_cells(t)) << (r + j)
+        sources = sources.to_bytes(8 * total, "little")
+        masks = _shift_masks(self.others, _WORD)
         # x_{n-1}: chunk i is unit start i; x_n = 0
         x, nxt = ((1 << 65 * r) - 1) // ((1 << 65) - 1), 0
         layers = [x]
-        for source in reversed(sources):
-            x, nxt = apply(self.others, self.c_polys, x, _WORD) ^ nxt ^ source, x
+        for k in range(n - 1, -1, -1):
+            x, nxt = (_act(masks, self.c_polys, x) ^ nxt
+                      ^ int.from_bytes(sources[8 * k * r:8 * (k + 1) * r], "little")), x
             layers.append(x)
         end = memoryview(layers.pop().to_bytes(8 * r, sys.byteorder)).cast("Q").tolist()
         kernel, xs = _solve_rows(end, r, ntargets)
-        # every layer, x_0 lowest, and the parities of a selection over
-        # its cells, in grid order from cell 0, one b"0" or b"1" a cell
-        flat = int.from_bytes(b"".join(x.to_bytes(8 * r, "little") for x in reversed(layers)),
-                              "little")
-        repunit = ((1 << 64 * total) - 1) // ((1 << 64) - 1)
-        folds = [1 << h for h in range((r + ntargets - 1).bit_length() - 1, -1, -1)]
+        select = kernel + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
+        # every layer, x_0 first
+        chunks = np.frombuffer(b"".join(x.to_bytes(8 * r, sys.byteorder)
+                                        for x in reversed(layers)), dtype=np.uint64)
+        bits = _parities(chunks, select).reshape(len(select), n, r)
+        return self._answers(bits, len(kernel), xs)
 
-        def lifted(sel):
-            p = flat & sel * repunit
-            for h in folds:
-                p ^= p >> h
-            return self._to_grid(p.to_bytes(8 * total, "little")[::8].translate(_BIT0_ASCII))
-        xs = [None if x is None else int(lifted(1 << (r + j) | x)[::-1], 2)
-              for j, x in enumerate(xs)]
-        kernel = [lifted(k) for k in kernel]
-        if self.axis and kernel:
-            # the canonical kernel: the RREF of the kernel with its columns
-            # reversed pivots on the highest set bits, the free columns
-            rpivots, rrows = _echelon_rows([int(v, 2) for v in kernel], total)
-            kernel = [_reversed_bits(v, total) for v in reversed(rrows)]
-            for f, k in zip(reversed(rpivots), kernel):
-                xs = [x ^ k if x is not None and x >> (total - 1 - f) & 1 else x for x in xs]
-        else:
-            kernel = [int(v[::-1], 2) for v in kernel]
-        return _pack_answers(kernel, xs, total)
+    def _answers(self, layers: np.ndarray, nkernel: int, xs: Sequence):
+        """(packed canonical kernel, packed solution or None per target)
+        from the (q, n, r) layer bits of the lifted kernel vectors and
+        then of the solutions of the targets whose entry of ``xs`` is not
+        None, packed once."""
+        grid = self._grid(layers)
+        kernel, sols = grid[:nkernel], grid[nkernel:]
+        if self.axis and nkernel:
+            kernel, free = _canonical_kernel(kernel)
+            sols = sols ^ (sols[:, free] @ kernel & 1).astype(np.uint8)
+        words = _pack_rows(np.concatenate((kernel, sols)))
+        solved = iter(words[nkernel:])
+        return words[:nkernel], [None if x is None else next(solved) for x in xs]
 
     def _layer_cells(self, t: int) -> bytes:
         """Grid int t as one byte 0 or 1 a cell, in layer order (byte
@@ -310,16 +328,6 @@ class _Chase:
         return b"".join(cells[b:b + inner] for k in range(n)
                         for b in range(k * inner, len(cells), step))
 
-    def _to_grid(self, cells: bytes) -> bytes:
-        """One byte a cell, layer order -> grid order."""
-        n, r, inner = self.n, self.r, self.inner
-        if inner == r:
-            return cells
-        if inner == 1:
-            return b"".join(cells[i::r] for i in range(r))
-        return b"".join(cells[k * r + b:k * r + b + inner] for b in range(0, r, inner)
-                        for k in range(n))
-
     # -- packed words --------------------------------------------------
 
     def _packed(self):
@@ -333,9 +341,8 @@ class _Chase:
 
     def _grid(self, layers: np.ndarray) -> np.ndarray:
         """(q, n, r) layer bits -> (q, total) grid bits."""
-        q = layers.shape[0]
-        others = self.dims[:self.axis] + self.dims[self.axis + 1:]
-        return np.moveaxis(layers.reshape((q, self.n) + others), 1, 1 + self.axis).reshape(q, -1)
+        q, n, r, inner = layers.shape[0], self.n, self.r, self.inner
+        return layers.reshape(q, n, r // inner, inner).transpose(0, 2, 1, 3).reshape(q, n * r)
 
     def _sources(self, ts: Sequence[int]) -> np.ndarray:
         """t_k for every layer k and each of the T targets ``ts`` (grid
@@ -380,36 +387,26 @@ class _Chase:
         return buf[0, :r], buf[1:n + 1, :r]
 
     def lift(self, layers: np.ndarray, select: Sequence[int], ncols: int) -> np.ndarray:
-        """Grid vectors from :meth:`run`'s layers: the ints of ``select``
-        pick the chased columns (unit starts and targets, ``ncols`` in
-        all) each vector sums.  Returns (q, total) bits."""
-        q = len(select)
-        n, r = self.n, self.r
+        """Vectors from :meth:`run`'s layers: the ints of ``select`` pick
+        the chased columns (unit starts and targets, ``ncols`` in all)
+        each vector sums.  Returns their (q, n, r) layer bits."""
+        q, n, r = len(select), self.n, self.r
         if not q:
-            return np.zeros((0, n * r), dtype=np.uint8)
+            return np.zeros((0, n, r), dtype=np.uint8)
         picks = _unpack_words_2d(_ints_to_words(select, ncols), ncols)
         picked = _product(layers.reshape(n * r, -1), ncols,
                           _pack_rows(np.ascontiguousarray(picks.T)))
-        bits = _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
-        return self._grid(bits)
+        return _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
 
     def _solve_words(self, ts: Sequence[int]):
         """:meth:`solve` on packed words (:meth:`run`, :meth:`lift`)."""
         r, ntargets = self.r, len(ts)
         end, layers = self.run(ts)
-        kernel, last = _solve_rows(_words_to_ints(end), r, ntargets)
-        solved = [j for j in range(ntargets) if last[j] is not None]
+        kernel, xs = _solve_rows(_words_to_ints(end), r, ntargets)
         # a grid vector sums the unit starts its last layer selects, plus
         # its target's affine column
-        grid = self.lift(layers, kernel + [1 << r + j | last[j] for j in solved], r + ntargets)
-        kernel, xs = grid[:len(kernel)], grid[len(kernel):]
-        if self.axis and kernel.shape[0]:
-            kernel, free = _canonical_kernel(kernel)
-            xs = xs ^ (xs[:, free] @ kernel & 1).astype(np.uint8)
-        solutions = [None] * ntargets
-        for j, x in zip(solved, _pack_rows(xs)):
-            solutions[j] = x
-        return _pack_rows(kernel), solutions
+        select = kernel + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
+        return self._answers(self.lift(layers, select, r + ntargets), len(kernel), xs)
 
 
 def _grid_bits(ts: Sequence[int], total: int) -> np.ndarray:
@@ -420,10 +417,18 @@ def _grid_bits(ts: Sequence[int], total: int) -> np.ndarray:
 def _canonical_kernel(bits: np.ndarray):
     """(RREF kernel basis, its free columns) of the span of the rows of
     a full-rank 0/1 array: the RREF of the rows with their columns
-    reversed pivots on the highest set bits."""
+    reversed pivots on the highest set bits.  At most 64 rows (every
+    int chase's kernel, whose nullity is below r + T <= 64) are reduced
+    on int rows (:func:`.gf2._echelon_rows`), more by Four Russians
+    (:func:`.gf2._rref`): on the lifted kernels of 7x11, 5x9x14 and
+    6x11x13 (7-21 rows) ints take 17-53 us against 53-252 us."""
     ncols = bits.shape[1]
     words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
-    pivots = _rref(words, ncols)
+    if bits.shape[0] <= _WORD:
+        pivots, rows = _echelon_rows(_words_to_ints(words), ncols)
+        words = _ints_to_words(rows, ncols)
+    else:
+        pivots = _rref(words, ncols)
     free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
     return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
 
@@ -475,29 +480,38 @@ def _shift_masks(dims: Tuple[int, ...], width: int) -> tuple:
     return tuple(masks)
 
 
+def _act(masks: tuple, products: Sequence[tuple], x: int) -> int:
+    """(sum of f_1(J) (x) ... (x) f_d(J) over ``products``) x on the grid
+    whose axes have the (stride, not_first, not_last) of ``masks``
+    (:func:`_shift_masks`), one axis at a time: the factor 1 leaves an
+    axis alone, and any other factor f runs Horner's rule on the whole
+    grid, J along the axis being one shift each way, (J y)_k = y_{k-1} +
+    y_{k+1}, from the leading coefficient down (the digits of ``bin``).
+    The one Horner loop of :func:`apply` and the int chase."""
+    out = 0
+    for factors in products:
+        y = x
+        for f, (s, not_first, not_last) in zip(factors, masks):
+            if f != 1:
+                acc = y if f else 0
+                for c in bin(f)[3:]:
+                    acc = (acc << s) & not_first ^ (acc >> s) & not_last
+                    if c == "1":
+                        acc ^= y
+                y = acc
+        out ^= y
+    return out
+
+
 def apply(dims: Tuple[int, ...], products: Sequence[tuple], x: int, width: int = 1) -> int:
     """(sum of f_1(J) (x) ... (x) f_d(J) over ``products``) x for the grid
     vector x, an int whose bits k w .. k w + w - 1 are cell k for w =
     ``width`` (a mat-vec when w = 1; for w > 1 the same operator on w
     columns at once), each product given by its per-axis factors f_i
     (ints, as in :func:`kron_factors`), applied one axis at a time
-    without building a matrix: the factor 1 leaves an axis alone, and
-    any other factor f runs Horner's rule on the whole grid, J along the
-    axis being one shift each way, (J y)_k = y_{k-1} + y_{k+1}."""
-    masks = _shift_masks(dims, width)
-    out = 0
-    for factors in products:
-        y = x
-        for f, (s, not_first, not_last) in zip(factors, masks):
-            if f != 1:
-                acc = 0
-                for k in range(f.bit_length() - 1, -1, -1):
-                    acc = (acc << s) & not_first ^ (acc >> s) & not_last
-                    if f >> k & 1:
-                        acc ^= y
-                y = acc
-        out ^= y
-    return out
+    without building a matrix, by Horner's rule on the whole grid
+    (:func:`_act`)."""
+    return _act(_shift_masks(dims, width), products, x)
 
 
 def diagonal(dims: Tuple[int, ...], terms: Sequence[tuple]) -> BitVector:
@@ -642,10 +656,13 @@ def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
         a_inv[i] = _inverse_mod(f, poly2.chebyshev_q(dims[i]).value)
         if a_inv[i] is None:
             return None, f"A is singular on axis {axis}"
-    # C = A^-1 B: over the exponent-0 terms, the products of g_i X^e_i
-    # (a one-cell layer has the empty product, the 1 x 1 identity)
-    c_polys = [tuple(_axis_factor([e], dims[i], a_inv[i]) for i, e in zip(others, s))
-               for s in zeros]
+    # C = A^-1 B: B grouped as the game is (:func:`.gf2._kron_groups`),
+    # each group's factors times g_i; a product with a zero factor is
+    # zero and is left out (a one-cell layer has the empty product, the
+    # 1 x 1 identity)
+    c_polys = [tuple(_axis_factor(e_set, dims[i], a_inv[i]) for i, e_set in zip(others, group))
+               for group in _kron_groups(zeros)]
+    c_polys = [p for p in c_polys if all(p)]
     return _Chase(dims, axis, c_polys, tuple(a_inv) if any(g != 1 for g in a_inv) else None), None
 
 

@@ -7,8 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigma_forge import chase, gf2, poly2
+from sigma_forge import chase, gf2, poly2, solver
 from sigma_forge.algebra import TensorElement
 from sigma_forge.game import (PRESET_NAMES, GameSpec, GridShape, adjacency_matrix,
                               is_sigma_plus, parse_game, parse_shape, quotient_shape,
@@ -267,6 +269,41 @@ def test_a_game_is_built_as_its_bounding_box_plus_its_missing_terms(fresh_matric
     for d in range(2, 13):
         terms = tuple(sorted(GameSpec.preset("sigma-:boxtimes", GridShape((2,) * d)).terms))
         assert len(chase.kron_factors((2,) * d, terms)) == 2
+
+
+def test_c_is_built_with_one_product_per_kron_group():
+    """The chase builds C = A^-1 B grouped as the game is: one product
+    per :func:`.gf2._kron_groups` group of the exponent-0 terms, not one
+    per term, its factors times those of A^-1; sigma+:box gets one
+    product in 2-d and two in 3-d.  A product with a zero factor, such
+    as X mod Q_1 = 0 on an axis of length 1, is zero and left out."""
+    pinned = {("sigma+:box", (9, 8)): 1, ("sigma+:box", (16, 16)): 1,
+              ("sigma+:box", (5, 6, 7)): 2, ("sigma+:box", (13, 13, 13)): 2,
+              # B = X (x) I along axis 1
+              ("sigma-:box", (1, 64)): 0,
+              # B = (I + X) (x) (I + J) + X (x) J along axis 2
+              ("sigma+:box", (1, 5, 7)): 1}
+    for (name, dims), want in pinned.items():
+        terms = tuple(sorted(parse_game(name, GridShape(dims)).terms))
+        c, _ = chase._pick(dims, terms)
+        assert len(c.c_polys) == want, (name, dims)
+    checked = 0
+    for dims in ((9, 8), (4, 6, 8), (2, 3, 2, 3), (70,), (1, 64), (3, 1, 5)):
+        for g in _games(dims):
+            terms = tuple(sorted(g.terms))
+            for axis in range(len(dims)):
+                c, _ = chase._chase_on(dims, terms, axis)
+                if c is None:
+                    continue
+                others = [i for i in range(len(dims)) if i != axis]
+                a_inv = c.a_inv or (1,) * len(dims)
+                zeros = [tuple(t[i] for i in others) for t in terms if t[axis] == 0]
+                products = [tuple(chase._axis_factor(e_set, dims[i], a_inv[i])
+                                  for i, e_set in zip(others, group))
+                            for group in gf2._kron_groups(zeros)]
+                assert c.c_polys == [p for p in products if all(p)], (g.label(), dims, axis)
+                checked += 1
+    assert checked > 30
 
 
 def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
@@ -673,3 +710,110 @@ def test_u_element_equals_the_sum_of_its_monomials():
                     want = want + TensorElement.monomial(qs, term)
                 got = u_element(g)
                 assert got.shape == qs and got.coeffs._words.tobytes() == want.coeffs._words.tobytes()
+
+
+_EXPONENTS = (0, 1, 2, 3, 5, 10 ** 7)
+_BACKENDS = ("dense under the gate", "dense", "product", "chase on ints", "chase on words")
+
+
+def _backend_of(m, ntargets):
+    """Which of :data:`_BACKENDS` :func:`.chase.pick` takes for m."""
+    backend = chase.pick(m)
+    if backend is None:
+        return "dense under the gate" if m.cols < chase._MIN_CELLS else "dense"
+    if isinstance(backend, chase._Product):
+        return "product"
+    return "chase on ints" if backend.r + ntargets <= 64 else "chase on words"
+
+
+@st.composite
+def random_games(draw):
+    """(dims, terms) of a random custom game: d = 1-4 axes, some of
+    length 1, at most 600 cells, 1-5 terms with exponents from
+    :data:`_EXPONENTS`.  Each draw is shaped toward one backend, as an
+    unshaped draw rarely reaches the chase on words; the axes are then
+    permuted, so that a chase runs along any axis."""
+    kind = draw(st.sampled_from(_BACKENDS))
+    exps, high = st.sampled_from(_EXPONENTS), st.sampled_from(_EXPONENTS[2:])
+    d = draw(st.integers(2 if kind in ("product", "chase on words") else 1, 4))
+    if kind == "dense under the gate":
+        dims = [draw(st.integers(1, 63))] + [draw(st.integers(1, 3)) for _ in range(d - 1)]
+        dims[0] = max(1, min(dims[0], 63 // math.prod(dims[1:])))
+    elif kind == "chase on words":
+        # a short chased axis 0 (A = I) across layers of 62 cells or more;
+        # one term with exponent 2 or more on every other axis
+        n = draw(st.integers(2, 9))
+        extra = [draw(st.integers(1, 2)) for _ in range(d - 2)]
+        m = math.prod(extra)
+        dims = [n, draw(st.integers(-(-62 // m), 600 // n // m))] + extra
+    else:
+        # 64-600 cells: layers of at most 61 cells across axis 0
+        top = {1: 1, 2: 30, 3: 7, 4: 3}[d]
+        others = [draw(st.integers(1, top)) for _ in range(d - 1)]
+        r = math.prod(others)
+        dims = [draw(st.integers(max(2, -(-64 // r)), 600 // r))] + others
+    if kind == "product":
+        twos = draw(st.integers(0, 2))
+        sizes = draw(st.permutations([2] * twos + [1] * (d - twos)))
+        sets = [draw(st.lists(exps, min_size=k, max_size=k, unique=True)) for k in sizes]
+        terms = set(itertools.product(*sets))
+    else:
+        rest = draw(st.lists(st.tuples(*[exps] * d), min_size=0, max_size=4))
+        if kind == "chase on ints":
+            # A a monomial, mostly I, and B a monomial off A's, so that
+            # the two are not a product game
+            first = (1,) + draw(st.tuples(*[st.sampled_from((0, 0, 1))] * (d - 1)))
+            b = draw(st.tuples(*[exps] * (d - 1)).filter(lambda b: d == 1 or b != first[1:]))
+            rest = [(0,) + b] + [(int(t[0] == 1),) + t[1:] for t in rest[:3]]
+        elif kind == "chase on words":
+            first = (1,) + (0,) * (d - 1)
+            rest = [(0,) + draw(st.tuples(*[high] * (d - 1)))] + \
+                [(int(t[0] == 1),) + t[1:] for t in rest[:3]]
+        elif kind == "dense":
+            first = draw(st.tuples(*[high] * d))
+        else:
+            first = draw(st.tuples(*[exps] * d))
+        terms = {first, *rest}
+    perm = draw(st.permutations(range(d)))
+    return (tuple(dims[i] for i in perm),
+            frozenset(tuple(t[i] for i in perm) for t in terms))
+
+
+def test_random_games_give_the_dense_answers_on_every_backend():
+    """Random custom games: every backend the pick takes gives the
+    kernel and solution bytes of a fresh dense elimination, for all-on,
+    a random target and the image of a random vector, and every answer
+    passes the witness and certificate checks of
+    :func:`.solver.achievable`.  Each of the five backends is reached:
+    the examples are derandomized, so every run draws the same ones."""
+    reached = {name: 0 for name in _BACKENDS}
+
+    # 400 examples of at most 600 cells: about 3 s, budget 60 s
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(random_games(), st.randoms(use_true_random=False))
+    def check(game, rng):
+        dims, terms = game
+        adjacency_matrix.cache_clear()
+        g = GameSpec(GridShape(dims), terms)
+        m = adjacency_matrix(g)
+        total = m.cols
+        image = m.mul_vec(BitVector.from_int(total, rng.getrandbits(total)))
+        targets = [BitVector.ones(total), BitVector.from_int(total, rng.getrandbits(total)), image]
+        ts = [t.to_int() for t in targets]
+        backend = _backend_of(m, len(ts))
+        reached[backend] += 1
+        kernel, sols = (chase.pick(m) or gf2._Dense(m)).solve(ts)
+        want_kernel, want_sols = gf2._Dense(_plain(m)).solve(ts)
+        where = f"{sorted(terms)} on {dims}, {backend}"
+        assert kernel.tobytes() == want_kernel.tobytes(), where
+        assert [None if x is None else x.tobytes() for x in sols] == \
+            [None if x is None else x.tobytes() for x in want_sols], where
+        reports = [solver.achievable(g, t) for t in targets]
+        assert [r.achievable for r in reports] == [x is not None for x in sols], where
+        assert reports[2].achievable, where
+
+    try:
+        check()
+    finally:
+        adjacency_matrix.cache_clear()
+    assert all(reached.values()), reached
