@@ -92,8 +92,7 @@ rows each row of C selects, a product by a dense matrix goes through
 Four Russians tables (:func:`.gf2._product`), and the lift is one
 product of the layers by the selections.  Off the first axis the
 lifted kernel is made canonical by one RREF with its columns reversed,
-on int rows up to 64 vectors (every int chase's kernel) and by Four
-Russians above (:func:`.gf2._rref`).
+on int rows (:func:`.gf2._echelon_rows`).
 
 Either way the end system is the int rows of x_{-1}, [P | s] with
 target j at bit r + j: the one system format of :func:`.gf2._solve_rows`,
@@ -152,8 +151,8 @@ import numpy as np
 from . import poly2
 from ._memo import memo
 from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_groups,
-                  _kron_row_sum, _kron_vec, _nwords, _pack_rows, _product, _read_rows, _rref,
-                  _solve_rows, _unpack_words_2d, _words_to_ints)
+                  _kron_row_sum, _kron_vec, _nwords, _pack_rows, _product, _read_rows,
+                  _solve_rows, _split_answers, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
 
@@ -311,9 +310,7 @@ class _Chase:
         if self.axis and nkernel:
             kernel, free = _canonical_kernel(kernel)
             sols = sols ^ (sols[:, free] @ kernel & 1).astype(np.uint8)
-        words = _pack_rows(np.concatenate((kernel, sols)))
-        solved = iter(words[nkernel:])
-        return words[:nkernel], [None if x is None else next(solved) for x in xs]
+        return _split_answers(_pack_rows(np.concatenate((kernel, sols))), nkernel, xs)
 
     def _layer_cells(self, t: int) -> bytes:
         """Grid int t as one byte 0 or 1 a cell, in layer order (byte
@@ -417,20 +414,19 @@ def _grid_bits(ts: Sequence[int], total: int) -> np.ndarray:
 def _canonical_kernel(bits: np.ndarray):
     """(RREF kernel basis, its free columns) of the span of the rows of
     a full-rank 0/1 array: the RREF of the rows with their columns
-    reversed pivots on the highest set bits.  At most 64 rows (every
-    int chase's kernel, whose nullity is below r + T <= 64) are reduced
-    on int rows (:func:`.gf2._echelon_rows`), more by Four Russians
-    (:func:`.gf2._rref`): on the lifted kernels of 7x11, 5x9x14 and
-    6x11x13 (7-21 rows) ints take 17-53 us against 53-252 us."""
+    reversed, on int rows (:func:`.gf2._echelon_rows`), pivots on the
+    highest set bits.  On the lifted kernels of 85 boards of 847-24,863
+    cells (65-515 vectors) int rows took 229 ms in all against 297 ms
+    by Four Russians (:func:`.gf2._rref`), and lost by more than 10%
+    only on the two densest, sigma-:boxtimes 15x15x47 (211 vectors,
+    14.5 against 7.4 ms) and 15x31x31 (451 vectors, 41 against 20 ms);
+    on 7-21 vectors they take 17-53 us against 53-252 us."""
     ncols = bits.shape[1]
     words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
-    if bits.shape[0] <= _WORD:
-        pivots, rows = _echelon_rows(_words_to_ints(words), ncols)
-        words = _ints_to_words(rows, ncols)
-    else:
-        pivots = _rref(words, ncols)
+    pivots, rows = _echelon_rows(_words_to_ints(words), ncols)
     free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
-    return np.ascontiguousarray(_unpack_words_2d(words, ncols)[::-1, ::-1]), free
+    bits = _unpack_words_2d(_ints_to_words(rows, ncols), ncols)
+    return np.ascontiguousarray(bits[::-1, ::-1]), free
 
 
 def _axis_factor(e_set: Sequence[int], n: int, g: int = 1) -> int:

@@ -590,8 +590,15 @@ def _pack_answers(kernel: list, solutions: list, n: int):
     """(packed kernel, packed solution or None per target) of int
     answers of n bits, in one pack."""
     words = _ints_to_words(kernel + [x for x in solutions if x is not None], n)
-    solved = iter(words[len(kernel):])
-    return words[:len(kernel)], [None if x is None else next(solved) for x in solutions]
+    return _split_answers(words, len(kernel), solutions)
+
+
+def _split_answers(words: np.ndarray, nkernel: int, solutions: Sequence):
+    """(packed kernel, packed solution or None per target) of packed
+    rows that hold ``nkernel`` kernel vectors and then the solutions of
+    the targets whose entry of ``solutions`` is not None."""
+    solved = iter(words[nkernel:])
+    return words[:nkernel], [None if x is None else next(solved) for x in solutions]
 
 
 def _first_not_orthogonal(n: int, kernel: np.ndarray, t: BitVector) -> Optional[BitVector]:

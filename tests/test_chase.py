@@ -277,33 +277,22 @@ def test_c_is_built_with_one_product_per_kron_group():
     per term, its factors times those of A^-1; sigma+:box gets one
     product in 2-d and two in 3-d.  A product with a zero factor, such
     as X mod Q_1 = 0 on an axis of length 1, is zero and left out."""
-    pinned = {("sigma+:box", (9, 8)): 1, ("sigma+:box", (16, 16)): 1,
-              ("sigma+:box", (5, 6, 7)): 2, ("sigma+:box", (13, 13, 13)): 2,
+    pinned = [("sigma+:box", (9, 8), 1), ("sigma+:box", (16, 16), 1),
+              ("sigma+:box", (5, 6, 7), 2), ("sigma+:box", (13, 13, 13), 2),
               # B = X (x) I along axis 1
-              ("sigma-:box", (1, 64)): 0,
+              ("sigma-:box", (1, 64), 0),
               # B = (I + X) (x) (I + J) + X (x) J along axis 2
-              ("sigma+:box", (1, 5, 7)): 1}
-    for (name, dims), want in pinned.items():
-        terms = tuple(sorted(parse_game(name, GridShape(dims)).terms))
-        c, _ = chase._pick(dims, terms)
-        assert len(c.c_polys) == want, (name, dims)
-    checked = 0
-    for dims in ((9, 8), (4, 6, 8), (2, 3, 2, 3), (70,), (1, 64), (3, 1, 5)):
-        for g in _games(dims):
-            terms = tuple(sorted(g.terms))
-            for axis in range(len(dims)):
-                c, _ = chase._chase_on(dims, terms, axis)
-                if c is None:
-                    continue
-                others = [i for i in range(len(dims)) if i != axis]
-                a_inv = c.a_inv or (1,) * len(dims)
-                zeros = [tuple(t[i] for i in others) for t in terms if t[axis] == 0]
-                products = [tuple(chase._axis_factor(e_set, dims[i], a_inv[i])
-                                  for i, e_set in zip(others, group))
-                            for group in gf2._kron_groups(zeros)]
-                assert c.c_polys == [p for p in products if all(p)], (g.label(), dims, axis)
-                checked += 1
-    assert checked > 30
+              ("sigma+:box", (1, 5, 7), 1),
+              # B = I (x) I + J (x) X along axis 2: the second is zero
+              ({(0, 0, 1), (0, 0, 0), (1, 1, 0)}, (5, 1, 7), 1),
+              # B = (I + J) (x) (I + J) + I (x) I along axis 2: the
+              # bounding box and its missing term, for three terms
+              ({(0, 0, 1), (1, 0, 0), (1, 1, 0), (0, 1, 0)}, (6, 5, 8), 2)]
+    for game, dims, want in pinned:
+        g = (parse_game(game, GridShape(dims)) if isinstance(game, str)
+             else GameSpec(GridShape(dims), frozenset(game)))
+        c, _ = chase._pick(dims, tuple(sorted(g.terms)))
+        assert len(c.c_polys) == want, (g.label(), dims)
 
 
 def test_a_huge_exponent_is_reduced_by_squaring(monkeypatch, fresh_matrices):
@@ -609,7 +598,7 @@ def _rref_calls(monkeypatch):
     or on int rows, run by gf2 (a dense system) or by the chase module
     (an end system, a canonical form or a singular axis factor)."""
     calls = []
-    for module, path in itertools.product((gf2, chase), ("_rref", "_echelon_rows")):
+    for module, path in ((gf2, "_rref"), (gf2, "_echelon_rows"), (chase, "_echelon_rows")):
         def counted(words, ncols, path=path, real=getattr(module, path)):
             calls.append((path, ncols))
             return real(words, ncols)

@@ -705,22 +705,19 @@ def test_diagonal_matches_dense_diagonal():
 
 
 def test_blocked_rref_matches_per_column_reference():
-    int_cases = 0
     for words, ncols in _blocked_rref_cases():
         expected = words.copy()
         pivots = _reference_rref(expected, ncols)
-        if words.shape[0] <= gf2._INT_PATH_MAX and ncols <= gf2._INT_PATH_MAX:
-            # the int routine gives the same pivots and reduced matrix
-            # columns; the target columns may differ by left kernel rows
-            int_pivots, rows = gf2._echelon_rows(gf2._words_to_ints(words), ncols)
-            assert int_pivots == pivots
-            ints = gf2._ints_to_words(rows, words.shape[1] * 64)
-            assert np.array_equal(gf2._unpack_words_2d(ints, ncols),
-                                  gf2._unpack_words_2d(expected, ncols))
-            int_cases += 1
+        # the int routine gives the same pivots and reduced matrix
+        # columns at every size; the target columns may differ by left
+        # kernel rows
+        int_pivots, rows = gf2._echelon_rows(gf2._words_to_ints(words), ncols)
+        assert int_pivots == pivots
+        ints = gf2._ints_to_words(rows, words.shape[1] * 64)
+        assert np.array_equal(gf2._unpack_words_2d(ints, ncols),
+                              gf2._unpack_words_2d(expected, ncols))
         assert gf2._rref(words, ncols) == pivots
         assert np.array_equal(words, expected)
-    assert int_cases
 
 
 def test_matmul_against_dense():
