@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-from . import gf2
+from . import chase, gf2
 from .algebra import QuotientShape, TensorElement
 from .gf2 import BitMatrix, BitVector
-from .poly2 import _power_sum
 
 PRESET_NAMES = ("sigma+:box", "sigma-:box", "sigma+:boxtimes", "sigma-:boxtimes")
 
@@ -151,11 +150,13 @@ def quotient_shape(shape: GridShape) -> QuotientShape:
 
 def u_element(g: GameSpec) -> TensorElement:
     """The algebra element whose multiplication operator is the game:
-    the sum over terms of the monomials x^e, each axis reduced mod its
-    modulus as the game matrix reduces it (:func:`.poly2._power_sum`),
-    so a huge e costs only its bit length."""
+    the sum of the monomials x^e over the terms, read from the game's
+    one description (:func:`.chase.kron_factors`) as the XOR, over its
+    products, of the Kronecker product of their per-axis factors, each
+    reduced mod its modulus as the game matrix reduces it, so a huge e
+    costs only its bit length."""
     qs = quotient_shape(g.shape)
     coeffs = 0
-    for term in g.terms:
-        coeffs ^= gf2._kron_vec([(n, _power_sum(n, [e])) for n, e in zip(g.shape.dims, term)])
+    for factors in chase.kron_factors(g.shape.dims, tuple(sorted(g.terms))):
+        coeffs ^= gf2._kron_vec(list(zip(g.shape.dims, factors)))
     return TensorElement(qs, BitVector.from_int(qs.total, coeffs))

@@ -462,7 +462,7 @@ class Elimination:
     The kernel is stored on m by the elimination that finds it first.
     """
 
-    __slots__ = ("m", "targets", "rank", "_solutions")
+    __slots__ = ("m", "targets", "_solutions")
 
     def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
         self.m = m
@@ -472,7 +472,6 @@ class Elimination:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
         backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
         kernel, self._solutions = backend.solve([t.to_int() for t in self.targets])
-        self.rank = m.cols - kernel.shape[0]
         if m._kernel is None:
             kernel.flags.writeable = False
             m._kernel = kernel

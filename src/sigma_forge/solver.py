@@ -15,7 +15,6 @@ flag any disagreement.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,10 +22,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import gf2
+from . import chase, gf2
 from .game import GameSpec, GridShape, adjacency_matrix, is_sigma_plus, parse_game
 from .gf2 import BitMatrix, BitVector
-from .poly2 import _power_sum, two_valuation
+from .poly2 import two_valuation
 from .symmetry import orbit_indicator, orbit_parities
 
 DEFAULT_ORACLE_CAP = 20
@@ -126,11 +125,13 @@ def symmetric_achievability(g: GameSpec) -> AchievabilityReport:
 def _principal_closed_form(g: GameSpec) -> bool:
     """The 2-d criterion: achievable unless n, m odd, u(0,0) = 0 and
     the 2-valuations of n+1 and m+1 coincide.  u(0,0), the constant
-    coefficient of the game's element, is read from the terms: a term
-    adds the product of its axes' constant coefficients of x^e mod Q_n."""
+    coefficient of the game's element, is read from the game's products
+    (:func:`.chase.kron_factors`): a product adds the AND of its
+    factors' constant coefficients."""
     n, m = g.shape.dims
-    u00 = sum(math.prod(_power_sum(k, [e]) & 1 for k, e in zip(g.shape.dims, t))
-              for t in g.terms) & 1
+    u00 = 0
+    for factors in chase.kron_factors(g.shape.dims, tuple(sorted(g.terms))):
+        u00 ^= all(f & 1 for f in factors)
     blocked = (n % 2 == 1 and m % 2 == 1 and u00 == 0
                and two_valuation(n + 1) == two_valuation(m + 1))
     return not blocked
