@@ -86,11 +86,11 @@ go to numpy once, and every kernel vector and solution, each a
 selection of chased columns, is lifted in one pass: entry (v, i) is
 the parity of chunk i masked by selection v (:func:`_parities`, one
 ``bitwise_count`` in blocks of at most ``_STAGE_WORDS`` words), put in
-grid order and packed once.  A chase of wider rows runs on vectors
-packed in uint64 words: a step by a sparse C XORs the words of the
-rows each row of C selects, a product by a dense matrix goes through
-Four Russians tables (:func:`.gf2._product`), and the lift is one
-product of the layers by the selections.  Off the first axis the
+grid order and read back as ints once.  A chase of wider rows runs on
+vectors packed in uint64 words: a step by a sparse C XORs the words of
+the rows each row of C selects, a product by a dense matrix goes
+through Four Russians tables (:func:`.gf2._product`), and the lift is
+one product of the layers by the selections.  Off the first axis the
 lifted kernel is made canonical by one RREF with its columns reversed,
 on int rows (:func:`.gf2._echelon_rows`).
 
@@ -115,7 +115,8 @@ its ``_game`` slot.  On 64 cells or more it picks the product backend
 for a product game, else the chase on the longest axis that qualifies,
 else the dense RREF, and logs one DEBUG line naming the backend.  Both
 backends here answer through ``solve(target ints)``, as the dense one
-does.
+does: the canonical kernel as ints and a solution int or None per
+target, so words never leave this module.
 
 The same matrix is described once, by :func:`kron_factors`, as a sum of
 Kronecker products of per-axis factors f_i(J), grouped by the rule the
@@ -150,9 +151,9 @@ import numpy as np
 
 from . import poly2
 from ._memo import memo
-from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _ints_to_words, _kron_groups,
-                  _kron_row_sum, _kron_vec, _nwords, _pack_rows, _product, _read_rows,
-                  _solve_rows, _split_answers, _unpack_words_2d, _words_to_ints)
+from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _int_bits, _ints_to_words,
+                  _kron_groups, _kron_row_sum, _kron_vec, _nwords, _pack_rows, _product,
+                  _read_rows, _solve_rows, _unpack_words_2d, _words_to_ints)
 
 _log = logging.getLogger(__name__)
 
@@ -232,8 +233,8 @@ class _Chase:
     one per group of :func:`.gf2._kron_groups`, per product its per-axis
     polynomials (as in :func:`apply`), and ``a_inv`` holds the per-axis
     factors g_i of A^-1 (1 on ``axis``), or is None when A = I.  A solve
-    on packed words builds C packed and its gather index
-    (:meth:`_packed`) for that solve, and keeps neither.
+    on packed words builds C's words and its gather index
+    (:meth:`_c_words`) for that solve, and keeps neither.
     """
 
     __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv")
@@ -252,10 +253,10 @@ class _Chase:
     # -- answers -------------------------------------------------------
 
     def solve(self, ts: Sequence[int]):
-        """(packed canonical kernel, packed solution or None per target)
-        of the game matrix for the targets ``ts`` (grid ints), in the
-        dense RREF's canonical form (see :class:`.gf2.Elimination`).
-        A^-1 t is applied on the whole grid by Horner's rule
+        """(canonical kernel, solution or None per target) of the game
+        matrix as ints, for the targets ``ts`` (grid ints), in the dense
+        RREF's canonical form (see :class:`.gf2.Elimination`).  A^-1 t
+        is applied on the whole grid by Horner's rule
         (:func:`apply`).  When the r unit starts and T targets fit one
         64-bit word the chase runs on ints (:meth:`_solve_ints`), else on
         packed words (:meth:`_solve_words`)."""
@@ -301,16 +302,18 @@ class _Chase:
         return self._answers(bits, len(kernel), xs)
 
     def _answers(self, layers: np.ndarray, nkernel: int, xs: Sequence):
-        """(packed canonical kernel, packed solution or None per target)
-        from the (q, n, r) layer bits of the lifted kernel vectors and
-        then of the solutions of the targets whose entry of ``xs`` is not
-        None, packed once."""
+        """(canonical kernel, solution or None per target) as ints, from
+        the (q, n, r) layer bits of the lifted kernel vectors and then of
+        the solutions of the targets whose entry of ``xs`` is not None,
+        packed once."""
         grid = self._grid(layers)
         kernel, sols = grid[:nkernel], grid[nkernel:]
         if self.axis and nkernel:
             kernel, free = _canonical_kernel(kernel)
             sols = sols ^ (sols[:, free] @ kernel & 1).astype(np.uint8)
-        return _split_answers(_pack_rows(np.concatenate((kernel, sols))), nkernel, xs)
+        ints = _words_to_ints(_pack_rows(np.concatenate((kernel, sols))))
+        solved = iter(ints[nkernel:])
+        return ints[:nkernel], [None if x is None else next(solved) for x in xs]
 
     def _layer_cells(self, t: int) -> bytes:
         """Grid int t as one byte 0 or 1 a cell, in layer order (byte
@@ -327,7 +330,7 @@ class _Chase:
 
     # -- packed words --------------------------------------------------
 
-    def _packed(self):
+    def _c_words(self):
         """(C packed, its :func:`_gather_index` or None for a dense C,
         whose steps go through Four Russians tables), built for one run
         on words."""
@@ -360,7 +363,7 @@ class _Chase:
         packed words, [P | s] with target j at bit r + j, and the packed
         layers x_0 .. x_{n-1}, for :meth:`lift`."""
         r, n, ntargets = self.r, self.n, len(ts)
-        c, gather = self._packed()
+        c, gather = self._c_words()
         width = _nwords(r + ntargets)
         # buf[k + 1] holds x_k, with an all-zero row after its r rows
         buf = np.zeros((n + 2, r + 1, width), dtype=np.uint64)
@@ -390,7 +393,7 @@ class _Chase:
         q, n, r = len(select), self.n, self.r
         if not q:
             return np.zeros((0, n, r), dtype=np.uint8)
-        picks = _unpack_words_2d(_ints_to_words(select, ncols), ncols)
+        picks = _int_bits(select, ncols)
         picked = _product(layers.reshape(n * r, -1), ncols,
                           _pack_rows(np.ascontiguousarray(picks.T)))
         return _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
@@ -404,11 +407,6 @@ class _Chase:
         # its target's affine column
         select = kernel + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
         return self._answers(self.lift(layers, select, r + ntargets), len(kernel), xs)
-
-
-def _grid_bits(ts: Sequence[int], total: int) -> np.ndarray:
-    """(T, total) 0/1 bits of grid ints."""
-    return _unpack_words_2d(_ints_to_words(ts, total), total)
 
 
 def _canonical_kernel(bits: np.ndarray):
@@ -425,7 +423,7 @@ def _canonical_kernel(bits: np.ndarray):
     words = _pack_rows(np.ascontiguousarray(bits[:, ::-1]))
     pivots, rows = _echelon_rows(_words_to_ints(words), ncols)
     free = ncols - 1 - np.asarray(pivots[::-1], dtype=np.intp)
-    bits = _unpack_words_2d(_ints_to_words(rows, ncols), ncols)
+    bits = _int_bits(rows, ncols)
     return np.ascontiguousarray(bits[::-1, ::-1]), free
 
 
@@ -594,9 +592,9 @@ class _Product:
         self.inverse = tuple(inverse) if any(g != 1 for g in inverse) else None
 
     def solve(self, ts: Sequence[int]):
-        """(packed canonical kernel, packed solution or None per target)
-        of the game matrix for the targets ``ts`` (grid ints), in the
-        dense RREF's canonical form (see :class:`.gf2.Elimination`)."""
+        """(canonical kernel, solution or None per target) of the game
+        matrix as ints, for the targets ``ts`` (grid ints), in the dense
+        RREF's canonical form (see :class:`.gf2.Elimination`)."""
         dims, ntargets, total = self.dims, len(ts), math.prod(self.dims)
         # t' = (T_1 (x) ... (x) T_d) t: Horner's rule on the grid applies
         # every invertible axis's g_i(J) at once
@@ -605,9 +603,9 @@ class _Product:
         singular = [i for i, t in enumerate(self.transforms) if t is not None]
         if not singular:
             # M is invertible: no kernel, and x = t'
-            return np.zeros((0, _nwords(total)), dtype=np.uint64), list(_ints_to_words(ts, total))
+            return [], list(ts)
         # a singular axis's T_i, one mode product each
-        t = _grid_bits(ts, total).reshape((ntargets,) + dims)
+        t = _int_bits(ts, total).reshape((ntargets,) + dims)
         for i in singular if ntargets else ():
             t = _mode_product(t, i, self.transforms[i])
         t = t.copy()
@@ -618,8 +616,6 @@ class _Product:
         x[(slice(None),) + np.ix_(*self.pivots)] = t[lead]
         t[lead] = 0
         bad = t.reshape(ntargets, total).any(axis=1)
-        xs = _pack_rows(x.reshape(ntargets, total))
-        solutions = [None if bad[j] else xs[j] for j in range(ntargets)]
         # free column c has some c_i free; its kernel vector is
         # e_c + W_1[c_1] (x) ... (x) W_d[c_d]
         pivot = np.zeros(dims, dtype=bool)
@@ -630,7 +626,9 @@ class _Product:
             w = np.eye(n, dtype=np.uint8)[c] if w is None else _unpack_words_2d(w[c], n)
             bits = (bits[:, :, None] & w[:, None, :]).reshape(free.size, bits.shape[1] * n)
         bits[np.arange(free.size), free] = 1
-        return _pack_rows(bits), solutions
+        ints = _words_to_ints(_pack_rows(np.concatenate((bits, x.reshape(ntargets, total)))))
+        return ints[:free.size], [None if bad[j] else ints[free.size + j]
+                                  for j in range(ntargets)]
 
 
 def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):

@@ -46,7 +46,7 @@ def parse_grid(text: str, shape: GridShape) -> BitVector:
     if bits.size != shape.total or (bits > 1).any():
         raise ValueError(f"grid data does not match shape {shape} "
                          f"(need {shape.total} 0/1 entries)")
-    return BitVector._of(shape.total, gf2._pack_rows(bits))
+    return BitVector._of(shape.total, gf2._bits_int(bits))
 
 
 def _load_grid_file(path: str, shape: GridShape) -> BitVector:

@@ -1,16 +1,19 @@
-"""Bit-packed exact linear algebra over GF(2).
+"""Exact linear algebra over GF(2) on Python ints.
 
-Vectors and matrices store their coordinates packed into 64-bit machine
-words (coordinate k lives in word k // 64 at bit k % 64); row operations
-are whole-word XORs vectorized with numpy.  All values are immutable
-after construction: the public constructors check and copy the words
-they are given, and the internal ones take ownership of words built
-here.  A game matrix of :func:`.game.adjacency_matrix` is made from its
-game alone and never stores words: its int rows and packed words are
-built from the game on each read, and its mat-vec and diagonal are read
-from the game axis by axis (:mod:`.chase`) without them.  All
-operations are pure functions, so everything here can be shared freely
-across threads.
+One format runs between layers: a vector is one int (bit k is
+coordinate k), a matrix a tuple of row ints, and every target, kernel
+vector and solution an int; row operations are int XORs.  uint64 words
+(coordinate k in word k // 64 at bit k % 64) are built, by
+:func:`_ints_to_words` and :func:`_words_to_ints`, only where a numpy
+routine takes them: :func:`_rref`, :func:`_product` and ``@``, the chase
+on words, the product backend's assembly and the bit arrays of
+:mod:`.symmetry`.  All values are immutable after construction: the
+public constructors check the words they are given and read them once.
+A game matrix of :func:`.game.adjacency_matrix` is made from its game
+alone and never stores rows: they are built from the game on each read,
+and its mat-vec and diagonal are read from the game axis by axis
+(:mod:`.chase`) without them.  All operations are pure functions, so
+everything here can be shared freely across threads.
 
 Every rank, kernel, solve, certificate and image query reads one
 :class:`Elimination` record, the one place that picks a backend.  Its
@@ -18,7 +21,7 @@ answers are those of the canonical reduced row echelon form: pivots are
 the first nonzero row in column order, rows are swapped, and free
 variables are fixed to zero when a solution is extracted.  Every
 backend answers through one call, ``solve(target ints)``, which returns
-the packed kernel and a packed solution or None per target.  A game
+the kernel as ints and a solution int or None per target.  A game
 matrix (its ``_game`` slot set) of 64 cells or more is handed to
 :func:`.chase.pick`.  A product game (terms E_1 x ... x E_d, d >= 2) is
 eliminated axis by axis: one n_i-column RREF per axis gives the
@@ -49,8 +52,8 @@ whichever is fewer.  The game matrix and the multiplication operator
 both read it.
 
 Every elimination extracts the kernel, and the first one stores the
-packed basis in the matrix's write-once ``_kernel`` slot (the kernel
-vectors only, never the reduced rows).  Later rank, kernel and
+basis, a tuple of ints, in the matrix's write-once ``_kernel`` slot (the
+kernel vectors only, never the reduced rows).  Later rank, kernel and
 certificate queries on the same object read it instead of eliminating
 again.  It is the only state a matrix gains after construction.  The
 basis is a function of the matrix alone, so two threads that race on
@@ -65,7 +68,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 _WORD = 64  # internal word width; public behavior does not depend on it
-_ONE = np.uint64(1)
 
 
 def _nwords(n: int) -> int:
@@ -81,20 +83,9 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return buf.view(np.uint64)
 
 
-def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack uint64 words to a 1-D uint8 0/1 array of length n."""
-    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), bitorder="little")[:n]
-
-
 def _unpack_words_2d(words: np.ndarray, ncols: int) -> np.ndarray:
     return np.unpackbits(np.ascontiguousarray(words).view(np.uint8),
                          axis=1, bitorder="little")[:, :ncols]
-
-
-def _int_to_words(value: int, n: int) -> np.ndarray:
-    value &= (1 << n) - 1
-    raw = value.to_bytes(_nwords(n) * 8, "little")
-    return np.frombuffer(raw, dtype=np.uint64).copy()
 
 
 def _ints_to_words(ints: Sequence[int], n: int) -> np.ndarray:
@@ -119,10 +110,21 @@ def _words_to_ints(words: np.ndarray) -> list:
     return [int.from_bytes(raw[i * nb: (i + 1) * nb], "little") for i in range(words.shape[0])]
 
 
-def _checked_words(words, shape: tuple, nbits: int) -> np.ndarray:
-    """A private copy of words passed to a public constructor, after
-    checking the dtype, the shape, and that no bit past nbits is set
-    (padding bits would break ==, hash and weight)."""
+def _int_bits(ints: Sequence[int], n: int) -> np.ndarray:
+    """The (len(ints), n) uint8 0/1 array whose entry (i, k) is bit k of
+    ints[i], each below 2^n."""
+    return _unpack_words_2d(_ints_to_words(ints, n), n)
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """The int whose bit k is entry k of a 1-D uint8 0/1 array."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _check_words(words, shape: tuple, nbits: int) -> None:
+    """Check words passed to a public constructor: the dtype, the shape,
+    and that no bit past nbits is set (a padding bit would be a
+    coordinate past the end)."""
     if not isinstance(words, np.ndarray) or words.dtype != np.uint64:
         raise TypeError(f"words must be a numpy uint64 array, got "
                         f"{getattr(words, 'dtype', type(words).__name__)}")
@@ -130,35 +132,31 @@ def _checked_words(words, shape: tuple, nbits: int) -> np.ndarray:
         raise ValueError(f"words have shape {words.shape}, expected {shape}")
     if nbits & 63 and (words[..., -1] >> np.uint64(nbits & 63)).any():
         raise ValueError(f"words have bits set past bit {nbits - 1}")
-    return words.copy()
 
 
 class BitVector:
-    """An immutable length-n vector over GF(2); addition is XOR."""
+    """An immutable length-n vector over GF(2), held as one int whose bit
+    k is coordinate k; addition is XOR."""
 
-    __slots__ = ("n", "_words")
+    __slots__ = ("n", "_bits")
 
     def __init__(self, n: int, words: Optional[np.ndarray] = None):
         """``words``: a uint64 array of shape (ceil(n / 64),) with zero
-        bits past n; it is copied."""
+        bits past n, coordinate k at bit k % 64 of word k // 64; it is
+        read once."""
         if n < 0:
             raise ValueError(f"negative length {n}")
-        if words is None:
-            words = np.zeros(_nwords(n), dtype=np.uint64)
-        else:
-            words = _checked_words(words, (_nwords(n),), n)
-        self._init(n, words)
-
-    def _init(self, n: int, words: np.ndarray) -> None:
+        if words is not None:
+            _check_words(words, (_nwords(n),), n)
         self.n = n
-        self._words = words
-        self._words.flags.writeable = False
+        self._bits = 0 if words is None else int.from_bytes(words.tobytes(), "little")
 
     @classmethod
-    def _of(cls, n: int, words: np.ndarray) -> "BitVector":
-        """Internal constructor: takes ownership of well-formed words."""
+    def _of(cls, n: int, bits: int) -> "BitVector":
+        """Internal constructor: trusts ``bits`` to lie below 2^n."""
         v = object.__new__(cls)
-        v._init(n, words)
+        v.n = n
+        v._bits = bits
         return v
 
     # -- constructors -------------------------------------------------
@@ -177,7 +175,7 @@ class BitVector:
         A negative value is refused."""
         if value < 0:
             raise ValueError(f"negative value {value}")
-        return cls._of(n, _int_to_words(value, n))
+        return cls._of(n, value & (1 << n) - 1)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
@@ -187,8 +185,7 @@ class BitVector:
         for k, b in enumerate(bits):
             if b != 0 and b != 1:
                 raise ValueError(f"entry {k} is {b!r}, not 0 or 1")
-        arr = np.array(bits, dtype=np.uint8)
-        return cls._of(arr.shape[0], _pack_rows(arr))
+        return cls._of(len(bits), _bits_int(np.array(bits, dtype=np.uint8)))
 
     # -- queries ------------------------------------------------------
 
@@ -198,111 +195,117 @@ class BitVector:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(i)
-        return int((self._words[i >> 6] >> np.uint64(i & 63)) & _ONE)
+        return self._bits >> i & 1
 
     def to_int(self) -> int:
-        return int.from_bytes(self._words.tobytes(), "little")
+        return self._bits
 
     def to_array(self) -> np.ndarray:
         """The coordinates as a uint8 0/1 array (a copy)."""
-        return _unpack_words(self._words, self.n)
+        return _int_bits([self._bits], self.n)[0]
 
     def to_bits(self) -> tuple:
-        return tuple(int(b) for b in self.to_array())
+        return tuple(self.to_array().tolist())
 
     def weight(self) -> int:
-        return int(np.bitwise_count(self._words).sum())
+        return self._bits.bit_count()
 
     def is_zero(self) -> bool:
-        return not self._words.any()
+        return not self._bits
 
     def dot(self, other: "BitVector") -> int:
         """GF(2) inner product."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return int(np.bitwise_count(self._words & other._words).sum()) & 1
+        return (self._bits & other._bits).bit_count() & 1
 
     # -- arithmetic ---------------------------------------------------
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return BitVector._of(self.n, self._words ^ other._words)
+        return BitVector._of(self.n, self._bits ^ other._bits)
 
     __add__ = __xor__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._words, other._words)
+        return self.n == other.n and self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self._words.tobytes()))
+        return hash((self.n, self._bits))
 
     def __repr__(self) -> str:
         return f"BitVector({''.join(map(str, self.to_bits()))})"
 
 
 class BitMatrix:
-    """An immutable rows x cols matrix over GF(2), rows packed into words.
+    """An immutable rows x cols matrix over GF(2), held as a tuple of row
+    ints: bit j of row i is entry (i, j).
 
     A public constructor verifies that a matrix flagged ``symmetric``
     equals its transpose (``_of`` trusts the flag); the flag lets
     :meth:`Elimination.certificate` prove a target outside the image by
     a kernel vector not orthogonal to it (Im m = (Ker m)^perp).
 
-    The first elimination of the matrix leaves its packed kernel basis
-    in ``_kernel``; later rank, kernel and certificate queries on
-    the same object read it.  That is the only state set after
+    The first elimination of the matrix leaves its kernel basis, a tuple
+    of ints, in ``_kernel``; later rank, kernel and certificate queries
+    on the same object read it.  That is the only state set after
     construction.  A game matrix (:meth:`_of_game`) holds its game in
-    ``_game`` and no words: :mod:`.chase` reads the game to eliminate
-    it, and :meth:`mul_vec` and :meth:`diagonal` to apply M axis by
-    axis.  Its int rows (:meth:`row_ints`, :func:`.chase.game_rows`) and
-    its packed words (``_words``, those rows packed) are built from the
-    game on each read and not kept, by whatever reads them: the dense
-    backend, ``@``, ``==``, ``hash`` and the like.
+    ``_game`` and no rows: :mod:`.chase` reads the game to eliminate it,
+    and :meth:`mul_vec` and :meth:`diagonal` to apply M axis by axis.
+    Its int rows (:meth:`row_ints`, :func:`.chase.game_rows`) are built
+    from the game on each read and not kept, by whatever reads them: the
+    dense backend, ``@``, ``==``, ``hash`` and the like.  :meth:`row_ints`
+    is also the one source of every matrix's words (``_words``), packed
+    on each read for the numpy routines that take them.
     """
 
-    __slots__ = ("rows", "cols", "symmetric", "_packed", "_kernel", "_game")
+    __slots__ = ("rows", "cols", "symmetric", "_rows", "_kernel", "_game")
 
     def __init__(self, rows: int, cols: int, words: Optional[np.ndarray] = None,
                  symmetric: bool = False):
         """``words``: a uint64 array of shape (rows, ceil(cols / 64)) with
-        zero bits past cols in every row; it is copied."""
+        zero bits past cols in every row; it is read once."""
         if rows < 0 or cols < 0:
             raise ValueError(f"bad dimensions {rows}x{cols}")
         if words is None:
-            words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
+            ints = (0,) * rows
         else:
-            words = _checked_words(words, (rows, _nwords(cols)), cols)
-        self._init(rows, cols, words, symmetric)
-        if symmetric and (rows != cols or self != self.transpose()):
-            raise ValueError("matrix flagged symmetric is not symmetric")
+            _check_words(words, (rows, _nwords(cols)), cols)
+            ints = tuple(_words_to_ints(words))
+        self._init(rows, cols, ints, symmetric)
+        self._check_flag()
 
-    def _init(self, rows: int, cols: int, words: Optional[np.ndarray], symmetric: bool,
+    def _init(self, rows: int, cols: int, ints: Optional[tuple], symmetric: bool,
               game: Optional[tuple] = None) -> None:
         self.rows = rows
         self.cols = cols
-        if words is not None:
-            words.flags.writeable = False
-        self._packed = words
+        self._rows = ints
         self._kernel = None
         self._game = game
         self.symmetric = symmetric
 
+    def _check_flag(self) -> "BitMatrix":
+        """self, after a check that a symmetric flag holds."""
+        if self.symmetric and (self.rows != self.cols or self != self.transpose()):
+            raise ValueError("matrix flagged symmetric is not symmetric")
+        return self
+
     @classmethod
-    def _of(cls, rows: int, cols: int, words: np.ndarray, symmetric: bool = False) -> "BitMatrix":
-        """Internal constructor: takes ownership of well-formed words and
-        trusts a symmetric flag."""
+    def _of(cls, rows: int, cols: int, ints: tuple, symmetric: bool = False) -> "BitMatrix":
+        """Internal constructor: takes a tuple of row ints below 2^cols
+        and trusts a symmetric flag."""
         m = object.__new__(cls)
-        m._init(rows, cols, words, symmetric)
+        m._init(rows, cols, ints, symmetric)
         return m
 
     @classmethod
     def _of_game(cls, dims: tuple, terms: tuple) -> "BitMatrix":
         """Internal constructor of the symmetric game matrix of the grid
         ``dims`` and the sorted exponent tuples ``terms``
-        (:mod:`.game`), with no words yet."""
+        (:mod:`.game`), with no rows."""
         total = math.prod(dims)
         m = object.__new__(cls)
         m._init(total, total, None, True, (dims, terms))
@@ -310,9 +313,8 @@ class BitMatrix:
 
     @property
     def _words(self) -> np.ndarray:
-        """The packed rows, read-only; a game matrix packs its
-        :meth:`row_ints` on each read."""
-        return self._packed if self._game is None else _ints_to_words(self.row_ints(), self.cols)
+        """:meth:`row_ints` packed, read-only, on each read."""
+        return _ints_to_words(self.row_ints(), self.cols)
 
     # -- constructors -------------------------------------------------
 
@@ -322,10 +324,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        w = np.zeros((n, _nwords(n)), dtype=np.uint64)
-        idx = np.arange(n)
-        w[idx, idx >> 6] = _ONE << (idx.astype(np.uint64) & np.uint64(63))
-        return cls._of(n, n, w, symmetric=True)
+        return cls._of(n, n, tuple(1 << i for i in range(n)), symmetric=True)
 
     @classmethod
     def from_row_ints(cls, rows: int, cols: int, ints: Sequence[int],
@@ -335,40 +334,47 @@ class BitMatrix:
         for v in ints:
             if v < 0 or v >> cols:
                 raise ValueError(f"row int {v} is outside 0 .. 2^{cols} - 1")
-        return cls(rows, cols, _ints_to_words(ints, cols), symmetric)
+        if cols < 0:
+            raise ValueError(f"bad dimensions {rows}x{cols}")
+        return cls._of(rows, cols, tuple(ints), symmetric)._check_flag()
 
     @classmethod
     def _from_bit_array(cls, bits: np.ndarray, symmetric: bool = False) -> "BitMatrix":
         rows, cols = bits.shape
-        return cls._of(rows, cols, _pack_rows(bits), symmetric)
+        return cls._of(rows, cols, tuple(_words_to_ints(_pack_rows(bits))), symmetric)
 
     # -- queries ------------------------------------------------------
+
+    def _row(self, i: int) -> int:
+        return (self._rows if self._game is None else self.row_ints())[i]
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return int((self._words[i, j >> 6] >> np.uint64(j & 63)) & _ONE)
+        return self._row(i) >> j & 1
 
     def row(self, i: int) -> BitVector:
-        return BitVector._of(self.cols, self._words[i].copy())
+        return BitVector._of(self.cols, self._row(i))
 
     def row_ints(self) -> list:
         """The rows as ints, a new list; a game matrix's from the game."""
-        return _words_to_ints(self._packed) if self._game is None else _chase.game_rows(*self._game)
+        return list(self._rows) if self._game is None else _chase.game_rows(*self._game)
 
     def to_bit_array(self) -> np.ndarray:
         """Dense uint8 0/1 matrix (a copy)."""
-        return _unpack_words_2d(self._words, self.cols)
+        return _int_bits(self.row_ints(), self.cols)
 
     def diagonal(self) -> BitVector:
-        """Entries (i, i) for i < min(rows, cols), read as bit i of each
-        row's words; the matrix is not unpacked.  A game matrix's is
-        read from its per-axis factors (:func:`.chase.diagonal`)."""
+        """Entries (i, i) for i < min(rows, cols), read as bit i of row
+        i.  A game matrix's is read from its per-axis factors
+        (:func:`.chase.diagonal`)."""
         if self._game is not None:
             return _chase.diagonal(*self._game)
-        idx = np.arange(min(self.rows, self.cols))
-        bits = (self._words[idx, idx >> 6] >> (idx.astype(np.uint64) & np.uint64(63))) & _ONE
-        return BitVector._of(idx.size, _pack_rows(bits.astype(np.uint8)))
+        k = min(self.rows, self.cols)
+        out = 0
+        for i, v in enumerate(self._rows[:k]):
+            out |= v & 1 << i
+        return BitVector._of(k, out)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix._from_bit_array(self.to_bit_array().T)
@@ -377,10 +383,10 @@ class BitMatrix:
         if not isinstance(other, BitMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and np.array_equal(self._words, other._words))
+                and self.row_ints() == other.row_ints())
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._words.tobytes()))
+        return hash((self.rows, self.cols, tuple(self.row_ints())))
 
     def __repr__(self) -> str:
         body = "\n".join("".join(map(str, r)) for r in self.to_bit_array())
@@ -391,29 +397,32 @@ class BitMatrix:
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
-        return BitMatrix._of(self.rows, self.cols, self._words ^ other._words,
+        return BitMatrix._of(self.rows, self.cols,
+                             tuple(a ^ b for a, b in zip(self.row_ints(), other.row_ints())),
                              symmetric=self.symmetric and other.symmetric)
 
     __add__ = __xor__
 
     def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product over GF(2).  A game matrix is applied to
-        v on the grid, axis by axis (:func:`.chase.apply`), and never
-        builds its words."""
+        """Matrix-vector product over GF(2): entry i is the parity of row
+        i masked by v.  A game matrix is applied to v on the grid, axis
+        by axis (:func:`.chase.apply`), and never builds its rows."""
         if v.n != self.cols:
             raise ValueError(f"vector length {v.n} != cols {self.cols}")
         if self._game is not None:
             dims, terms = self._game
-            mx = _chase.apply(dims, _chase.kron_factors(dims, terms), v.to_int())
-            return BitVector.from_int(self.rows, mx)
-        folded = np.bitwise_xor.reduce(self._words & v._words[None, :], axis=1)
-        bits = np.bitwise_count(folded).astype(np.uint8) & 1
-        return BitVector._of(self.rows, _pack_rows(bits))
+            return BitVector._of(self.rows, _chase.apply(dims, _chase.kron_factors(dims, terms),
+                                                         v._bits))
+        x, out = v._bits, 0
+        for i, row in enumerate(self._rows):
+            out |= ((row & x).bit_count() & 1) << i
+        return BitVector._of(self.rows, out)
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return BitMatrix._of(self.rows, other.cols, _product(self._words, self.cols, other._words))
+        product = _product(self._words, self.cols, other._words)
+        return BitMatrix._of(self.rows, other.cols, tuple(_words_to_ints(product)))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +451,7 @@ class Elimination:
 
     The backend is picked here and nowhere else, and every backend
     answers through one call, ``solve(target ints)``, which returns the
-    packed kernel and a packed solution or None per target.  What
+    kernel as ints and a solution int or None per target.  What
     qualifies a game for the product backend or the chase is decided
     by :func:`.chase.pick`:
 
@@ -459,7 +468,8 @@ class Elimination:
       matrix: its int rows with the targets tagged on, solved on int
       rows or by Four Russians by its size (:func:`_solve_rows`).
 
-    The kernel is stored on m by the elimination that finds it first.
+    The kernel is stored on m, as a tuple of ints, by the elimination
+    that finds it first.
     """
 
     __slots__ = ("m", "targets", "_solutions")
@@ -473,12 +483,11 @@ class Elimination:
         backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
         kernel, self._solutions = backend.solve([t.to_int() for t in self.targets])
         if m._kernel is None:
-            kernel.flags.writeable = False
-            m._kernel = kernel
+            m._kernel = tuple(kernel)
 
-    def kernel(self) -> np.ndarray:
-        """Basis of {x : m x = 0}, packed one vector per row, in RREF
-        order, as stored on m."""
+    def kernel(self) -> tuple:
+        """Basis of {x : m x = 0}, one int per vector, in RREF order, as
+        stored on m."""
         return self.m._kernel
 
     def consistent(self) -> list:
@@ -487,8 +496,8 @@ class Elimination:
 
     def solution(self, j: int = 0) -> Optional[BitVector]:
         """Some x with m x = t_j (free variables zero), or None."""
-        words = self._solutions[j]
-        return None if words is None else BitVector._of(self.m.cols, words.copy())
+        x = self._solutions[j]
+        return None if x is None else BitVector._of(self.m.cols, x)
 
     def certificate(self, j: int = 0) -> Optional[BitVector]:
         """A kernel vector k with k . t_j = 1, or None.
@@ -512,17 +521,16 @@ class _Dense:
         self.m = m
 
     def solve(self, ts: Sequence[int]):
-        """(packed kernel, packed solution or None per target) of m for
-        the targets ``ts`` (ints, bit i for row i): target j is set at
-        bit cols + j of the rows it has, and the answers are packed
-        once."""
+        """(kernel, solution or None per target) of m as ints, for the
+        targets ``ts`` (ints, bit i for row i): target j is set at bit
+        cols + j of the rows it has."""
         rows, ncols = self.m.row_ints(), self.m.cols
         for j, t in enumerate(ts):
             while t:
                 low = t & -t
                 rows[low.bit_length() - 1] |= 1 << (ncols + j)
                 t ^= low
-        return _pack_answers(*_solve_rows(rows, ncols, len(ts)), ncols)
+        return _solve_rows(rows, ncols, len(ts))
 
 
 def _solve_rows(rows: list, ncols: int, ntargets: int):
@@ -585,25 +593,12 @@ def _read_rows(pivots: list, rows: list, ncols: int, ntargets: int):
             [None if bad >> c & 1 else picks[c] for c in range(ncols, width)])
 
 
-def _pack_answers(kernel: list, solutions: list, n: int):
-    """(packed kernel, packed solution or None per target) of int
-    answers of n bits, in one pack."""
-    words = _ints_to_words(kernel + [x for x in solutions if x is not None], n)
-    return _split_answers(words, len(kernel), solutions)
-
-
-def _split_answers(words: np.ndarray, nkernel: int, solutions: Sequence):
-    """(packed kernel, packed solution or None per target) of packed
-    rows that hold ``nkernel`` kernel vectors and then the solutions of
-    the targets whose entry of ``solutions`` is not None."""
-    solved = iter(words[nkernel:])
-    return words[:nkernel], [None if x is None else next(solved) for x in solutions]
-
-
-def _first_not_orthogonal(n: int, kernel: np.ndarray, t: BitVector) -> Optional[BitVector]:
-    """The first packed kernel row k with k . t = 1, or None."""
-    hits = np.flatnonzero(np.bitwise_count(kernel & t._words).sum(axis=1) & 1)
-    return BitVector._of(n, kernel[hits[0]]) if hits.size else None
+def _first_not_orthogonal(n: int, kernel: Sequence[int], t: BitVector) -> Optional[BitVector]:
+    """The first kernel vector k with k . t = 1, or None."""
+    for k in kernel:
+        if (k & t._bits).bit_count() & 1:
+            return BitVector._of(n, k)
+    return None
 
 
 # _BYTE_BITS[x, u] = bit u of byte x; _PARITY[m] maps byte x to the
@@ -807,9 +802,9 @@ def _echelon_rows(rows: Iterable[int], ncols: int):
     return pivots, [kept[p] for p in pivots] + left
 
 
-def _kernel_of(m: BitMatrix) -> np.ndarray:
-    """m's packed kernel basis; m is eliminated only if no earlier query
-    stored it."""
+def _kernel_of(m: BitMatrix) -> tuple:
+    """m's kernel basis as ints; m is eliminated only if no earlier
+    query stored it."""
     return Elimination(m).kernel() if m._kernel is None else m._kernel
 
 
@@ -900,15 +895,14 @@ def _kron_rows(factors: Sequence[tuple]) -> tuple:
 
 def _kron_sum(products: Iterable[Sequence[tuple]], rows: int, cols: int) -> BitMatrix:
     """XOR of the Kronecker products of each sequence of factors, each
-    (width, row ints) (:func:`_kron_rows`), packed once into a rows x
-    cols matrix.  The size is checked before anything is built."""
+    (width, row ints) (:func:`_kron_rows`), as a rows x cols matrix.  The size is checked before anything is built."""
     _check_dense(rows, cols)
-    return BitMatrix._of(rows, cols, _ints_to_words(_kron_row_sum(products, rows), cols))
+    return BitMatrix._of(rows, cols, tuple(_kron_row_sum(products, rows)))
 
 
 def _kron_row_sum(products: Iterable[Sequence[tuple]], rows: int) -> list:
     """The ``rows`` int rows of the XOR of the Kronecker products of each
-    sequence of factors (:func:`_kron_rows`), unpacked."""
+    sequence of factors (:func:`_kron_rows`), a new list."""
     acc = None
     for factors in products:
         term = _kron_rows(factors)[1]

@@ -99,17 +99,17 @@ def symmetric_achievability(g: GameSpec) -> AchievabilityReport:
     M is symmetric, so Im M = (Ker M)^perp: the answer is yes iff
     F k = 0 for every kernel vector k, where the rows of
     F = S (x) ... (x) S are the orbit indicators (see :mod:`.symmetry`).
-    The packed kernel stored on M is unpacked once and folded axis by
-    axis; no orbit vector is built unless one fails, and only the
-    certificate becomes a :class:`BitVector`.  On failure the report
-    carries as target the first orbit indicator that some kernel vector
-    meets oddly, and as certificate the first such kernel vector,
-    checked as in :func:`achievable`.
+    The kernel stored on M, one int per vector, is unpacked once into a
+    bit array and folded axis by axis; no orbit vector is built unless
+    one fails, and only the certificate becomes a :class:`BitVector`.
+    On failure the report carries as target the first orbit indicator
+    that some kernel vector meets oddly, and as certificate the first
+    such kernel vector, checked as in :func:`achievable`.
     """
     m = adjacency_matrix(g)
     kernel = gf2._kernel_of(m)
-    if kernel.shape[0]:
-        hits = orbit_parities(gf2._unpack_words_2d(kernel, m.cols), g.shape)
+    if kernel:
+        hits = orbit_parities(gf2._int_bits(kernel, m.cols), g.shape)
         failing = np.flatnonzero(hits.any(axis=0))
         if failing.size:
             i = int(failing[0])

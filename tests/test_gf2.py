@@ -86,8 +86,8 @@ def fresh(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.rows, m.cols, m._words, symmetric=m.symmetric)
 
 
-def vector_bytes(v):
-    return None if v is None else (v.n, v._words.tobytes())
+def vector_int(v):
+    return None if v is None else (v.n, v.to_int())
 
 
 def random_bit_matrix(rng, rows, cols, symmetric=False):
@@ -635,14 +635,14 @@ def test_stored_kernel_answers_match_a_fresh_elimination():
             targets = [BitVector.ones(n)]
             targets += [BitVector.from_int(n, rng.getrandbits(n)) for _ in range(4)]
             targets += [m.mul_vec(BitVector.from_int(n, rng.getrandbits(n))) for _ in range(3)]
-            cold = [[vector_bytes(v) for v in gf2.solve_with_certificate(fresh(m), t)]
+            cold = [[vector_int(v) for v in gf2.solve_with_certificate(fresh(m), t)]
                     for t in targets]
             cold_rank = gf2.rank(fresh(m))
-            cold_kernel = [vector_bytes(k) for k in gf2.kernel_basis(fresh(m))]
+            cold_kernel = [vector_int(k) for k in gf2.kernel_basis(fresh(m))]
             assert m._kernel is None
-            warm_kernel = [vector_bytes(k) for k in gf2.kernel_basis(m)]
+            warm_kernel = [vector_int(k) for k in gf2.kernel_basis(m)]
             assert m._kernel is not None
-            warm = [[vector_bytes(v) for v in gf2.solve_with_certificate(m, t)]
+            warm = [[vector_int(v) for v in gf2.solve_with_certificate(m, t)]
                     for t in targets]
             assert (warm, gf2.rank(m), warm_kernel) == (cold, cold_rank, cold_kernel)
             seen |= {(n > gf2._INT_PATH_MAX, x is not None) for x, _ in warm}

@@ -160,11 +160,11 @@ def test_a_cached_game_matrix_and_a_backend_do_not_grow(fresh_matrices, name, di
     held = _memo._sizeof(backend)
     solver.achievable(g, solver.all_on(g.shape))
     solver.symmetric_achievability(g)
-    assert adjacency_matrix(g) is m and m._packed is None
-    assert _memo._sizeof(m) <= m._kernel.nbytes + 4096
+    assert adjacency_matrix(g) is m and m._rows is None
+    assert _memo._sizeof(m) <= _memo._sizeof(m._kernel) + 4096
     if backend is None:
         gf2._Dense(m).solve([BitVector.ones(m.cols).to_int()])
-        assert m._packed is None and _memo._sizeof(m) <= m._kernel.nbytes + 4096
+        assert m._rows is None and _memo._sizeof(m) <= _memo._sizeof(m._kernel) + 4096
     else:
         assert isinstance(backend, chase._Chase) and backend.r > 64
         backend.solve([BitVector.ones(m.cols).to_int()])

@@ -14,7 +14,7 @@ from sigma_forge.solver import (achievable, all_on, brute_force_oracle, closed_f
                                 sweep_csv, sweep_disagreements,
                                 symmetric_achievability)
 
-from helpers import bit_matrix, brute_force_image, preset
+from helpers import brute_force_image, preset
 
 
 # ---------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_a_wrong_stored_kernel_is_caught(fresh_matrices):
     # the all-ones vector meets all-on and the centre's one-cell orbit
     # oddly, but M ones != 0 (a corner has 3 neighbours)
     assert not m.mul_vec(BitVector.ones(m.cols)).is_zero()
-    m._kernel = bit_matrix([BitVector.ones(m.cols)])._words
+    m._kernel = (BitVector.ones(m.cols).to_int(),)
     with pytest.raises(RuntimeError, match="M k = 0"):
         achievable(g, all_on(g.shape))
     with pytest.raises(RuntimeError, match="M k = 0"):
@@ -63,7 +63,7 @@ def test_symmetric_achievability_rejects_a_wrong_certificate(monkeypatch):
     g = preset("sigma-:boxtimes", 3, 3)
     assert not symmetric_achievability(g).achievable
     # bit 0 of every stored kernel vector flipped
-    kernel = gf2._kernel_of(adjacency_matrix(g)) ^ BitVector.from_int(9, 1)._words
+    kernel = tuple(k ^ 1 for k in gf2._kernel_of(adjacency_matrix(g)))
     monkeypatch.setattr(gf2, "_kernel_of", lambda m: kernel)
     with pytest.raises(RuntimeError, match="M k = 0"):
         symmetric_achievability(g)
@@ -327,8 +327,8 @@ def _closed_form_by_u_element(g):
 
 
 def test_the_closed_form_reads_u00_from_the_terms():
-    """u(0, 0) comes from the terms, not from u_element, and agrees with
-    it: on every preset and on custom games, some with exponent 10^7, in
+    """u(0, 0) comes from the game's products (chase.kron_factors), not
+    from u_element, and agrees with it: on every preset and on custom games, some with exponent 10^7, in
     2-d and in 1-d lifted to 1 x n; the odd shapes with equal
     2-valuations (1x1, 3x3, 1x5, 3x11, 7x7, ...) are the ones where the
     verdict turns on u(0, 0)."""
