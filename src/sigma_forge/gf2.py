@@ -35,7 +35,7 @@ Every system reaches elimination in one format: int rows whose first
 ncols bits are the matrix and whose bit ncols + j is target j, and
 :func:`_solve_rows` solves it, for the dense backend and for the end
 system of either chase, returning the kernel and the solutions as ints.
-It picks the routine by size: a system of at most 128 rows and columns
+It picks the routine by size: a system of at most 200 rows and columns
 (``_INT_PATH_MAX``) is eliminated by :func:`_echelon_rows` and read by
 :func:`_read_rows`; a larger one is packed once, eliminated 8 columns at
 a time by the Method of Four Russians (:func:`_rref`) and read off the
@@ -429,9 +429,15 @@ class BitMatrix:
 # Elimination core
 # ----------------------------------------------------------------------
 
-# below this size an elimination runs on plain int bitsets: the numpy
-# dispatch overhead beats the vectorization gain for small systems
-_INT_PATH_MAX = 128
+# up to this size an elimination runs on plain int bitsets: the numpy
+# dispatch overhead beats the vectorization gain for small systems.
+# Best of 25 on a 2-vCPU Xeon, int rows against Four Russians in ms:
+# the words chase's end systems with their rows tagged, r = 169 (13x13x13
+# sigma+:box / sigma-:box) 0.85 / 0.89 against 1.06 / 1.23, r = 176-196
+# 0.81-1.55 against 1.40-2.84; dense sigma-:boxtimes systems of 143-256
+# columns 0.39-1.03 against 1.13-1.90; from r = 204 up, end systems lose
+# as often as they win (12x17x17 sigma+:box 3.9 against 2.7)
+_INT_PATH_MAX = 200
 
 
 class Elimination:
@@ -468,11 +474,16 @@ class Elimination:
       matrix: its int rows with the targets tagged on, solved on int
       rows or by Four Russians by its size (:func:`_solve_rows`).
 
-    The kernel is stored on m, as a tuple of ints, by the elimination
-    that finds it first.
+    Each backend is m's factorization: its first solve completes it
+    (the kernel, and what it reuses for later targets), and it is then
+    kept and asked only for later targets' solutions.  A game matrix
+    keeps nothing: its factorization is kept in the byte-budgeted
+    store (:data:`.chase.factorizations`), keyed by its game, and may
+    be evicted.  Any other matrix keeps only its kernel, in
+    ``_kernel``, which is all that the dense backend reuses.
     """
 
-    __slots__ = ("m", "targets", "_solutions")
+    __slots__ = ("m", "targets", "_solutions", "_kernel")
 
     def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
         self.m = m
@@ -480,15 +491,25 @@ class Elimination:
         for j, t in enumerate(self.targets):
             if t.n != m.rows:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
-        backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
-        kernel, self._solutions = backend.solve([t.to_int() for t in self.targets])
-        if m._kernel is None:
-            m._kernel = tuple(kernel)
+        ts = [t.to_int() for t in self.targets]
+        backend = _stored(m)
+        if backend is None:
+            backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
+            self._solutions = backend.solve(ts)[1]
+            if m._game is None:
+                m._kernel = backend.kernel
+            else:
+                _chase.factorizations.insert(m._game, backend)
+        else:
+            if m._game is not None:
+                _chase.log_stored(m._game[0], backend)
+            self._solutions = backend.solve(ts)[1] if ts else []
+        self._kernel = backend.kernel
 
     def kernel(self) -> tuple:
         """Basis of {x : m x = 0}, one int per vector, in RREF order, as
-        stored on m."""
-        return self.m._kernel
+        m's factorization keeps it."""
+        return self._kernel
 
     def consistent(self) -> list:
         """Per target, whether it lies in the column space of m."""
@@ -511,39 +532,63 @@ class Elimination:
         return _first_not_orthogonal(self.m.cols, self.kernel(), self.targets[j])
 
 
+def _stored(m: BitMatrix):
+    """m's factorization kept by an earlier elimination, or None: a game
+    matrix's from the store, any other's a dense backend holding the
+    kernel stored on m."""
+    if m._game is not None:
+        return _chase.factorizations.get(m._game)
+    return None if m._kernel is None else _Dense(m, m._kernel)
+
+
 class _Dense:
     """The dense backend: the RREF of m's int rows with the targets
-    tagged on (:func:`_solve_rows`)."""
+    tagged on (:func:`_solve_rows`).  It keeps its kernel, and a later
+    target eliminates [m | t] again."""
 
-    __slots__ = ("m",)
+    __slots__ = ("m", "kernel")
 
-    def __init__(self, m: BitMatrix):
+    def __init__(self, m: BitMatrix, kernel: Optional[tuple] = None):
         self.m = m
+        self.kernel = kernel
 
     def solve(self, ts: Sequence[int]):
         """(kernel, solution or None per target) of m as ints, for the
         targets ``ts`` (ints, bit i for row i): target j is set at bit
-        cols + j of the rows it has."""
+        cols + j of the rows it has.  The first solve keeps the kernel."""
         rows, ncols = self.m.row_ints(), self.m.cols
         for j, t in enumerate(ts):
             while t:
                 low = t & -t
                 rows[low.bit_length() - 1] |= 1 << (ncols + j)
                 t ^= low
-        return _solve_rows(rows, ncols, len(ts))
+        kernel, xs = _solve_rows(rows, ncols, len(ts))
+        if self.kernel is None:
+            self.kernel = tuple(kernel)
+        return self.kernel, xs
 
 
-def _solve_rows(rows: list, ncols: int, ntargets: int):
+def _solve_rows(rows: list, ncols: int, ntargets: int, tagged: bool = False):
     """(kernel, solution or None per target) as ints, of the RREF of the
     first ``ncols`` bits of int rows that carry target j at bit ncols +
     j; this is where the routine is picked by size.  A system of at most
     ``_INT_PATH_MAX`` rows and columns is eliminated by
     :func:`_echelon_rows` and read by :func:`_read_rows`.  A larger one
     is packed once, eliminated by Four Russians (:func:`_rref`) and read
-    off the reduced words."""
+    off the reduced words.
+
+    ``tagged`` rows carry bit ncols + ntargets + i on row i, and a third
+    value is returned, the echelon transform (pivots, T): T holds the
+    tags of the reduced rows, pivot rows first in pivot order, so T s
+    reduces any later target column s: it is consistent iff T s
+    vanishes past the rank, and then the pivots of its set bits below
+    the rank are its solution (free variables zero)."""
+    shift = ncols + ntargets
     if len(rows) <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
-        return _read_rows(*_echelon_rows(rows, ncols), ncols, ntargets)
-    words = _ints_to_words(rows, ncols + ntargets).copy()
+        pivots, reduced = _echelon_rows(rows, ncols)
+        answers = _read_rows(pivots, reduced, ncols, ntargets)
+        return answers + ((pivots, [v >> shift for v in reduced]),) if tagged else answers
+    words = _ints_to_words(rows, shift + len(rows) * tagged).copy()
     pivots = _rref(words, ncols)
     rank = len(pivots)
     piv = np.asarray(pivots, dtype=np.intp)
@@ -564,7 +609,10 @@ def _solve_rows(rows: list, ncols: int, ntargets: int):
     xbits[:, piv] = rhs[:rank].T
     bad = rhs[rank:].any(axis=0)
     xs = _words_to_ints(_pack_rows(xbits))
-    return _words_to_ints(_pack_rows(bits)), [None if bad[j] else xs[j] for j in range(ntargets)]
+    answers = (_words_to_ints(_pack_rows(bits)), [None if bad[j] else xs[j] for j in range(ntargets)])
+    if tagged:
+        answers += ((pivots, [v >> shift for v in _words_to_ints(words)]),)
+    return answers
 
 
 def _read_rows(pivots: list, rows: list, ncols: int, ntargets: int):
@@ -803,14 +851,15 @@ def _echelon_rows(rows: Iterable[int], ncols: int):
 
 
 def _kernel_of(m: BitMatrix) -> tuple:
-    """m's kernel basis as ints; m is eliminated only if no earlier
-    query stored it."""
-    return Elimination(m).kernel() if m._kernel is None else m._kernel
+    """m's kernel basis as ints, read off its kept factorization; m is
+    eliminated only if none is kept."""
+    backend = _stored(m)
+    return Elimination(m).kernel() if backend is None else backend.kernel
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank, as cols minus the nullity; it reads the kernel stored
-    on m, and an elimination of m stores it."""
+    """GF(2) rank, as cols minus the nullity; it reads the kernel of m's
+    kept factorization, and an elimination of m keeps one."""
     return m.cols - len(_kernel_of(m))
 
 
@@ -818,7 +867,8 @@ def kernel_basis(m: BitMatrix) -> list:
     """Basis of the right kernel {x : m x = 0}, deterministic ordering.
 
     m is eliminated at most once for all kernel, rank and certificate
-    queries; each call returns a new list.
+    queries while its factorization is kept; each call returns a new
+    list.
     """
     return [BitVector._of(m.cols, k) for k in _kernel_of(m)]
 
@@ -836,12 +886,13 @@ def solve_with_certificate(m: BitMatrix, b: BitVector):
     the image, the first such vector of :func:`kernel_basis`.  For a
     non-symmetric m an infeasible system yields (None, None).
 
-    For a symmetric m the kernel stored on m answers a b outside the
-    image without an elimination; otherwise [m | b] is eliminated and
-    the kernel is stored on m for later queries.
+    For a symmetric m the kernel of its kept factorization answers a b
+    outside the image without a solve; otherwise m's factorization
+    solves [m | b], and the first elimination of m keeps it.
     """
-    if m.symmetric and m._kernel is not None and b.n == m.rows:
-        k = _first_not_orthogonal(m.cols, m._kernel, b)
+    backend = _stored(m) if m.symmetric and b.n == m.rows else None
+    if backend is not None:
+        k = _first_not_orthogonal(m.cols, backend.kernel, b)
         if k is not None:
             return None, k
     e = Elimination(m, [b])

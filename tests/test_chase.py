@@ -462,13 +462,15 @@ def test_a_singular_axis_factor_is_eliminated_on_int_rows(monkeypatch, fresh_mat
         # columns of the reduced pivot rows
         kernel = np.zeros((free.size, n), dtype=np.uint8)
         kernel[:, pivots] = rows[:pivots.size, free].T
-        wbits = gf2._unpack_words_2d(w, n)
+        # W is kept as n row ints
+        assert isinstance(w, tuple) and len(w) == n and all(type(v) is int for v in w)
+        wbits = gf2._int_bits(w, n)
         assert np.array_equal(wbits[free], kernel), (n, f)
         assert np.array_equal(wbits[pivots], np.eye(n, dtype=np.uint8)[pivots])
         tbits = gf2._unpack_words_2d(t, n)
         assert np.array_equal(tbits.astype(np.int64) @ u & 1, rows)
         assert gf2.rank(bit_matrix(tbits)) == n
-        assert not (pivots.flags.writeable or t.flags.writeable or w.flags.writeable)
+        assert not (pivots.flags.writeable or t.flags.writeable)
     assert singular > 150
 
 
@@ -526,7 +528,9 @@ def test_a_chase_on_either_side_of_the_int_loop_gives_the_dense_answers(monkeypa
         ts = [t.to_int() for t in targets]
         if c.a_inv is not None:
             ts = [chase.apply(dims, (c.a_inv,), t) for t in ts]
-        got = [c._solve_ints(ts), c._solve_words(ts)]
+        # each on a backend of its own, as a first solve
+        got = [chase._chase_on(dims, tuple(sorted(g.terms)), axis)[0]._solve_ints(ts),
+               chase._chase_on(dims, tuple(sorted(g.terms)), axis)[0]._solve_words(ts)]
         assert tuple(got[0][0]) == tuple(got[1][0]) == want_kernel
         assert got[0][1] == got[1][1]
 
@@ -640,8 +644,37 @@ def test_a_small_end_system_runs_on_int_rows(monkeypatch, fresh_matrices):
     assert calls == [("_echelon_rows", 49)]
 
 
+def test_a_first_int_chase_solve_runs_its_layer_loop_once(monkeypatch, fresh_matrices):
+    """7x11 sigma+:box, chased on ints along axis 1 (A = I): a first
+    solve steps each of the 11 layers once, lifts the kernel and the
+    solution in one pass and makes the kernel canonical once; a later
+    target on the kept factorization steps the layers once more, lifts
+    only its solution and takes no canonical form."""
+    g = GameSpec.preset("sigma+:box", GridShape((7, 11)))
+    m = adjacency_matrix(g)
+    ran = []
+    for name in ("_act", "_parities", "_canonical_kernel"):
+        def counted(*args, name=name, real=getattr(chase, name)):
+            ran.append(name)
+            return real(*args)
+        monkeypatch.setattr(chase, name, counted)
+    first = gf2.Elimination(m, [BitVector.ones(m.cols)])
+    backend = chase.factorizations.get(m._game)
+    assert isinstance(backend, chase._Chase) and backend.words is None
+    assert (backend.axis, backend.n, backend.a_inv, len(backend.kernel)) == (1, 11, None, 7)
+    assert ran == ["_act"] * 11 + ["_parities", "_canonical_kernel"]
+    image = m.mul_vec(BitVector.from_int(m.cols, 12345))
+    ran.clear()
+    later = gf2.Elimination(m, [image])
+    assert ran == ["_act"] * 11 + ["_parities"]
+    plain = _plain(m)
+    for e in (first, later):
+        assert e.kernel() == gf2.Elimination(plain).kernel()
+        assert e.solution() == gf2.Elimination(plain, e.targets).solution()
+
+
 @pytest.mark.parametrize("name,dims", [("sigma-:boxtimes", (50, 50)),
-                                       ("sigma-:boxtimes", (5, 5, 7))])
+                                       ("sigma-:boxtimes", (5, 5, 9))])
 def test_a_board_no_axis_qualifies_for_runs_the_dense_rref(monkeypatch, fresh_matrices,
                                                            name, dims):
     g = GameSpec.preset(name, GridShape(dims))
@@ -766,14 +799,20 @@ def random_games(draw):
             frozenset(tuple(t[i] for i in perm) for t in terms))
 
 
-def test_random_games_give_the_dense_answers_on_every_backend():
+def test_random_games_give_the_dense_answers_on_every_backend(monkeypatch):
     """Random custom games: every backend the pick takes gives the
     kernel and solution ints of a fresh dense elimination, for all-on,
     a random target and the image of a random vector, and every answer
     passes the witness and certificate checks of
-    :func:`.solver.achievable`.  Each of the five backends is reached:
-    the examples are derandomized, so every run draws the same ones."""
+    :func:`.solver.achievable`.  The same targets solved one after
+    another on the cached matrix, the first solve keeping the board's
+    factorization, give the same bytes, and a later target on a
+    product or a words chase eliminates nothing.  Each of the five
+    backends is reached: the examples are derandomized, so every run
+    draws the same ones."""
     reached = {name: 0 for name in _BACKENDS}
+    factored = {"_Product": 0, "_Chase": 0}
+    calls = _rref_calls(monkeypatch)
 
     # 400 examples of at most 600 cells: about 3 s, budget 60 s
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -781,6 +820,7 @@ def test_random_games_give_the_dense_answers_on_every_backend():
     def check(game, rng):
         dims, terms = game
         adjacency_matrix.cache_clear()
+        chase.factorizations.cache_clear()
         g = GameSpec(GridShape(dims), terms)
         m = adjacency_matrix(g)
         total = m.cols
@@ -795,6 +835,14 @@ def test_random_games_give_the_dense_answers_on_every_backend():
         # one format between layers: every answer is a Python int
         assert all(type(x) is int for x in [*kernel, *sols] if x is not None), where
         assert kernel == want_kernel and sols == want_sols, where
+        for j, t in enumerate(targets):
+            calls.clear()
+            e = gf2.Elimination(m, [t])
+            assert (e.kernel(), e._solutions) == (want_kernel, [want_sols[j]]), (where, j)
+            kept = chase.factorizations.get(m._game)
+            if j and (isinstance(kept, chase._Product) or getattr(kept, "words", None) is not None):
+                assert calls == [], (where, j)
+                factored[type(kept).__name__] += 1
         reports = [solver.achievable(g, t) for t in targets]
         assert [r.achievable for r in reports] == [x is not None for x in sols], where
         assert reports[2].achievable, where
@@ -803,4 +851,6 @@ def test_random_games_give_the_dense_answers_on_every_backend():
         check()
     finally:
         adjacency_matrix.cache_clear()
+        chase.factorizations.cache_clear()
     assert all(reached.values()), reached
+    assert all(factored.values()), factored

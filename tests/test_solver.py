@@ -52,7 +52,9 @@ def test_a_wrong_stored_kernel_is_caught(fresh_matrices):
     # the all-ones vector meets all-on and the centre's one-cell orbit
     # oddly, but M ones != 0 (a corner has 3 neighbours)
     assert not m.mul_vec(BitVector.ones(m.cols)).is_zero()
-    m._kernel = (BitVector.ones(m.cols).to_int(),)
+    # the kernel of the factorization kept for m, replaced
+    gf2.kernel_basis(m)
+    chase.factorizations.get(m._game).kernel = (BitVector.ones(m.cols).to_int(),)
     with pytest.raises(RuntimeError, match="M k = 0"):
         achievable(g, all_on(g.shape))
     with pytest.raises(RuntimeError, match="M k = 0"):
@@ -81,14 +83,14 @@ def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
     # the routine follows the system eliminated: 4x6 whole, on int rows;
     # the chased 12x12 boards' end systems of 12 cells by the chase on
     # ints itself (12 unit starts and one target fit one word); the
-    # 13x13x13 boards' end systems of 169 cells by Four Russians;
+    # 13x13x13 boards' end systems of 169 cells, tagged, on int rows too;
     # sigma+:boxtimes's one axis factor I + J, shared by every axis, is
     # invertible on 12 and 13 columns, so nothing is eliminated, and
     # singular on 11 (11 = 2 mod 3), where _axis_echelon eliminates it on
     # int rows itself
     boards = [(name, dims, [path]) for name in game.PRESET_NAMES
               for dims, path in (((4, 6), "_echelon_rows"), ((12, 12), "_echelon_rows"),
-                                 ((13, 13, 13), "_rref"))]
+                                 ((13, 13, 13), "_echelon_rows"))]
     boards.append(("sigma+:boxtimes", (11, 11), ["_echelon_rows"]))
     for name, dims, want in boards:
         g = preset(name, *dims)
