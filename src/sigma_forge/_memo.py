@@ -1,28 +1,24 @@
 """One byte-budgeted store for the per-axis factors and per-grid maps
-that boards share, and for each board's factorization.
+that boards share.
 
-``@memo`` caches a pure function of hashable positional arguments, and
-a :class:`Table` keeps values that are built outside one call, such as
-a board's factorization, which its first solve completes.  Every
-memoized function and every table keeps its values in its own dict,
-and one store charges each entry, when it is inserted, the bytes it
-holds: its value, read deeply (:func:`_sizeof`), its key and its dict
-slots.  Once the charges pass :data:`BUDGET_BYTES` the oldest entries,
-of any function or table, are dropped until they fit; a value larger
-than the budget is returned and not kept.  Values must not grow after
-insertion, as their charge is never read again.
+``@memo`` caches a pure function of hashable positional arguments.
+Every memoized function keeps its values in its own dict, and one
+store charges each entry, when it is inserted, the bytes it holds: its
+value, read deeply (:func:`_sizeof`), its key and its dict slots.  Once
+the charges pass :data:`BUDGET_BYTES` the oldest entries, of any
+function, are dropped until they fit; a value larger than the budget
+is returned and not kept.  Values must not grow after insertion, as
+their charge is never read again.
 
 A hit is one plain dict read: it takes no lock and reorders nothing,
 so the order of eviction is the order of insertion.  Inserts,
 evictions and ``cache_clear`` take the store's lock, so threads may
-share every memoized function and table.  ``cache_clear`` drops the
-function's or the table's own entries; ``__wrapped__`` is the uncached
-function.
+share every memoized function.  ``cache_clear`` drops the function's
+own entries; ``__wrapped__`` is the uncached function.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 import threading
 from collections import OrderedDict
@@ -58,24 +54,17 @@ def _sizeof(value) -> int:
     """The bytes ``value`` holds: its own size plus, for a tuple or a
     list, its items', for a numpy view, the bytes it views, and for an
     object with ``__slots__``, its slots'.  Shared small objects (None,
-    small ints) are counted too, so a charge errs high.  A container of
-    ints is summed by ``int.__sizeof__`` (an int is no GC object, so
-    that is its ``getsizeof``), with no Python call per item: on 214
-    row ints of 284 bits it takes 4 us against 26 us by ``getsizeof``."""
+    small ints) are counted too, so a charge errs high."""
     size = sys.getsizeof(value)
-    if type(value) is int or value is None:
-        return size
     if isinstance(value, (tuple, list)):
-        try:
-            return size + sum(map(int.__sizeof__, value))
-        except TypeError:
-            return size + sum(map(_sizeof, value))
+        # a sequence of row ints is summed without a Python call per item
+        if set(map(type, value)) <= {int}:
+            return size + sum(map(sys.getsizeof, value))
+        return size + sum(map(_sizeof, value))
     if isinstance(value, np.ndarray):
         return size if value.flags.owndata else size + value.nbytes
-    slots = getattr(type(value), "__slots__", None)
-    if slots is not None:
-        size += sum(map(_sizeof, map(getattr, itertools.repeat(value), slots,
-                                     itertools.repeat(None))))
+    if hasattr(type(value), "__slots__"):
+        size += sum(_sizeof(getattr(value, s, None)) for s in type(value).__slots__)
     return size
 
 
@@ -96,30 +85,6 @@ def _insert(cache: dict, key: tuple, value) -> None:
             _held -= old_charge
 
 
-def _clear(cache: dict) -> None:
-    """Drop the entries of one function's or table's dict."""
-    global _held
-    with _lock:
-        for k in [k for k in _charges if k[0] == id(cache)]:
-            _held -= _charges.pop(k)[1]
-        cache.clear()
-
-
-class Table:
-    """A dict of entries in the store: ``get(key, default=None)`` reads
-    one, ``insert(key, value)`` charges and keeps a value that is
-    complete (a value over the budget is not kept, and a key already
-    kept keeps its value), and ``cache_clear`` drops them all.  These
-    are set on each table, not on the class, so a scan of a module for
-    values with a ``cache_clear`` finds its tables and not the class."""
-
-    def __init__(self):
-        entries: dict = {}
-        self.get = entries.get
-        self.insert = functools.partial(_insert, entries)
-        self.cache_clear = functools.partial(_clear, entries)
-
-
 def memo(fn):
     """``fn`` memoized in the store, with ``cache_clear`` and
     ``__wrapped__``."""
@@ -134,5 +99,12 @@ def memo(fn):
             _insert(cache, args, value)
         return value
 
-    cached.cache_clear = functools.partial(_clear, cache)
+    def cache_clear() -> None:
+        global _held
+        with _lock:
+            for k in [k for k in _charges if k[0] == id(cache)]:
+                _held -= _charges.pop(k)[1]
+            cache.clear()
+
+    cached.cache_clear = cache_clear
     return cached

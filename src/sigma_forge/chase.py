@@ -133,20 +133,14 @@ factor (:func:`_inverse_mod`), a singular axis's (pivots, T, W)
 (:func:`_axis_echelon`) and the rows of f_i(J)
 (:func:`.poly2._path_poly_rows`), are kept by (n, f) in the one
 byte-budgeted store of :mod:`._memo` (``BUDGET_BYTES``, 64 MiB, oldest
-entries dropped first).  :func:`pick` builds a backend from them for a
-board's first elimination, and that backend is the board's
-factorization: its first solve completes it (the canonical kernel; a
-chase on words also keeps C's step, its unit starts' layers and the
-end system's echelon transform, so a later target chases only its own
-columns), and it is then kept in the same store
-(:data:`factorizations`, keyed by the game's dims and sorted terms),
-charged what it holds and evicted as any entry.  A later target asks
-it only for its solution: the words chase reads s' = T s off the kept
-transform, the int chase reruns its loop but skips the kernel lift and
-the canonical form, the product reduces the target only, and the dense
-backend eliminates [M | t] again.  The caches keyed by a whole game,
-:func:`kron_factors` and :func:`.game.adjacency_matrix`, are bounded
-by count, and their entries do not grow.
+entries dropped first).  :func:`pick` builds a backend from them for
+each elimination, and no backend keeps what a solve builds (a chase
+on words builds C for each run).  A later elimination of a matrix
+hands its backend the kernel stored on the matrix: the chase then
+lifts only the solutions and orders no kernel, and the product builds
+none.  The caches keyed by a whole game, :func:`kron_factors` and
+:func:`.game.adjacency_matrix`, are bounded by count: their entries
+do not grow, bar a game matrix's kernel.
 """
 from __future__ import annotations
 
@@ -159,7 +153,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import poly2
-from ._memo import Table, memo
+from ._memo import memo
 from .gf2 import (_STAGE_WORDS, _WORD, BitVector, _echelon_rows, _int_bits, _ints_to_words,
                   _kron_groups, _kron_row_sum, _kron_vec, _nwords, _pack_rows, _product,
                   _read_rows, _solve_rows, _spread, _unpack_words_2d, _words_to_ints)
@@ -241,16 +235,12 @@ class _Chase:
     ``c_polys`` is C as a sum of Kronecker products over the other axes,
     one per group of :func:`.gf2._kron_groups`, per product its per-axis
     polynomials (as in :func:`apply`), and ``a_inv`` holds the per-axis
-    factors g_i of A^-1 (1 on ``axis``), or is None when A = I.  The
-    first solve completes the factorization: it keeps the canonical
-    ``kernel`` and, when it ran on packed words, in ``words`` C's step
-    (its words and :func:`_gather_index`), the unit starts' layers and
-    the end system's echelon transform (pivots, T), which a later solve
-    reads without changing them.
+    factors g_i of A^-1 (1 on ``axis``), or is None when A = I.  A solve
+    on packed words builds C's words and its gather index
+    (:meth:`_c_words`) for that solve, and keeps neither.
     """
 
-    __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv", "kernel",
-                 "words")
+    __slots__ = ("dims", "axis", "n", "r", "inner", "others", "c_polys", "a_inv")
 
     def __init__(self, dims: Tuple[int, ...], axis: int, c_polys: list, a_inv: Optional[tuple]):
         self.dims = dims
@@ -262,30 +252,25 @@ class _Chase:
         self.inner = math.prod(dims[axis + 1:])
         self.c_polys = c_polys
         self.a_inv = a_inv
-        self.kernel = None
-        self.words = None
 
     # -- answers -------------------------------------------------------
 
-    def solve(self, ts: Sequence[int]):
+    def solve(self, ts: Sequence[int], kernel: Optional[tuple] = None):
         """(canonical kernel, solution or None per target) of the game
         matrix as ints, for the targets ``ts`` (grid ints), in the dense
-        RREF's canonical form (see :class:`.gf2.Elimination`).  A^-1 t
-        is applied on the whole grid by Horner's rule
-        (:func:`apply`).  A chase that kept its words factorization
-        chases only the targets' columns (:meth:`_solve_later`).
-        Otherwise, when the r unit starts and T targets fit one 64-bit
-        word the chase runs on ints (:meth:`_solve_ints`), else on
+        RREF's canonical form (see :class:`.gf2.Elimination`); a stored
+        canonical ``kernel`` is returned as it is, and no kernel vector
+        is lifted.  A^-1 t is applied on the whole grid by Horner's rule
+        (:func:`apply`).  When the r unit starts and T targets fit one
+        64-bit word the chase runs on ints (:meth:`_solve_ints`), else on
         packed words (:meth:`_solve_words`)."""
         if self.a_inv is not None:
             ts = [apply(self.dims, (self.a_inv,), t) for t in ts]
-        if self.words is not None:
-            return self.kernel, self._solve_later(ts)
         if self.r + len(ts) <= _WORD:
-            return self._solve_ints(ts)
-        return self._solve_words(ts)
+            return self._solve_ints(ts, kernel)
+        return self._solve_words(ts, kernel)
 
-    def _solve_ints(self, ts: Sequence[int]):
+    def _solve_ints(self, ts: Sequence[int], kernel: Optional[tuple]):
         """:meth:`solve` on Python ints.  A layer x_k is one int whose
         64-bit chunk i is the chased row of its cell i: bit j of the row
         is its coefficient of chased column j (unit start j, or target
@@ -294,10 +279,9 @@ class _Chase:
         by Horner's rule on 64-bit cells (:func:`_act`, its masks read
         once), so a step x_{k-1} = C x_k + x_{k+1} + (A^-1 t)_k is a few
         big-int operations.  The end system [P | s] is the rows of
-        x_{-1}, solved by :func:`.gf2._solve_rows`; the kernel, on the
-        first solve only, and the solutions are selections of chased
-        columns, all lifted to every cell in one pass
-        (:func:`_parities`)."""
+        x_{-1}, solved by :func:`.gf2._solve_rows`; the kernel and the
+        solutions are selections of chased columns, all lifted to every
+        cell in one pass (:func:`_parities`)."""
         r, n, total, ntargets = self.r, self.n, self.n * self.r, len(ts)
         # chunk k r + i holds bit r + j of target j's cell i of layer k
         sources = 0
@@ -313,32 +297,34 @@ class _Chase:
                       ^ int.from_bytes(sources[8 * k * r:8 * (k + 1) * r], "little")), x
             layers.append(x)
         end = memoryview(layers.pop().to_bytes(8 * r, sys.byteorder)).cast("Q").tolist()
-        kernel, xs = _solve_rows(end, r, ntargets)
-        if self.kernel is not None:
-            kernel = []
-        select = kernel + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
+        lifted, xs = _solve_rows(end, r, ntargets)
+        if kernel is not None:
+            lifted = []
+        select = lifted + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
         # every layer, x_0 first
         chunks = np.frombuffer(b"".join(x.to_bytes(8 * r, sys.byteorder)
                                         for x in reversed(layers)), dtype=np.uint64)
-        sols = self._answers(_parities(chunks, select).reshape(len(select), n, r), len(kernel), xs)
-        return self.kernel, sols
+        bits = _parities(chunks, select).reshape(len(select), n, r)
+        return self._answers(bits, len(lifted), xs, kernel)
 
-    def _answers(self, layers: np.ndarray, nkernel: int, xs: Sequence) -> list:
-        """The solution or None per target as ints, from the (q, n, r)
-        layer bits of the ``nkernel`` lifted kernel vectors of a first
-        solve, kept in ``kernel`` in canonical form, and then of the
-        solutions of the targets whose entry of ``xs`` is not None.  Off
-        the first axis a solution's free coordinates are cleared by the
-        canonical kernel."""
+    def _answers(self, layers: np.ndarray, nkernel: int, xs: Sequence,
+                 kernel: Optional[tuple]):
+        """(canonical kernel, solution or None per target) as ints, from
+        the (q, n, r) layer bits of the ``nkernel`` lifted kernel vectors
+        and then of the solutions of the targets whose entry of ``xs`` is
+        not None, packed once.  A stored ``kernel`` stands for the lifted
+        one (none is lifted then).  Off the first axis the lifted kernel
+        is made canonical, and a solution's free coordinates are cleared
+        by the canonical kernel (:func:`_free_cleared`)."""
         grid = self._grid(layers)
         if self.axis and nkernel:
-            self.kernel = tuple(_canonical_kernel(grid[:nkernel]))
+            kernel = _canonical_kernel(grid[:nkernel])
             grid, nkernel = grid[nkernel:], 0
         ints = _words_to_ints(_pack_rows(grid))
-        if self.kernel is None:
-            self.kernel = tuple(ints[:nkernel])
-        solved = iter(_free_cleared(x, self.kernel) if self.axis else x for x in ints[nkernel:])
-        return [None if x is None else next(solved) for x in xs]
+        if kernel is None:
+            kernel = ints[:nkernel]
+        solved = iter(_free_cleared(x, kernel) if self.axis else x for x in ints[nkernel:])
+        return kernel, [None if x is None else next(solved) for x in xs]
 
     def _layer_cells(self, t: int) -> bytes:
         """Grid int t as one byte 0 or 1 a cell, in layer order (byte
@@ -355,10 +341,10 @@ class _Chase:
 
     # -- packed words --------------------------------------------------
 
-    def _step(self):
+    def _c_words(self):
         """(C packed, its :func:`_gather_index` or None for a dense C,
-        whose steps go through Four Russians tables): one step of the
-        chase on words."""
+        whose steps go through Four Russians tables), built for one run
+        on words."""
         products = [[(n, poly2._path_poly_rows(n, f)) for n, f in zip(self.others, factors)]
                     for factors in self.c_polys]
         c = _ints_to_words(_kron_row_sum(products, self.r), self.r)
@@ -369,48 +355,46 @@ class _Chase:
         q, n, r, inner = layers.shape[0], self.n, self.r, self.inner
         return layers.reshape(q, n, r // inner, inner).transpose(0, 2, 1, 3).reshape(q, n * r)
 
-    def _sources(self, ts: Sequence[int], starts: int) -> np.ndarray:
+    def _sources(self, ts: Sequence[int]) -> np.ndarray:
         """t_k for every layer k and each of the T targets ``ts`` (grid
         ints, A^-1 already applied), packed as (n, r, w) words that line
-        up with the words of a chased row from word starts // 64 on, so
-        that target j lands in column starts + j."""
+        up with the words of a chased row from word r // 64 on, so that
+        target j lands in column r + j."""
         n, r = self.n, self.r
-        pad = starts & 63
+        pad = r & 63
         bits = np.zeros((n, r, pad + len(ts)), dtype=np.uint8)
         for j, t in enumerate(ts):
             bits[:, :, pad + j] = np.frombuffer(self._layer_cells(t), dtype=np.uint8).reshape(n, r)
         return _pack_rows(bits)
 
-    def run(self, step, ts: Sequence[int], starts: int):
-        """Chase ``starts`` columns, the r unit starts of the last layer
-        or none, and one affine column per target of ``ts`` (grid ints,
-        A^-1 already applied) on packed words, by C's ``step``
-        (:meth:`_step`).  Returns the rows of x_{-1} as packed words,
-        [P | s] with target j at bit starts + j, and the packed layers
-        x_0 .. x_{n-1}, for :meth:`lift`."""
-        r, n = self.r, self.n
-        c, gather = step
-        width = _nwords(starts + len(ts))
+    def run(self, ts: Sequence[int]):
+        """Chase the r unit starts of the last layer and one affine column
+        per target of ``ts`` (grid ints, A^-1 already applied) on packed
+        words: r + T chased columns.  Returns the rows of x_{-1} as
+        packed words, [P | s] with target j at bit r + j, and the packed
+        layers x_0 .. x_{n-1}, for :meth:`lift`."""
+        r, n, ntargets = self.r, self.n, len(ts)
+        c, gather = self._c_words()
+        width = _nwords(r + ntargets)
         # buf[k + 1] holds x_k, with an all-zero row after its r rows
         buf = np.zeros((n + 2, r + 1, width), dtype=np.uint64)
-        if starts:
-            idx = np.arange(r)
-            buf[n, idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-        sources = self._sources(ts, starts) if ts else None
+        idx = np.arange(r)
+        buf[n, idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+        sources = self._sources(ts) if ntargets else None
         flat = buf.reshape((n + 2) * (r + 1), width)
         if gather is not None:
-            chunk = max(1, _STAGE_WORDS // (gather.shape[1] * width))
+            step = max(1, _STAGE_WORDS // (gather.shape[1] * width))
         for k in range(n - 1, -1, -1):
             # x_{k-1} = C x_k + x_{k+1}
             if gather is None:
                 np.bitwise_xor(_product(c, r, buf[k + 1, :r]), buf[k + 2, :r], out=buf[k, :r])
             else:
                 block, out = flat[(k + 1) * (r + 1):(k + 3) * (r + 1)], buf[k, :r]
-                for i in range(0, r, chunk):
-                    np.bitwise_xor.reduce(np.take(block, gather[i:i + chunk], axis=0), axis=1,
-                                          out=out[i:i + chunk])
+                for i in range(0, r, step):
+                    np.bitwise_xor.reduce(np.take(block, gather[i:i + step], axis=0), axis=1,
+                                          out=out[i:i + step])
             if sources is not None:
-                buf[k, :r, starts >> 6:] ^= sources[k]
+                buf[k, :r, r >> 6:] ^= sources[k]
         return buf[0, :r], buf[1:n + 1, :r]
 
     def lift(self, layers: np.ndarray, select: Sequence[int], ncols: int) -> np.ndarray:
@@ -425,58 +409,17 @@ class _Chase:
                           _pack_rows(np.ascontiguousarray(picks.T)))
         return _unpack_words_2d(picked, q).reshape(n, r, q).transpose(2, 0, 1)
 
-    def _solve_words(self, ts: Sequence[int]):
-        """:meth:`solve` on packed words (:meth:`run`, :meth:`lift`).
-        The end system is eliminated with its rows tagged, and a first
-        solve keeps, in ``words``, C's step, the unit starts' layers
-        (their words past r cleared) and the echelon transform."""
+    def _solve_words(self, ts: Sequence[int], kernel: Optional[tuple]):
+        """:meth:`solve` on packed words (:meth:`run`, :meth:`lift`)."""
         r, ntargets = self.r, len(ts)
-        step = self._step()
-        end, layers = self.run(step, ts, r)
-        tag = r + ntargets
-        rows = [v | 1 << (tag + i) for i, v in enumerate(_words_to_ints(end))]
-        kernel, xs, echelon = _solve_rows(rows, r, ntargets, tagged=True)
-        first = self.kernel is None
-        if not first:
-            kernel = []
+        end, layers = self.run(ts)
+        lifted, xs = _solve_rows(_words_to_ints(end), r, ntargets)
+        if kernel is not None:
+            lifted = []
         # a grid vector sums the unit starts its last layer selects, plus
         # its target's affine column
-        select = kernel + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
-        sols = self._answers(self.lift(layers, select, r + ntargets), len(kernel), xs)
-        if first:
-            units = np.array(layers[:, :, :_nwords(r)])
-            if r & 63:
-                units[:, :, -1] &= np.uint64((1 << (r & 63)) - 1)
-            self.words = step, units, echelon
-        return self.kernel, sols
-
-    def _solve_later(self, ts: Sequence[int]) -> list:
-        """Solutions for later targets from the words factorization: only
-        the targets' own columns are chased, from zero last layers; the
-        kept transform T reduces each end column s, and T s gives its
-        last layer w, or None; its grid solution is the lift of w
-        through the kept unit starts' layers plus its affine column."""
-        if not ts:
-            return []
-        step, units, (pivots, transform) = self.words
-        r, n, ntargets = self.r, self.n, len(ts)
-        end, layers = self.run(step, ts, 0)
-        rank = len(pivots)
-        xs = []
-        for s in _words_to_ints(_pack_rows(np.ascontiguousarray(_unpack_words_2d(end, ntargets).T))):
-            w = 0
-            for i, row in enumerate(transform):
-                if (row & s).bit_count() & 1:
-                    if i >= rank:
-                        w = None
-                        break
-                    w |= 1 << pivots[i]
-            xs.append(w)
-        # the unit starts' words, then the targets' affine columns
-        shift = units.shape[2] * _WORD
-        both = np.concatenate((units, layers), axis=2)
-        select = [1 << (shift + j) | w for j, w in enumerate(xs) if w is not None]
-        return self._answers(self.lift(both, select, shift + ntargets), 0, xs)
+        select = lifted + [1 << (r + j) | x for j, x in enumerate(xs) if x is not None]
+        return self._answers(self.lift(layers, select, r + ntargets), len(lifted), xs, kernel)
 
 
 def _free_cleared(x: int, kernel: Sequence[int]) -> int:
@@ -622,14 +565,14 @@ def _mode_product(t: np.ndarray, axis: int, words: np.ndarray) -> np.ndarray:
 @memo
 def _axis_echelon(n: int, f: int):
     """(pivots, T, W) of a singular U = f(J_n) (f not prime to Q_n): the
-    pivot columns, read-only, as boards that share an axis share them;
-    T packed n x n, read-only too; and W, a tuple of n row ints.  T is
-    invertible and T U is the RREF of U, row c of W is the pivot part of
-    the canonical kernel vector of free column c, and W[p] = e_p for a
-    pivot p.  :func:`.gf2._echelon_rows` eliminates U on int rows, row i
-    tagged with bit n + i, so the tags the rows end with are the rows of
-    T; every step is a row operation, so T is invertible.  The kernel is
-    read off the reduced rows by :func:`.gf2._read_rows`."""
+    pivot columns and T, packed n x n, both read-only, as boards that
+    share an axis share them, and W, a tuple of n row ints.  T is
+    invertible and T U is the RREF of U, row c of W is the pivot part
+    of the canonical kernel vector of free column c, and W[p] = e_p for
+    a pivot p.  :func:`.gf2._echelon_rows` eliminates U on int rows, row
+    i tagged with bit n + i, so the tags the rows end with are the rows
+    of T; every step is a row operation, so T is invertible.  The kernel
+    is read off the reduced rows by :func:`.gf2._read_rows`."""
     rows = poly2._path_poly_rows(n, f)
     pivots, rows = _echelon_rows((u | 1 << (n + i) for i, u in enumerate(rows)), n)
     t = [v >> n for v in rows]
@@ -652,17 +595,14 @@ class _Product:
     ``inverse`` holds, per axis, the inverse g_i of f_i mod Q_{n_i} where
     U_i is invertible and 1 elsewhere, or is None when that is 1 on
     every axis.  A singular U_i has the T_i (packed) and W_i (row ints)
-    of :func:`_axis_echelon` in ``transforms[i]`` and ``parts[i]``;
-    both are None on an invertible axis, whose T_i is g_i(J) and W_i =
-    I.  The first solve keeps the canonical ``kernel``, built once from
-    the W_i; a later one only reduces its targets.
+    of :func:`_axis_echelon` in ``transforms[i]`` and ``parts[i]``; both
+    are None on an invertible axis, whose T_i is g_i(J) and W_i = I.
     """
 
-    __slots__ = ("dims", "pivots", "inverse", "transforms", "parts", "kernel")
+    __slots__ = ("dims", "pivots", "inverse", "transforms", "parts")
 
     def __init__(self, dims: Tuple[int, ...], factors: Sequence[int]):
         self.dims = dims
-        self.kernel = None
         self.pivots, self.transforms, self.parts, inverse = [], [], [], []
         for n, f in zip(dims, factors):
             g = _inverse_mod(f, poly2.chebyshev_q(n).value)
@@ -673,12 +613,13 @@ class _Product:
             inverse.append(1 if g is None else g)
         self.inverse = tuple(inverse) if any(g != 1 for g in inverse) else None
 
-    def solve(self, ts: Sequence[int]):
+    def solve(self, ts: Sequence[int], kernel: Optional[tuple] = None):
         """(canonical kernel, solution or None per target) of the game
         matrix as ints, for the targets ``ts`` (grid ints), in the dense
-        RREF's canonical form (see :class:`.gf2.Elimination`)."""
-        if self.kernel is None:
-            self.kernel = self._kernel()
+        RREF's canonical form (see :class:`.gf2.Elimination`); the kernel
+        is built (:meth:`_kernel`) unless a stored one is given."""
+        if kernel is None:
+            kernel = self._kernel()
         dims, ntargets, total = self.dims, len(ts), math.prod(self.dims)
         # t' = (T_1 (x) ... (x) T_d) t: Horner's rule on the grid applies
         # every invertible axis's g_i(J) at once
@@ -686,8 +627,8 @@ class _Product:
             ts = [apply(dims, (self.inverse,), t) for t in ts]
         singular = [i for i, t in enumerate(self.transforms) if t is not None]
         if not singular or not ntargets:
-            # M is invertible: no kernel, and x = t'
-            return self.kernel, list(ts)
+            # M is invertible, and x = t', or there is no target
+            return kernel, list(ts)
         # a singular axis's T_i, one mode product each
         t = _int_bits(ts, total).reshape((ntargets,) + dims)
         for i in singular:
@@ -701,9 +642,9 @@ class _Product:
         t[lead] = 0
         bad = t.reshape(ntargets, total).any(axis=1)
         xs = _words_to_ints(_pack_rows(x.reshape(ntargets, total)))
-        return self.kernel, [None if bad[j] else xs[j] for j in range(ntargets)]
+        return kernel, [None if bad[j] else xs[j] for j in range(ntargets)]
 
-    def _kernel(self) -> tuple:
+    def _kernel(self) -> list:
         """The canonical kernel: free column c has some c_i free, and its
         kernel vector is e_c + W_1[c_1] (x) ... (x) W_d[c_d].  The rows
         are built from the last axis up, each spread to its axis's
@@ -711,9 +652,12 @@ class _Product:
         the free columns of the axes so far are kept with their
         products, which a pivot c_i extends, and every row of those axes
         is kept too, which a free c_i extends.  W_i[c_i] has no bit c_i
-        at a free c_i, so no product has bit c."""
+        at a free c_i, so no product has bit c.  Building only these
+        rows, not all of W_1 (x) ... (x) W_d, takes about 0.1 ms against
+        0.76 ms on 50x50 sigma+:boxtimes (99 of 2,500 rows; best of 50,
+        2-vCPU Xeon)."""
         if all(w is None for w in self.parts):
-            return ()
+            return []
         width, rows, free = 1, [1], []
         for i in range(len(self.dims) - 1, -1, -1):
             n, w = self.dims[i], self.parts[i]
@@ -727,7 +671,7 @@ class _Product:
             if i:
                 rows = [v * u for v in w for u in rows]
             width *= n
-        return tuple(u | 1 << c for c, u in free)
+        return [u | 1 << c for c, u in free]
 
 
 def _chase_on(dims: Tuple[int, ...], terms: Tuple[tuple, ...], axis: int):
@@ -777,9 +721,9 @@ def _pick(dims: Tuple[int, ...], terms: Tuple[tuple, ...]):
 
 
 def pick(m) -> Union[_Product, _Chase, None]:
-    """A new product backend or chase for a game matrix m (its ``_game``
-    slot set), or None for the dense backend; one DEBUG line names the
-    choice."""
+    """The product backend or the chase for a game matrix m (its
+    ``_game`` slot set), or None for the dense backend; one DEBUG line
+    names the choice."""
     dims, terms = m._game
     shape = "x".join(map(str, dims))
     if m.cols < _MIN_CELLS:
@@ -788,28 +732,9 @@ def pick(m) -> Union[_Product, _Chase, None]:
     backend, why = _pick(dims, terms)
     if backend is None:
         _log.debug("dense elimination of %s: %s", shape, why)
+    elif isinstance(backend, _Product):
+        _log.debug("product of %s: axis ranks %s", shape,
+                   ", ".join(str(p.size) for p in backend.pivots))
     else:
-        _log.debug("%s", _describe(dims, backend))
+        _log.debug("chase of %s along axis %d: r = %d", shape, backend.axis, backend.r)
     return backend
-
-
-def _describe(dims: Tuple[int, ...], backend) -> str:
-    """The backend of a game on ``dims``, as the DEBUG lines name it."""
-    shape = "x".join(map(str, dims))
-    if isinstance(backend, _Product):
-        return f"product of {shape}: axis ranks " + ", ".join(str(p.size) for p in backend.pivots)
-    if isinstance(backend, _Chase):
-        return f"chase of {shape} along axis {backend.axis}: r = {backend.r}"
-    return f"dense elimination of {shape}"
-
-
-def log_stored(dims: Tuple[int, ...], backend) -> None:
-    """One DEBUG line naming the stored factorization a solve reuses."""
-    _log.debug("stored %s", _describe(dims, backend))
-
-
-# each game matrix's factorization, keyed by its game (dims, sorted
-# terms): the backend its first elimination picked and completed
-# (:class:`.gf2.Elimination`), charged to the byte-budgeted store and
-# evicted from it as any entry
-factorizations = Table()

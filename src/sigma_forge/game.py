@@ -130,9 +130,7 @@ def adjacency_matrix(g: GameSpec) -> BitMatrix:
 
     The matrix holds the game's dims and terms in ``_game`` and builds
     its rows and words from them on each read, keeping neither, so the
-    count bound holds: a cached matrix gains nothing, as its board's
-    factorization is kept in the byte-budgeted store
-    (:data:`.chase.factorizations`).  An
+    count bound holds: a cached matrix gains only its kernel.  An
     elimination may chase it or solve it axis by axis (:mod:`.chase`),
     and its mat-vec and diagonal are read from the game, so a board
     that is not eliminated whole never builds its rows."""

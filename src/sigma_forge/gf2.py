@@ -51,13 +51,15 @@ of the exponents plus the missing monomials, or one product per term,
 whichever is fewer.  The game matrix and the multiplication operator
 both read it.
 
-Every elimination extracts the kernel, and the first one stores the
+The first elimination of a matrix extracts the kernel and stores the
 basis, a tuple of ints, in the matrix's write-once ``_kernel`` slot (the
 kernel vectors only, never the reduced rows).  Later rank, kernel and
 certificate queries on the same object read it instead of eliminating
-again.  It is the only state a matrix gains after construction.  The
-basis is a function of the matrix alone, so two threads that race on
-the slot write equal values and either write may stand.
+again, and a later target hands it to its backend, which then solves
+for the target only (see :class:`Elimination`).  It is the only state
+a matrix gains after construction.  The basis is a function of the
+matrix alone, so two threads that race on the slot write equal values
+and either write may stand.
 """
 from __future__ import annotations
 
@@ -431,12 +433,12 @@ class BitMatrix:
 
 # up to this size an elimination runs on plain int bitsets: the numpy
 # dispatch overhead beats the vectorization gain for small systems.
-# Best of 25 on a 2-vCPU Xeon, int rows against Four Russians in ms:
-# the words chase's end systems with their rows tagged, r = 169 (13x13x13
-# sigma+:box / sigma-:box) 0.85 / 0.89 against 1.06 / 1.23, r = 176-196
-# 0.81-1.55 against 1.40-2.84; dense sigma-:boxtimes systems of 143-256
-# columns 0.39-1.03 against 1.13-1.90; from r = 204 up, end systems lose
-# as often as they win (12x17x17 sigma+:box 3.9 against 2.7)
+# Best of 25 on a 2-vCPU Xeon, int rows against Four Russians in ms,
+# all-on: the chase's end systems of r = 169-196 (13x13x13 to 14x14x14
+# sigma+:box and sigma-:box) 0.55-0.99 against 0.82-1.54; dense
+# sigma-:boxtimes systems of 143-256 columns 0.41-1.18 against
+# 1.17-1.96; from r = 204 up, end systems lose as often as they win
+# (12x17x17 sigma+:box 2.5 against 1.7)
 _INT_PATH_MAX = 200
 
 
@@ -474,16 +476,13 @@ class Elimination:
       matrix: its int rows with the targets tagged on, solved on int
       rows or by Four Russians by its size (:func:`_solve_rows`).
 
-    Each backend is m's factorization: its first solve completes it
-    (the kernel, and what it reuses for later targets), and it is then
-    kept and asked only for later targets' solutions.  A game matrix
-    keeps nothing: its factorization is kept in the byte-budgeted
-    store (:data:`.chase.factorizations`), keyed by its game, and may
-    be evicted.  Any other matrix keeps only its kernel, in
-    ``_kernel``, which is all that the dense backend reuses.
+    The kernel is stored on m, as a tuple of ints, by the elimination
+    that finds it first.  A later elimination hands it to the backend,
+    so the chase lifts and orders no kernel and the product builds
+    none; the dense backend finds it again in the RREF of [m | t].
     """
 
-    __slots__ = ("m", "targets", "_solutions", "_kernel")
+    __slots__ = ("m", "targets", "_solutions")
 
     def __init__(self, m: BitMatrix, targets: Sequence[BitVector] = ()):
         self.m = m
@@ -491,25 +490,15 @@ class Elimination:
         for j, t in enumerate(self.targets):
             if t.n != m.rows:
                 raise ValueError(f"target {j} has length {t.n} != rows {m.rows}")
-        ts = [t.to_int() for t in self.targets]
-        backend = _stored(m)
-        if backend is None:
-            backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
-            self._solutions = backend.solve(ts)[1]
-            if m._game is None:
-                m._kernel = backend.kernel
-            else:
-                _chase.factorizations.insert(m._game, backend)
-        else:
-            if m._game is not None:
-                _chase.log_stored(m._game[0], backend)
-            self._solutions = backend.solve(ts)[1] if ts else []
-        self._kernel = backend.kernel
+        backend = (_chase.pick(m) if m._game is not None else None) or _Dense(m)
+        kernel, self._solutions = backend.solve([t.to_int() for t in self.targets], m._kernel)
+        if m._kernel is None:
+            m._kernel = tuple(kernel)
 
     def kernel(self) -> tuple:
         """Basis of {x : m x = 0}, one int per vector, in RREF order, as
-        m's factorization keeps it."""
-        return self._kernel
+        stored on m."""
+        return self.m._kernel
 
     def consistent(self) -> list:
         """Per target, whether it lies in the column space of m."""
@@ -532,63 +521,40 @@ class Elimination:
         return _first_not_orthogonal(self.m.cols, self.kernel(), self.targets[j])
 
 
-def _stored(m: BitMatrix):
-    """m's factorization kept by an earlier elimination, or None: a game
-    matrix's from the store, any other's a dense backend holding the
-    kernel stored on m."""
-    if m._game is not None:
-        return _chase.factorizations.get(m._game)
-    return None if m._kernel is None else _Dense(m, m._kernel)
-
-
 class _Dense:
     """The dense backend: the RREF of m's int rows with the targets
-    tagged on (:func:`_solve_rows`).  It keeps its kernel, and a later
-    target eliminates [m | t] again."""
+    tagged on (:func:`_solve_rows`)."""
 
-    __slots__ = ("m", "kernel")
+    __slots__ = ("m",)
 
-    def __init__(self, m: BitMatrix, kernel: Optional[tuple] = None):
+    def __init__(self, m: BitMatrix):
         self.m = m
-        self.kernel = kernel
 
-    def solve(self, ts: Sequence[int]):
+    def solve(self, ts: Sequence[int], kernel: Optional[tuple] = None):
         """(kernel, solution or None per target) of m as ints, for the
         targets ``ts`` (ints, bit i for row i): target j is set at bit
-        cols + j of the rows it has.  The first solve keeps the kernel."""
+        cols + j of the rows it has.  A stored ``kernel`` is not read:
+        the RREF finds it anyway."""
         rows, ncols = self.m.row_ints(), self.m.cols
         for j, t in enumerate(ts):
             while t:
                 low = t & -t
                 rows[low.bit_length() - 1] |= 1 << (ncols + j)
                 t ^= low
-        kernel, xs = _solve_rows(rows, ncols, len(ts))
-        if self.kernel is None:
-            self.kernel = tuple(kernel)
-        return self.kernel, xs
+        return _solve_rows(rows, ncols, len(ts))
 
 
-def _solve_rows(rows: list, ncols: int, ntargets: int, tagged: bool = False):
+def _solve_rows(rows: list, ncols: int, ntargets: int):
     """(kernel, solution or None per target) as ints, of the RREF of the
     first ``ncols`` bits of int rows that carry target j at bit ncols +
     j; this is where the routine is picked by size.  A system of at most
     ``_INT_PATH_MAX`` rows and columns is eliminated by
     :func:`_echelon_rows` and read by :func:`_read_rows`.  A larger one
     is packed once, eliminated by Four Russians (:func:`_rref`) and read
-    off the reduced words.
-
-    ``tagged`` rows carry bit ncols + ntargets + i on row i, and a third
-    value is returned, the echelon transform (pivots, T): T holds the
-    tags of the reduced rows, pivot rows first in pivot order, so T s
-    reduces any later target column s: it is consistent iff T s
-    vanishes past the rank, and then the pivots of its set bits below
-    the rank are its solution (free variables zero)."""
-    shift = ncols + ntargets
+    off the reduced words."""
     if len(rows) <= _INT_PATH_MAX and ncols <= _INT_PATH_MAX:
-        pivots, reduced = _echelon_rows(rows, ncols)
-        answers = _read_rows(pivots, reduced, ncols, ntargets)
-        return answers + ((pivots, [v >> shift for v in reduced]),) if tagged else answers
-    words = _ints_to_words(rows, shift + len(rows) * tagged).copy()
+        return _read_rows(*_echelon_rows(rows, ncols), ncols, ntargets)
+    words = _ints_to_words(rows, ncols + ntargets).copy()
     pivots = _rref(words, ncols)
     rank = len(pivots)
     piv = np.asarray(pivots, dtype=np.intp)
@@ -609,10 +575,7 @@ def _solve_rows(rows: list, ncols: int, ntargets: int, tagged: bool = False):
     xbits[:, piv] = rhs[:rank].T
     bad = rhs[rank:].any(axis=0)
     xs = _words_to_ints(_pack_rows(xbits))
-    answers = (_words_to_ints(_pack_rows(bits)), [None if bad[j] else xs[j] for j in range(ntargets)])
-    if tagged:
-        answers += ((pivots, [v >> shift for v in _words_to_ints(words)]),)
-    return answers
+    return _words_to_ints(_pack_rows(bits)), [None if bad[j] else xs[j] for j in range(ntargets)]
 
 
 def _read_rows(pivots: list, rows: list, ncols: int, ntargets: int):
@@ -851,15 +814,14 @@ def _echelon_rows(rows: Iterable[int], ncols: int):
 
 
 def _kernel_of(m: BitMatrix) -> tuple:
-    """m's kernel basis as ints, read off its kept factorization; m is
-    eliminated only if none is kept."""
-    backend = _stored(m)
-    return Elimination(m).kernel() if backend is None else backend.kernel
+    """m's kernel basis as ints; m is eliminated only if no earlier
+    query stored it."""
+    return Elimination(m).kernel() if m._kernel is None else m._kernel
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank, as cols minus the nullity; it reads the kernel of m's
-    kept factorization, and an elimination of m keeps one."""
+    """GF(2) rank, as cols minus the nullity; it reads the kernel stored
+    on m, and an elimination of m stores it."""
     return m.cols - len(_kernel_of(m))
 
 
@@ -867,8 +829,7 @@ def kernel_basis(m: BitMatrix) -> list:
     """Basis of the right kernel {x : m x = 0}, deterministic ordering.
 
     m is eliminated at most once for all kernel, rank and certificate
-    queries while its factorization is kept; each call returns a new
-    list.
+    queries; each call returns a new list.
     """
     return [BitVector._of(m.cols, k) for k in _kernel_of(m)]
 
@@ -886,13 +847,12 @@ def solve_with_certificate(m: BitMatrix, b: BitVector):
     the image, the first such vector of :func:`kernel_basis`.  For a
     non-symmetric m an infeasible system yields (None, None).
 
-    For a symmetric m the kernel of its kept factorization answers a b
-    outside the image without a solve; otherwise m's factorization
-    solves [m | b], and the first elimination of m keeps it.
+    For a symmetric m the kernel stored on m answers a b outside the
+    image without an elimination; otherwise [m | b] is eliminated and
+    the kernel is stored on m for later queries.
     """
-    backend = _stored(m) if m.symmetric and b.n == m.rows else None
-    if backend is not None:
-        k = _first_not_orthogonal(m.cols, backend.kernel, b)
+    if m.symmetric and m._kernel is not None and b.n == m.rows:
+        k = _first_not_orthogonal(m.cols, m._kernel, b)
         if k is not None:
             return None, k
     e = Elimination(m, [b])

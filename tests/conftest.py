@@ -6,12 +6,11 @@ from sigma_forge.game import adjacency_matrix
 
 @pytest.fixture
 def fresh_matrices():
-    """Empty the adjacency, axis-echelon and factorization caches around
-    a test, so its boards keep no factorization yet and a product game
-    eliminates its axis factors again."""
-    caches = (adjacency_matrix, chase._axis_echelon, chase.factorizations)
-    for cache in caches:
-        cache.cache_clear()
+    """Empty the adjacency and axis-echelon caches around a test, so its
+    matrices hold no stored kernel yet and a product game eliminates its
+    axis factors again."""
+    adjacency_matrix.cache_clear()
+    chase._axis_echelon.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    adjacency_matrix.cache_clear()
+    chase._axis_echelon.cache_clear()

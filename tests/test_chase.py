@@ -503,7 +503,9 @@ def test_a_chase_on_either_side_of_the_int_loop_gives_the_dense_answers(monkeypa
     """A chase whose r unit starts and T targets fit one word (r + T <=
     64) runs on ints from start to finish, any other on packed words;
     the routine that runs gives the dense RREF's answers, and where the
-    rows fit one word the routine on words gives the same bytes."""
+    rows fit one word the routine on words gives the same bytes.  Handed
+    the canonical kernel, as a later target is, either routine returns
+    it and the same solutions."""
     shape = GridShape(dims)
     g = parse_game(name, shape)
     rng = random.Random(15)
@@ -513,9 +515,9 @@ def test_a_chase_on_either_side_of_the_int_loop_gives_the_dense_answers(monkeypa
     c, _ = chase._chase_on(dims, tuple(sorted(g.terms)), axis)
     ran = []
     for path in ("_solve_ints", "_solve_words"):
-        def counted(self, ts, path=path, real=getattr(chase._Chase, path)):
+        def counted(self, ts, kernel, path=path, real=getattr(chase._Chase, path)):
             ran.append((path, len(ts)))
-            return real(self, ts)
+            return real(self, ts, kernel)
         monkeypatch.setattr(chase._Chase, path, counted)
     kernel, sols = c.solve([t.to_int() for t in targets])
     path = "_solve_ints" if c.r + ntargets <= 64 else "_solve_words"
@@ -524,15 +526,15 @@ def test_a_chase_on_either_side_of_the_int_loop_gives_the_dense_answers(monkeypa
     xs = [None if s is None else BitVector._of(total, s) for s in sols]
     rank, want_kernel, want_xs, _ = _dense_answers(g, targets)
     assert (total - len(kernel), tuple(kernel), xs) == (rank, want_kernel, want_xs)
+    ts = [t.to_int() for t in targets]
+    if c.a_inv is not None:
+        ts = [chase.apply(dims, (c.a_inv,), t) for t in ts]
     if path == "_solve_ints":
-        ts = [t.to_int() for t in targets]
-        if c.a_inv is not None:
-            ts = [chase.apply(dims, (c.a_inv,), t) for t in ts]
-        # each on a backend of its own, as a first solve
-        got = [chase._chase_on(dims, tuple(sorted(g.terms)), axis)[0]._solve_ints(ts),
-               chase._chase_on(dims, tuple(sorted(g.terms)), axis)[0]._solve_words(ts)]
+        got = [c._solve_ints(ts, None), c._solve_words(ts, None)]
         assert tuple(got[0][0]) == tuple(got[1][0]) == want_kernel
         assert got[0][1] == got[1][1]
+    for later in (c._solve_words, c._solve_ints) if path == "_solve_ints" else (c._solve_words,):
+        assert later(ts, want_kernel) == (want_kernel, sols)
 
 
 _BENCH_BOARDS = [("sigma-:boxtimes", "49x49"), ("sigma+:boxtimes", "50x50"),
@@ -648,10 +650,13 @@ def test_a_first_int_chase_solve_runs_its_layer_loop_once(monkeypatch, fresh_mat
     """7x11 sigma+:box, chased on ints along axis 1 (A = I): a first
     solve steps each of the 11 layers once, lifts the kernel and the
     solution in one pass and makes the kernel canonical once; a later
-    target on the kept factorization steps the layers once more, lifts
-    only its solution and takes no canonical form."""
+    target, handed the kernel stored on m, steps the layers once more,
+    lifts only its solution and takes no canonical form."""
     g = GameSpec.preset("sigma+:box", GridShape((7, 11)))
     m = adjacency_matrix(g)
+    backend = chase.pick(m)
+    assert isinstance(backend, chase._Chase)
+    assert (backend.axis, backend.n, backend.a_inv) == (1, 11, None)
     ran = []
     for name in ("_act", "_parities", "_canonical_kernel"):
         def counted(*args, name=name, real=getattr(chase, name)):
@@ -659,10 +664,8 @@ def test_a_first_int_chase_solve_runs_its_layer_loop_once(monkeypatch, fresh_mat
             return real(*args)
         monkeypatch.setattr(chase, name, counted)
     first = gf2.Elimination(m, [BitVector.ones(m.cols)])
-    backend = chase.factorizations.get(m._game)
-    assert isinstance(backend, chase._Chase) and backend.words is None
-    assert (backend.axis, backend.n, backend.a_inv, len(backend.kernel)) == (1, 11, None, 7)
     assert ran == ["_act"] * 11 + ["_parities", "_canonical_kernel"]
+    assert len(m._kernel) == 7
     image = m.mul_vec(BitVector.from_int(m.cols, 12345))
     ran.clear()
     later = gf2.Elimination(m, [image])
@@ -805,13 +808,12 @@ def test_random_games_give_the_dense_answers_on_every_backend(monkeypatch):
     a random target and the image of a random vector, and every answer
     passes the witness and certificate checks of
     :func:`.solver.achievable`.  The same targets solved one after
-    another on the cached matrix, the first solve keeping the board's
-    factorization, give the same bytes, and a later target on a
-    product or a words chase eliminates nothing.  Each of the five
-    backends is reached: the examples are derandomized, so every run
-    draws the same ones."""
+    another on the cached matrix, each later one handed the kernel the
+    first stored, give the same bytes, and a later target on a product
+    eliminates nothing.  Each of the five backends is reached: the
+    examples are derandomized, so every run draws the same ones."""
     reached = {name: 0 for name in _BACKENDS}
-    factored = {"_Product": 0, "_Chase": 0}
+    later_products = []
     calls = _rref_calls(monkeypatch)
 
     # 400 examples of at most 600 cells: about 3 s, budget 60 s
@@ -820,7 +822,6 @@ def test_random_games_give_the_dense_answers_on_every_backend(monkeypatch):
     def check(game, rng):
         dims, terms = game
         adjacency_matrix.cache_clear()
-        chase.factorizations.cache_clear()
         g = GameSpec(GridShape(dims), terms)
         m = adjacency_matrix(g)
         total = m.cols
@@ -836,13 +837,13 @@ def test_random_games_give_the_dense_answers_on_every_backend(monkeypatch):
         assert all(type(x) is int for x in [*kernel, *sols] if x is not None), where
         assert kernel == want_kernel and sols == want_sols, where
         for j, t in enumerate(targets):
+            assert (m._kernel is None) == (j == 0), (where, j)
             calls.clear()
             e = gf2.Elimination(m, [t])
-            assert (e.kernel(), e._solutions) == (want_kernel, [want_sols[j]]), (where, j)
-            kept = chase.factorizations.get(m._game)
-            if j and (isinstance(kept, chase._Product) or getattr(kept, "words", None) is not None):
+            assert (e.kernel(), e._solutions) == (tuple(want_kernel), [want_sols[j]]), (where, j)
+            if j and backend == "product":
                 assert calls == [], (where, j)
-                factored[type(kept).__name__] += 1
+                later_products.append(where)
         reports = [solver.achievable(g, t) for t in targets]
         assert [r.achievable for r in reports] == [x is not None for x in sols], where
         assert reports[2].achievable, where
@@ -851,6 +852,5 @@ def test_random_games_give_the_dense_answers_on_every_backend(monkeypatch):
         check()
     finally:
         adjacency_matrix.cache_clear()
-        chase.factorizations.cache_clear()
     assert all(reached.values()), reached
-    assert all(factored.values()), factored
+    assert later_products

@@ -150,84 +150,54 @@ def test_every_memoized_function_answers_as_its_uncached_one(empty_store):
                 assert got == want, (fn.__name__, args)
 
 
-def _charge(table, key) -> int:
-    """What the store charged for ``key`` of ``table``."""
-    return _memo._charges[id(table.get.__self__), key][1]
-
-
 def test_a_list_is_charged_as_a_tuple(empty_store):
-    """A list's items are read as a tuple's are, so a stored product
-    backend, whose pivots, transforms and parts are lists, is charged
-    the bytes they hold."""
+    """A list's items are read as a tuple's are, so a product backend,
+    whose pivots, transforms and parts are lists, is charged the bytes
+    they hold."""
     rows = [(1 << 2000) - 1 - k for k in range(50)]
     header = sys.getsizeof(rows) - sys.getsizeof(tuple(rows))
     assert _memo._sizeof(rows) == _memo._sizeof(tuple(rows)) + header > 50 * 250
     nested = [tuple(rows), [rows[0]]]
     assert _memo._sizeof(nested) > _memo._sizeof(tuple(rows)) + _memo._sizeof(rows[0])
-    g = preset("sigma+:boxtimes", 2, 137)
-    m = adjacency_matrix(g)
-    gf2.kernel_basis(m)
-    backend = chase.factorizations.get(m._game)
+    backend = chase.pick(adjacency_matrix(preset("sigma+:boxtimes", 2, 137)))
     assert isinstance(backend, chase._Product)
     held = sum(_memo._sizeof(t) + _memo._sizeof(w)
                for t, w in zip(backend.transforms, backend.parts))
-    assert held > 6000
-    assert _charge(chase.factorizations, m._game) > held + _memo._sizeof(backend.kernel)
+    assert held > 6000 and _memo._sizeof(backend) > held
 
 
 @pytest.mark.parametrize("name,dims", [("sigma-:boxtimes", (50, 50)), ("sigma+:box", (13, 13, 13)),
                                        ("sigma+:boxtimes", (50, 50)), ("sigma+:box", (7, 11))])
 def test_a_cached_game_matrix_and_a_backend_do_not_grow(fresh_matrices, name, dims):
     """After an achievability and a symmetric check, a cached game
-    matrix holds its game and nothing else, and the board's
-    factorization is kept in the store, charged what _sizeof reads:
-    50x50 sigma-:boxtimes is eliminated whole, from rows built for the
-    solve and not kept, and keeps its kernel; 13x13x13 sigma+:box is
-    chased on words and keeps C's step, its unit starts' layers and the
-    end system's transform; 50x50 sigma+:boxtimes is a product and 7x11
-    sigma+:box a chase on ints.  Later targets, reachable or not, read
-    the same factorization and leave its size as it was."""
+    matrix holds its kernel and little else: 50x50 sigma-:boxtimes is
+    eliminated whole, from rows built for the solve and not kept.
+    13x13x13 sigma+:box is chased on words, 7x11 sigma+:box on ints and
+    50x50 sigma+:boxtimes is a product; each backend holds as many bytes
+    after a first solve and a later one, handed the stored kernel, as
+    before.  Later targets, reachable or not, leave m as it was."""
     g = preset(name, *dims)
     m = adjacency_matrix(g)
-    bare = _memo._sizeof(m)
+    backend = chase.pick(m)
+    held = _memo._sizeof(backend)
     solver.achievable(g, solver.all_on(g.shape))
     solver.symmetric_achievability(g)
-    assert adjacency_matrix(g) is m and m._rows is None and m._kernel is None
-    assert _memo._sizeof(m) == bare
-    backend = chase.factorizations.get(m._game)
-    kind = {"sigma-:boxtimes": gf2._Dense, "sigma+:box": chase._Chase,
-            "sigma+:boxtimes": chase._Product}[name]
-    assert type(backend) is kind and backend.kernel is not None
-    if dims == (13, 13, 13):
-        assert backend.r > 64 and backend.words is not None
-    held = _memo._sizeof(backend)
-    assert _charge(chase.factorizations, m._game) == \
-        _memo._sizeof(m._game) + held + _memo._ENTRY_BYTES
+    assert adjacency_matrix(g) is m and m._rows is None
+    assert _memo._sizeof(m) <= _memo._sizeof(m._kernel) + 4096
+    ones = [BitVector.ones(m.cols).to_int()]
+    if backend is None:
+        gf2._Dense(m).solve(ones)
+        assert m._rows is None and _memo._sizeof(m) <= _memo._sizeof(m._kernel) + 4096
+    else:
+        kind = chase._Product if name == "sigma+:boxtimes" else chase._Chase
+        assert type(backend) is kind and (dims != (13, 13, 13) or backend.r > 64)
+        for kernel in (None, m._kernel):
+            backend.solve(ones, kernel)
+            assert _memo._sizeof(backend) == held
+    bare = _memo._sizeof(m)
     rng = random.Random(7)
     image = m.mul_vec(BitVector.from_int(m.cols, rng.getrandbits(m.cols)))
     for target in (symmetry.central_configuration(g.shape), image,
                    BitVector.from_int(m.cols, rng.getrandbits(m.cols))):
         solver.achievable(g, target)
-        assert chase.factorizations.get(m._game) is backend
-        assert _memo._sizeof(backend) == held and _memo._sizeof(m) == bare
-
-
-def test_a_stored_factorization_is_evicted_and_solved_again(empty_store, monkeypatch):
-    """Under a budget patched down, the factorization of 13x13x13
-    sigma+:box is evicted; a later target then gets a new one, which is
-    over the budget and not kept, and the same answer bytes."""
-    g = preset("sigma+:box", 13, 13, 13)
-    m = adjacency_matrix(g)
-    rng = random.Random(8)
-    targets = [solver.all_on(g.shape), symmetry.central_configuration(g.shape),
-               m.mul_vec(BitVector.from_int(m.cols, rng.getrandbits(m.cols)))]
-
-    def answers():
-        return [(r.witness, r.certificate) for r in (solver.achievable(g, t) for t in targets)]
-    kept = answers()
-    assert chase.factorizations.get(m._game) is not None
-    monkeypatch.setattr(_memo, "BUDGET_BYTES", 1 << 10)
-    assert poly2._path_poly_rows(3, 0b10) == (2, 5, 2)
-    assert chase.factorizations.get(m._game) is None and _memo._held <= 1 << 10
-    assert answers() == kept
-    assert chase.factorizations.get(m._game) is None and adjacency_matrix(g) is m
+        assert _memo._sizeof(m) == bare

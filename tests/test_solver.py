@@ -52,9 +52,7 @@ def test_a_wrong_stored_kernel_is_caught(fresh_matrices):
     # the all-ones vector meets all-on and the centre's one-cell orbit
     # oddly, but M ones != 0 (a corner has 3 neighbours)
     assert not m.mul_vec(BitVector.ones(m.cols)).is_zero()
-    # the kernel of the factorization kept for m, replaced
-    gf2.kernel_basis(m)
-    chase.factorizations.get(m._game).kernel = (BitVector.ones(m.cols).to_int(),)
+    m._kernel = (BitVector.ones(m.cols).to_int(),)
     with pytest.raises(RuntimeError, match="M k = 0"):
         achievable(g, all_on(g.shape))
     with pytest.raises(RuntimeError, match="M k = 0"):
@@ -83,7 +81,7 @@ def test_a_board_is_eliminated_once_per_medium_op(monkeypatch, fresh_matrices):
     # the routine follows the system eliminated: 4x6 whole, on int rows;
     # the chased 12x12 boards' end systems of 12 cells by the chase on
     # ints itself (12 unit starts and one target fit one word); the
-    # 13x13x13 boards' end systems of 169 cells, tagged, on int rows too;
+    # 13x13x13 boards' end systems of 169 cells on int rows too;
     # sigma+:boxtimes's one axis factor I + J, shared by every axis, is
     # invertible on 12 and 13 columns, so nothing is eliminated, and
     # singular on 11 (11 = 2 mod 3), where _axis_echelon eliminates it on
